@@ -1,19 +1,11 @@
-// Fleet-scale engine throughput: calendar queue + SoA ranking kernel vs the
-// retained heap/scalar baseline, at platform sizes the micro-bench never
-// reaches (up to 4096 slaves x 100k tasks). Every row runs the IDENTICAL
-// (platform, workload, policy) through two engine configurations:
+// Fleet-scale engine throughput (calendar event queue + SoA ranking
+// kernel) at platform sizes the micro-bench never reaches (up to 4096
+// slaves x 100k tasks).
 //
-//   heap     EngineOptions{event_queue=kHeap, scalar_probes=true} — the
-//            pre-fleet hot path: binary-heap event queue, per-slave virtual
-//            probe loops.
-//   calendar EngineOptions{} — the default: bucketed calendar queue,
-//            batched branch-free ranking kernel over the SoA slave state.
-//
-// Output is events (scheduled tasks) per second, the speedup ratio, setup
-// time (platform + workload generation, EXCLUDED from the timed region) and
-// the process peak RSS after the row (getrusage ru_maxrss — monotone across
-// rows, so rows run smallest-first and the last row's value is the run's
-// peak).
+// Output is events (scheduled tasks) per second, setup time (platform +
+// workload generation, EXCLUDED from the timed region) and the process peak
+// RSS after the row (getrusage ru_maxrss — monotone across rows, so rows
+// run smallest-first and the last row's value is the run's peak).
 //
 // Each row also micro-benches the ranking kernel at the row's slave count:
 // branch-free scalar completion_batch vs the explicitly vectorized
@@ -75,20 +67,16 @@ struct Row {
   const char* policy;
   int slaves;
   int tasks;
-  int reps;  // best-of-reps on both configurations
+  int reps;  // best-of-reps
 };
 
 struct RowResult {
   Row row;
-  double heap_eps = 0.0;      // events/sec, heap + scalar baseline
-  double calendar_eps = 0.0;  // events/sec, calendar + kernel default
+  double calendar_eps = 0.0;  // events/sec, default engine
   double kernel_scalar_mps = 0.0;  // completion_batch, million probes/sec
   double kernel_simd_mps = 0.0;    // completion_batch_simd, same input
   double setup_sec = 0.0;     // platform + workload generation
   long rss_peak_kb = 0;       // process peak RSS after this row
-  double speedup() const {
-    return heap_eps > 0.0 ? calendar_eps / heap_eps : 0.0;
-  }
   double kernel_speedup() const {
     return kernel_scalar_mps > 0.0 ? kernel_simd_mps / kernel_scalar_mps : 0.0;
   }
@@ -117,17 +105,17 @@ struct ShardedResult {
   }
 };
 
-/// Best-of-reps throughput of one engine configuration. The scheduler is
-/// constructed inside (stateful policies must start fresh per rep) but the
-/// timed region covers only simulate().
+/// Best-of-reps engine throughput. The scheduler is constructed inside
+/// (stateful policies must start fresh per rep) but the timed region covers
+/// only simulate().
 double best_events_per_sec(const platform::Platform& plat,
                            const core::Workload& work, const char* policy,
-                           core::EngineOptions options, int reps) {
+                           int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     const auto scheduler = algorithms::make_scheduler(policy);
     const auto start = std::chrono::steady_clock::now();
-    g_sink = core::simulate(plat, work, *scheduler, options).makespan();
+    g_sink = core::simulate(plat, work, *scheduler).makespan();
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     if (elapsed.count() > 0.0)
@@ -190,14 +178,7 @@ RowResult run_row(const Row& row) {
                       std::chrono::steady_clock::now() - setup_start)
                       .count();
 
-  core::EngineOptions heap;
-  heap.event_queue = core::EventQueueChoice::kHeap;
-  heap.scalar_probes = true;
-  out.heap_eps = best_events_per_sec(plat, work, row.policy, heap, row.reps);
-
-  core::EngineOptions fleet;  // defaults: calendar queue + ranking kernel
-  out.calendar_eps =
-      best_events_per_sec(plat, work, row.policy, fleet, row.reps);
+  out.calendar_eps = best_events_per_sec(plat, work, row.policy, row.reps);
 
   out.kernel_scalar_mps = kernel_probes_mps(row.slaves, /*simd=*/false);
   out.kernel_simd_mps = kernel_probes_mps(row.slaves, /*simd=*/true);
@@ -257,8 +238,8 @@ ShardedResult run_sharded_row(const ShardedRow& row) {
 
 std::vector<Row> rows_for_scale(bool small) {
   if (small) {
-    // CI smoke: exercises both configurations and the JSON schema in a few
-    // seconds; speedups at this size are not the acceptance numbers.
+    // CI smoke: exercises every table and the JSON schema in a few seconds;
+    // throughputs at this size are not the acceptance numbers.
     return {{"LS", 64, 5000, 2}, {"RR", 128, 8000, 2}, {"LS", 128, 8000, 2}};
   }
   return {{"LS", 256, 20000, 2},
@@ -305,9 +286,7 @@ std::string to_json(const std::vector<RowResult>& results,
     json += "{\"policy\":\"" + std::string(r.row.policy) + "\"";
     json += ",\"slaves\":" + std::to_string(r.row.slaves);
     json += ",\"tasks\":" + std::to_string(r.row.tasks);
-    json += ",\"events_per_sec_heap\":" + fmt(r.heap_eps);
     json += ",\"events_per_sec_calendar\":" + fmt(r.calendar_eps);
-    json += ",\"speedup\":" + fmt(r.speedup());
     json += ",\"kernel_scalar_mprobes\":" + fmt(r.kernel_scalar_mps);
     json += ",\"kernel_simd_mprobes\":" + fmt(r.kernel_simd_mps);
     json += ",\"kernel_simd_speedup\":" + fmt(r.kernel_speedup());
@@ -343,8 +322,7 @@ const char* const kSchemaKeys[] = {
     "\"bench\":\"fleet_scale\"", "\"unit\":\"events/sec\"",
     "\"scale\":",                "\"cases\":",
     "\"policy\":",               "\"slaves\":",
-    "\"tasks\":",                "\"events_per_sec_heap\":",
-    "\"events_per_sec_calendar\":", "\"speedup\":",
+    "\"tasks\":",                "\"events_per_sec_calendar\":",
     "\"setup_sec\":",            "\"rss_peak_kb\":",
     "\"simd_available\":",       "\"kernel_scalar_mprobes\":",
     "\"kernel_simd_mprobes\":",  "\"kernel_simd_speedup\":",
@@ -406,8 +384,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows_for_scale(small)) {
     RowResult r = run_row(row);
     std::cout << r.row.policy << " m=" << r.row.slaves << " n=" << r.row.tasks
-              << ": heap " << r.heap_eps << " ev/s, calendar "
-              << r.calendar_eps << " ev/s (x" << r.speedup() << "), kernel "
+              << ": " << r.calendar_eps << " ev/s, kernel "
               << r.kernel_scalar_mps << " -> " << r.kernel_simd_mps
               << " Mprobe/s (x" << r.kernel_speedup() << "), setup "
               << r.setup_sec << " s, peak RSS " << r.rss_peak_kb << " kb\n";

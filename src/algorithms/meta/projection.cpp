@@ -144,25 +144,6 @@ core::SlaveStateView EngineProjection::slave_state() const {
   return s;
 }
 
-void EngineProjection::completion_if_assigned_batch(core::TaskId task,
-                                                    const core::SlaveId* slaves,
-                                                    int n,
-                                                    core::Time* out) const {
-  const core::TaskSpec& spec = task_spec(task);  // one list walk, not n
-  const core::Time send_start =
-      std::max({now_, port_free_at(), spec.release});
-  core::completion_gather(slave_state(), now_, send_start, spec.comm_factor,
-                          spec.comp_factor, slaves, n, out);
-}
-
-core::SlaveId EngineProjection::best_completion_slave(core::TaskId task) const {
-  const core::TaskSpec& spec = task_spec(task);
-  const core::Time send_start =
-      std::max({now_, port_free_at(), spec.release});
-  return core::rank_best_completion(slave_state(), now_, send_start,
-                                    spec.comm_factor, spec.comp_factor);
-}
-
 void EngineProjection::commit(const core::Assign& assign) {
   if (pending_.empty() || assign.task != pending_.front()) {
     throw std::logic_error(
@@ -515,24 +496,6 @@ core::SlaveStateView IncrementalProjection::slave_state() const {
   s.online = offline_count_ > 0 ? online_.data() : nullptr;
   s.m = live_->platform().size();
   return s;
-}
-
-void IncrementalProjection::completion_if_assigned_batch(
-    core::TaskId task, const core::SlaveId* slaves, int n,
-    core::Time* out) const {
-  const core::TaskSpec& spec = task_spec(task);  // one list walk, not n
-  const core::Time send_start = std::max({now_, port_free_at(), spec.release});
-  core::completion_gather_simd(slave_state(), now_, send_start,
-                               spec.comm_factor, spec.comp_factor, slaves, n,
-                               out);
-}
-
-core::SlaveId IncrementalProjection::best_completion_slave(
-    core::TaskId task) const {
-  const core::TaskSpec& spec = task_spec(task);
-  const core::Time send_start = std::max({now_, port_free_at(), spec.release});
-  return core::rank_best_completion(slave_state(), now_, send_start,
-                                    spec.comm_factor, spec.comp_factor);
 }
 
 void IncrementalProjection::commit(const core::Assign& assign) {

@@ -69,20 +69,7 @@ void OnePortEngine::reset(platform::Platform platform,
   slave_comp_ends_.resize(m);
   for (std::vector<Time>& ends : slave_comp_ends_) ends.clear();
   committed_ = 0;
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  switch (options_.event_queue) {
-    case EventQueueChoice::kAuto:
-#ifdef MSOL_HEAP_EVENT_QUEUE
-      queue_impl = EventQueueImpl::kHeap;
-#endif
-      break;
-    case EventQueueChoice::kCalendar:
-      break;
-    case EventQueueChoice::kHeap:
-      queue_impl = EventQueueImpl::kHeap;
-      break;
-  }
-  events_.configure(queue_impl);  // also drops any stale entries
+  events_.clear();
   wake_gen_ = 0;
   schedule_.clear();
   trace_.clear();
@@ -772,7 +759,6 @@ Time OnePortEngine::completion_if_assigned(TaskId task, SlaveId j) const {
 }
 
 SlaveStateView OnePortEngine::slave_state() const {
-  if (options_.scalar_probes) return SlaveStateView{};
   SlaveStateView s;
   s.comm = platform_->comm_data();
   s.comp = platform_->comp_data();
@@ -783,34 +769,6 @@ SlaveStateView OnePortEngine::slave_state() const {
   }
   s.m = platform_->size();
   return s;
-}
-
-void OnePortEngine::completion_if_assigned_batch(TaskId task,
-                                                 const SlaveId* slaves, int n,
-                                                 Time* out) const {
-  const SlaveStateView s = slave_state();
-  if (s.empty()) {  // scalar_probes baseline: the generic virtual loop
-    EngineView::completion_if_assigned_batch(task, slaves, n, out);
-    return;
-  }
-  const TaskSpec& spec = task_spec(task);
-  const Time send_start = std::max({now_, port_free_at(), spec.release});
-  completion_gather_simd(s, now_, send_start, spec.comm_factor,
-                         spec.comp_factor, slaves, n, out);
-}
-
-SlaveId OnePortEngine::best_completion_slave(TaskId task) const {
-  // Same arithmetic and tie-break as the EngineView default, with the
-  // loop-invariant send-start hoisted and the per-slave virtual probes
-  // flattened into the batched ranking kernel over the engine's dense
-  // arrays. test_engine_diff keeps this honest against the default
-  // implementation running on ReferenceEngine.
-  const SlaveStateView s = slave_state();
-  if (s.empty()) return EngineView::best_completion_slave(task);
-  const TaskSpec& spec = task_spec(task);
-  const Time send_start = std::max({now_, port_free_at(), spec.release});
-  return rank_best_completion(s, now_, send_start, spec.comm_factor,
-                              spec.comp_factor);
 }
 
 Schedule simulate(const platform::Platform& platform, const Workload& workload,

@@ -68,14 +68,6 @@ struct DeltaEvent {
   double speed = 1.0;  ///< kSlaveUp / kSpeedShift: the new speed
 };
 
-/// Which EventQueue implementation an engine uses. kAuto resolves to the
-/// calendar queue unless the build was configured with
-/// -DMSOL_HEAP_EVENT_QUEUE (the build-level escape hatch that flips every
-/// kAuto engine in a binary back onto the heap); the explicit choices pin
-/// one implementation regardless of build flags — the differential harness
-/// uses them to run calendar-vs-heap engines side by side in one process.
-enum class EventQueueChoice : std::uint8_t { kAuto, kCalendar, kHeap };
-
 /// Engine knobs.
 struct EngineOptions {
   /// Number of simultaneous sends the master may have in flight.
@@ -112,15 +104,6 @@ struct EngineOptions {
   std::vector<SlaveId> lazy_stream_ids;
   /// Record a decision/event log readable via OnePortEngine::trace().
   bool enable_trace = false;
-  /// Event-calendar implementation (see EventQueueChoice). Behavior is
-  /// identical either way — only the cost of push/pop changes.
-  EventQueueChoice event_queue = EventQueueChoice::kAuto;
-  /// Disable the batched ranking-kernel probe paths: slave_state() reports
-  /// empty and the batch probes fall back to the generic per-slave virtual
-  /// loops. This is the measurable pre-kernel baseline bench_fleet_scale
-  /// compares against, and a third triangulation point for the differential
-  /// suite (kernel vs scalar vs ReferenceEngine must all agree).
-  bool scalar_probes = false;
 };
 
 /// What time-varying availability cost a run: how often work had to be
@@ -147,12 +130,11 @@ struct DisruptionStats {
 ///
 /// Decision instants come from an event calendar: slave completions and
 /// WaitUntil wake-ups are pushed into an EventQueue (a bucketed calendar
-/// queue by default, O(1) amortized; a binary min-heap behind
-/// EngineOptions::event_queue — see EventQueueChoice) when they become
-/// known and consumed lazily, while releases keep their sorted cursor and
-/// port frees their capacity-bounded array. Advancing time thus costs O(1)
-/// amortized instead of the O(slaves * log tasks) scan the pre-calendar
-/// engine (retained verbatim as ReferenceEngine) performs at every step.
+/// queue, O(1) amortized) when they become known and consumed lazily, while
+/// releases keep their sorted cursor and port frees their capacity-bounded
+/// array. Advancing time thus costs O(1) amortized instead of the
+/// O(slaves * log tasks) scan the pre-calendar engine (retained verbatim as
+/// ReferenceEngine) performs at every step.
 /// The pending set is a bucketed FIFO slot index (dense slot vector with
 /// tombstones and per-64-slot live counts), making commit() O(1) where the
 /// reference engine pays an O(pending) find + erase, and letting bulk
@@ -303,10 +285,7 @@ class OnePortEngine final : public EngineView {
   const TaskSpec& task_spec(TaskId i) const override;
   std::optional<SlaveId> assignment_of(TaskId task) const override;
   Time completion_if_assigned(TaskId task, SlaveId j) const override;
-  void completion_if_assigned_batch(TaskId task, const SlaveId* slaves, int n,
-                                    Time* out) const override;
   SlaveStateView slave_state() const override;
-  SlaveId best_completion_slave(TaskId task) const override;
   const Schedule& schedule() const override { return schedule_; }
   const Trace& trace() const override { return trace_; }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -21,7 +22,10 @@ namespace msol::core {
 /// (the original scan-based loop, see reference_engine.hpp). Schedulers are
 /// written against this view so the differential harness in
 /// tests/test_engine_diff.cpp can run the *same* policy on both engines and
-/// require bit-identical schedules and traces.
+/// require bit-identical schedules and traces. The batched probes are not
+/// virtual: one implementation serves every view, running the ranking
+/// kernel when slave_state() exposes dense arrays and the per-slave loop
+/// when it does not (the loop is the kernel's oracle).
 class EngineView {
  public:
   virtual ~EngineView() = default;
@@ -94,36 +98,43 @@ class EngineView {
   /// Deliberately nominal — blind to injected background load.
   virtual Time completion_if_assigned(TaskId task, SlaveId j) const = 0;
 
-  /// Batched completion probe: out[i] = completion_if_assigned(task,
-  /// slaves[i]) for n candidate slaves. Engines with dense state override
-  /// this to hoist the per-task terms (spec lookup, send-start max chain)
-  /// out of the loop and run the ranking kernel over their arrays; the
-  /// default is the plain probe loop, which ReferenceEngine keeps so the
-  /// differential suite pins the override to the scalar semantics.
-  virtual void completion_if_assigned_batch(TaskId task, const SlaveId* slaves,
-                                            int n, Time* out) const {
-    for (int i = 0; i < n; ++i) out[i] = completion_if_assigned(task, slaves[i]);
-  }
-
-  /// Structure-of-arrays snapshot of the per-slave probe state, for policy
-  /// components that rank every slave at once through the batched kernel
-  /// (core/rank_kernel.hpp). Engines that do not maintain dense arrays —
-  /// the frozen ReferenceEngine on purpose — return an empty() view, and
-  /// callers fall back to the virtual probes; the differential harness runs
-  /// both paths against each other. Pointers are valid only until the
-  /// engine's next mutation.
+  /// Structure-of-arrays snapshot of the per-slave probe state, for the
+  /// batched probes below and for policy components that rank every slave
+  /// at once through the kernel (core/rank_kernel.hpp). Engines that do not
+  /// maintain dense arrays — the frozen ReferenceEngine on purpose — return
+  /// an empty() view, and the probes take the generic per-slave loop; the
+  /// differential harness runs both paths against each other. Pointers are
+  /// valid only until the engine's next mutation.
   virtual SlaveStateView slave_state() const { return SlaveStateView{}; }
+
+  /// Batched completion probe: out[i] = completion_if_assigned(task,
+  /// slaves[i]) for n candidate slaves.
+  void completion_if_assigned_batch(TaskId task, const SlaveId* slaves, int n,
+                                    Time* out) const {
+    const SlaveStateView s = slave_state();
+    if (s.empty()) {
+      for (int i = 0; i < n; ++i) {
+        out[i] = completion_if_assigned(task, slaves[i]);
+      }
+      return;
+    }
+    const TaskSpec& spec = task_spec(task);
+    completion_gather_simd(s, now(), send_start(spec), spec.comm_factor,
+                           spec.comp_factor, slaves, n, out);
+  }
 
   /// The available slave minimizing completion_if_assigned(task, j), with
   /// list scheduling's exact tie-break: a later slave wins only when
   /// strictly better by more than kTimeEps; -1 when no slave is available.
-  /// One interface call instead of one per slave — the production engine
-  /// overrides it with a scan over its own state (the send-start term is
-  /// loop-invariant), turning LS's inner loop from m virtual probes into
-  /// one. The default is the plain generic loop; ReferenceEngine keeps it,
-  /// so the override cannot drift unnoticed: the differential suite
-  /// compares the resulting schedules bit-for-bit.
-  virtual SlaveId best_completion_slave(TaskId task) const {
+  /// With dense state this is one kernel pass instead of m virtual probes
+  /// (the send-start term is loop-invariant); otherwise the generic loop.
+  SlaveId best_completion_slave(TaskId task) const {
+    const SlaveStateView s = slave_state();
+    if (!s.empty()) {
+      const TaskSpec& spec = task_spec(task);
+      return rank_best_completion(s, now(), send_start(spec), spec.comm_factor,
+                                  spec.comp_factor);
+    }
     SlaveId best = -1;
     Time best_completion = 0.0;
     for (SlaveId j = 0; j < platform().size(); ++j) {
@@ -143,6 +154,12 @@ class EngineView {
 
   /// The decision/event log; empty unless tracing was enabled.
   virtual const Trace& trace() const = 0;
+
+ private:
+  /// When a send committed now for a task with `spec` would start.
+  Time send_start(const TaskSpec& spec) const {
+    return std::max({now(), port_free_at(), spec.release});
+  }
 };
 
 }  // namespace msol::core

@@ -9,15 +9,6 @@ namespace msol::core {
 
 namespace {
 
-/// Binary-heap ordering (earliest time on top). Kept byte-for-byte what the
-/// pre-calendar EventQueue used, so the heap fallback *is* the retained
-/// baseline, not a re-implementation of it.
-struct Later {
-  bool operator()(const Event& a, const Event& b) const {
-    return a.time > b.time;
-  }
-};
-
 /// Insert position that keeps a bucket sorted by time descending (bucket
 /// minimum at back()): first element strictly earlier than `t`. Equal times
 /// stay ahead of the new entry, so the back is the oldest of the tied
@@ -32,21 +23,9 @@ std::vector<Event>::iterator descending_pos(std::vector<Event>& bucket,
 
 }  // namespace
 
-EventQueue::EventQueue(EventQueueImpl impl) : impl_(impl) { configure(impl); }
-
-void EventQueue::configure(EventQueueImpl impl) {
-  impl_ = impl;
-  clear();
-  if (impl_ == EventQueueImpl::kCalendar && nbuckets_ == 0) {
-    nbuckets_ = kMinBuckets;
-    bucket_mask_ = nbuckets_ - 1;
-    width_ = 1.0;
-    buckets_.resize(nbuckets_);
-  }
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets) {}
 
 void EventQueue::clear() {
-  heap_.clear();
   for (std::vector<Event>& bucket : buckets_) bucket.clear();
   size_ = 0;
   floor_time_ = 0.0;
@@ -71,12 +50,6 @@ void EventQueue::push(Time time, EventKind kind, std::uint32_t gen) {
   if (!(time >= 0.0) || !std::isfinite(time)) {
     throw std::invalid_argument(
         "EventQueue: event times must be finite and non-negative");
-  }
-  if (impl_ == EventQueueImpl::kHeap) {
-    heap_.push_back(Event{time, kind, gen});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++size_;
-    return;
   }
   insert_calendar(Event{time, kind, gen});
   ++size_;
@@ -131,18 +104,11 @@ void EventQueue::find_min() const {
 }
 
 const Event& EventQueue::top() const {
-  if (impl_ == EventQueueImpl::kHeap) return heap_.front();
   find_min();
   return buckets_[cmin_bucket_].back();
 }
 
 void EventQueue::pop() {
-  if (impl_ == EventQueueImpl::kHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    --size_;
-    return;
-  }
   find_min();
   std::vector<Event>& bucket = buckets_[cmin_bucket_];
   floor_time_ = bucket.back().time;  // times only move forward from the min
@@ -166,8 +132,8 @@ void EventQueue::resize_calendar(std::size_t nbuckets) {
   // calendar-queue sizing rule): the head of the queue is where pops scan,
   // so that is the region the buckets must spread out. Ties contribute zero
   // gap; an all-tied head degenerates to a single bucket no matter the
-  // width, which is exactly the pathological case the heap fallback exists
-  // for.
+  // width (still correct, only slower: each push is a sorted insert into
+  // that one bucket).
   const std::size_t sample =
       std::min<std::size_t>(scratch_.size(), 64);
   if (sample >= 2) {

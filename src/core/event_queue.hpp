@@ -36,34 +36,20 @@ struct Event {
   std::uint32_t gen = 0;
 };
 
-/// Which machinery orders the pending events.
-///
-///   kCalendar — Brown-style bucketed calendar queue: O(1) amortized push
-///               and pop for the engine's event pattern (a dense moving
-///               window of near-future instants). The fleet-scale default.
-///   kHeap     — the original binary min-heap: O(log n) per op, but immune
-///               to pathological time distributions (e.g. everything at one
-///               instant, where a calendar degenerates to one bucket). Also
-///               the retained baseline the differential harness compares
-///               the calendar engine against.
-///
-/// The choice is made at construction / configure() time; there is no
-/// mid-stream migration.
-enum class EventQueueImpl : std::uint8_t { kCalendar, kHeap };
-
 /// The single source of future wake-up instants for the event-driven
-/// engine. Replaces the per-step linear scans over ports, slaves and
+/// engine: a Brown-style bucketed calendar queue, O(1) amortized push and
+/// pop for the engine's event pattern (a dense moving window of near-future
+/// instants). Replaces the per-step linear scans over ports, slaves and
 /// per-slave completion lists that the pre-calendar engine (retained as
 /// ReferenceEngine) performs in its next_wakeup().
 ///
-/// Contract (all the engine relies on, and all the two implementations
-/// promise): pop() consumes entries in nondecreasing time order, top() is
-/// an entry of minimum time, and nothing is ever lost or duplicated. Ties
-/// on time may surface in any implementation-specific order — only the
-/// minimum *instant* is ever consumed, never the entry identity, which is
-/// what lets a calendar queue replace the heap without changing a byte of
-/// engine behavior (tests/test_event_queue.cpp fuzzes exactly this
-/// contract; tests/test_engine_diff.cpp proves engine-level identity).
+/// Contract (all the engine relies on): pop() consumes entries in
+/// nondecreasing time order, top() is an entry of minimum time, and nothing
+/// is ever lost or duplicated. Ties on time may surface in any order — only
+/// the minimum *instant* is ever consumed, never the entry identity
+/// (tests/test_event_queue.cpp fuzzes exactly this contract against a
+/// sorted-multimap model; tests/test_engine_diff.cpp proves engine-level
+/// identity with ReferenceEngine).
 ///
 /// Deletion is lazy: consumers pop entries that their own state proves
 /// stale (in the past, or generation-superseded).
@@ -72,12 +58,7 @@ enum class EventQueueImpl : std::uint8_t { kCalendar, kHeap };
 /// throws std::invalid_argument otherwise.
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kCalendar);
-
-  /// Re-selects the implementation and drops every entry (allocations are
-  /// kept, so a reused engine stops paying per-cell growth in grid sweeps).
-  void configure(EventQueueImpl impl);
-  EventQueueImpl impl() const { return impl_; }
+  EventQueue();
 
   void push(Time time, EventKind kind, std::uint32_t gen = 0);
 
@@ -90,11 +71,10 @@ class EventQueue {
   void pop();
 
   /// Drops every entry but keeps the allocation, so a reused engine stops
-  /// paying per-cell heap/bucket growth in grid sweeps.
+  /// paying per-cell bucket growth in grid sweeps.
   void clear();
 
  private:
-  // --- calendar machinery ---------------------------------------------------
   std::size_t bucket_of(Time t) const;
   /// Locates the minimum entry (bucket index cached; the minimum of a
   /// bucket is always its back, buckets being sorted descending by time).
@@ -105,17 +85,15 @@ class EventQueue {
   /// calendar-queue sizing rule).
   void resize_calendar(std::size_t nbuckets);
 
-  EventQueueImpl impl_;
+  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kMinBuckets = 16;
+
   std::size_t size_ = 0;
-
-  // Heap storage (impl_ == kHeap).
-  std::vector<Event> heap_;
-
-  // Calendar storage (impl_ == kCalendar). Each bucket is sorted by time
-  // descending, so its minimum is back() and pop is O(1) once located.
+  // Each bucket is sorted by time descending, so its minimum is back() and
+  // pop is O(1) once located.
   std::vector<std::vector<Event>> buckets_;
-  std::size_t nbuckets_ = 0;   ///< always a power of two
-  std::size_t bucket_mask_ = 0;
+  std::size_t nbuckets_ = kMinBuckets;  ///< always a power of two
+  std::size_t bucket_mask_ = kMinBuckets - 1;
   double width_ = 1.0;         ///< seconds of simulated time per bucket
   /// Lower bound on every stored entry's time: raised to each popped
   /// minimum, lowered by an out-of-order push. find_min starts its
@@ -127,9 +105,6 @@ class EventQueue {
   /// const top() can lazily re-locate after a pop.
   mutable std::size_t cmin_bucket_ = kNpos;
   std::vector<Event> scratch_;  ///< resize_calendar's flatten buffer
-
-  static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kMinBuckets = 16;
 };
 
 }  // namespace msol::core

@@ -160,21 +160,14 @@ void ShardedEngine::run_to_completion() {
     while (i < loaded_.size()) {
       const Time t = loaded_[i].release;
       for_each_shard([&](std::size_t k) { engines_[k]->run_until(t); });
-      if (options_.route_scan) {
-        while (i < loaded_.size() && loaded_[i].release == t) {
-          assign_to_shard(route_least_loaded_scan(), static_cast<TaskId>(i));
-          ++i;
-        }
-      } else {
-        // inject_task touches neither pending_count() nor port_free_at()
-        // (the release is processed by a later run_until), so every task
-        // sharing this release instant routes to the same shard — decide
-        // once per epoch, not once per injection.
-        const int best = route_least_loaded(t);
-        while (i < loaded_.size() && loaded_[i].release == t) {
-          assign_to_shard(best, static_cast<TaskId>(i));
-          ++i;
-        }
+      // inject_task touches neither pending_count() nor port_free_at() (the
+      // release is processed by a later run_until), so every task sharing
+      // this release instant routes to the same shard — decide once per
+      // epoch, not once per injection.
+      const int best = route_least_loaded(t);
+      while (i < loaded_.size() && loaded_[i].release == t) {
+        assign_to_shard(best, static_cast<TaskId>(i));
+        ++i;
       }
     }
   }
@@ -215,21 +208,6 @@ int ShardedEngine::route_least_loaded(Time t) {
       best = k;
       best_pending = c.pending;
       best_free = free_k;
-    }
-  }
-  return best;
-}
-
-int ShardedEngine::route_least_loaded_scan() const {
-  const int num = num_shards();
-  int best = 0;
-  for (int k = 1; k < num; ++k) {
-    const OnePortEngine& e = shard_engine(k);
-    const OnePortEngine& b = shard_engine(best);
-    if (e.pending_count() < b.pending_count() ||
-        (e.pending_count() == b.pending_count() &&
-         e.port_free_at() < b.port_free_at() - kTimeEps)) {
-      best = k;
     }
   }
   return best;

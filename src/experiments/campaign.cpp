@@ -268,6 +268,11 @@ std::vector<RobustnessResult> run_robustness(const CampaignConfig& config) {
     throw std::invalid_argument(
         "run_robustness: config.size_jitter must be positive");
   }
+  if (config.engine_shards != 1) {
+    throw std::invalid_argument(
+        "run_robustness: engine sharding is not supported (engine_shards "
+        "must be 1)");
+  }
   const std::vector<std::string> names = algorithm_names(config);
 
   util::Rng rng(config.seed);
@@ -289,6 +294,7 @@ std::vector<RobustnessResult> run_robustness(const CampaignConfig& config) {
       auto scheduler = algorithms::make_scheduler(name, config.lookahead);
       const core::Schedule base = simulate(plat, identical, *scheduler, options);
       const core::Schedule pert = simulate(plat, jittered, *scheduler, options);
+      core::validate_or_throw(plat, identical, base, options);
       core::validate_or_throw(plat, jittered, pert, options);
 
       RawValues& values = raw[name];

@@ -131,6 +131,9 @@ struct RobustnessResult {
   util::Summary sum_flow_ratio;
 };
 
+/// Both schedules of every pair are validated against the one-port model.
+/// Runs on the single engine only: throws std::invalid_argument when
+/// engine_shards != 1 (or size_jitter <= 0).
 std::vector<RobustnessResult> run_robustness(const CampaignConfig& config);
 
 /// Maximum sustainable task throughput of a platform under the one-port

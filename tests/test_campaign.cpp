@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "experiments/campaign.hpp"
+#include "platform/availability.hpp"
 #include "platform/platform.hpp"
 
 namespace msol::experiments {
@@ -126,6 +130,30 @@ TEST(Campaign, UnboundedPortNeverHurtsListScheduling) {
 TEST(Robustness, RequiresPositiveJitter) {
   EXPECT_THROW(run_robustness(small_config(PlatformClass::kFullyHomogeneous)),
                std::invalid_argument);
+}
+
+TEST(Robustness, RejectsEngineSharding) {
+  CampaignConfig config = small_config(PlatformClass::kFullyHeterogeneous);
+  config.size_jitter = 0.10;
+  config.engine_shards = 2;
+  config.shard_routing = "least-loaded";
+  EXPECT_THROW(run_robustness(config), std::invalid_argument);
+}
+
+TEST(Robustness, ValidatesBothSchedulesUnderChurn) {
+  // Both the identical-size base and the jittered run are checked against
+  // the one-port model with the cell's availability profiles; a mis-wired
+  // validation (the base checked against the jittered workload, or without
+  // the profiles that explain its re-dispatches) throws here.
+  CampaignConfig config = small_config(PlatformClass::kFullyHeterogeneous);
+  config.size_jitter = 0.25;
+  config.avail = platform::AvailabilityModel::kChurn;
+  config.mtbf_tasks = 10.0;
+  config.outage_frac = 0.2;
+  config.algorithms = {"LS", "SRPT"};
+  std::vector<RobustnessResult> results;
+  EXPECT_NO_THROW(results = run_robustness(config));
+  EXPECT_EQ(results.size(), 2u);
 }
 
 TEST(Robustness, RatiosHoverAroundOne) {

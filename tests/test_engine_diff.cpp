@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "core/engine.hpp"
 #include "core/reference_engine.hpp"
 #include "core/sharded_engine.hpp"
+#include "core/validator.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
@@ -352,37 +354,109 @@ TEST_P(EngineDiffProbes, RunUntilAndInjectMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, EngineDiffProbes, ::testing::Range(0, 5));
 
-// ----- scale-stratified shards ---------------------------------------------
+// ----- probe audit at fleet scale ------------------------------------------
 //
-// Fleet sizes the 500-case suite never reaches: 1k/4k slaves x 50k/100k
-// tasks. ReferenceEngine's O(pending) scans would dominate the suite's
-// runtime here, so at scale the *heap-queue, scalar-probe* OnePortEngine —
-// proven bit-identical to the reference by the shards above — is the
-// expected side, and the calendar-queue engine (with the ranking kernel on
-// even shards, scalar probes on odd ones, so kernel-vs-scalar equality is
-// itself part of the proof) must reproduce it byte for byte. ChaoticPolicy
-// is excluded: its pending_tasks() copy is O(n^2) over a 100k backlog and
-// its WaitUntil coverage is already carried by the base shards.
+// The batched probes (completion_if_assigned_batch, best_completion_slave)
+// run the ranking kernel over the engine's dense arrays. ProbeAudit wraps a
+// policy and, at every decision, recomputes both for the pending front task
+// with a test-side loop over is_available / completion_if_assigned — the
+// scalar semantics, eps tie-break included — and requires bitwise agreement.
+// The shards run it at fleet sizes the 500-case suite never reaches (1k/4k
+// slaves x 50k/100k tasks), where ReferenceEngine's O(pending) scans would
+// dominate the suite's runtime: static platforms (one fully homogeneous, so
+// exact ties exercise the tie-break), churn (offline slaves) and drift
+// (per-slave speeds). ChaoticPolicy is excluded: its pending_tasks() copy is
+// O(n^2) over a 100k backlog and its WaitUntil coverage is already carried
+// by the base shards.
 //
 // Setting MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks every case
 // ~16x/25x while keeping the same structure.
+
+class ProbeAudit : public OnlineScheduler {
+ public:
+  explicit ProbeAudit(OnlineScheduler& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  void on_task_released(const EngineView& engine, TaskId task) override {
+    inner_.on_task_released(engine, task);
+  }
+
+  Decision decide(const EngineView& engine) override {
+    ++decisions_;
+    if (mismatch_.empty()) audit(engine);
+    return inner_.decide(engine);
+  }
+
+  long long decisions() const { return decisions_; }
+  /// First disagreement found, or empty.
+  const std::string& mismatch() const { return mismatch_; }
+
+ private:
+  void audit(const EngineView& engine) {
+    const TaskId task = engine.pending_front();
+    const int m = engine.platform().size();
+    const auto ms = static_cast<std::size_t>(m);
+    ids_.resize(ms);
+    scalar_.resize(ms);
+    batch_.resize(ms);
+    SlaveId best = -1;
+    Time best_completion = 0.0;
+    for (SlaveId j = 0; j < m; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      ids_[js] = j;
+      scalar_[js] = engine.completion_if_assigned(task, j);
+      if (!engine.is_available(j)) continue;
+      if (best < 0 || scalar_[js] < best_completion - kTimeEps) {
+        best = j;
+        best_completion = scalar_[js];
+      }
+    }
+    engine.completion_if_assigned_batch(task, ids_.data(), m, batch_.data());
+    const std::string where = "decision " + std::to_string(decisions_) +
+                              " (t=" + std::to_string(engine.now()) + ")";
+    if (std::memcmp(batch_.data(), scalar_.data(), ms * sizeof(Time)) != 0) {
+      mismatch_ = where + ": completion_if_assigned_batch differs";
+      return;
+    }
+    const SlaveId kernel_best = engine.best_completion_slave(task);
+    if (kernel_best != best) {
+      mismatch_ = where + ": best_completion_slave " +
+                  std::to_string(kernel_best) + ", scalar loop " +
+                  std::to_string(best);
+    }
+  }
+
+  OnlineScheduler& inner_;
+  long long decisions_ = 0;
+  std::string mismatch_;
+  std::vector<SlaveId> ids_;
+  std::vector<Time> scalar_;
+  std::vector<Time> batch_;
+};
 
 struct ScaleCase {
   const char* policy;
   int slaves;
   int tasks;
-  bool churn;  // time-varying availability (outages + re-dispatch) at scale
+  platform::AvailabilityModel avail;
+  platform::PlatformClass cls = platform::PlatformClass::kFullyHeterogeneous;
 };
 
 constexpr ScaleCase kScaleCases[] = {
-    {"RR", 1024, 50000, false},  {"LS", 1024, 50000, true},
-    {"SRPT", 1024, 50000, false}, {"RR", 4096, 100000, true},
-    {"LS", 4096, 100000, false},
+    {"RR", 1024, 50000, platform::AvailabilityModel::kAlways},
+    {"LS", 1024, 50000, platform::AvailabilityModel::kChurn},
+    {"SRPT", 1024, 50000, platform::AvailabilityModel::kAlways},
+    {"RR", 4096, 100000, platform::AvailabilityModel::kChurn},
+    {"LS", 4096, 100000, platform::AvailabilityModel::kAlways},
+    {"LS", 1024, 50000, platform::AvailabilityModel::kDrift},
+    {"SRPT", 1024, 50000, platform::AvailabilityModel::kDrift},
+    {"LS", 1024, 50000, platform::AvailabilityModel::kAlways,
+     platform::PlatformClass::kFullyHomogeneous},
 };
 
 class EngineDiffScale : public ::testing::TestWithParam<int> {};
 
-TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
+TEST_P(EngineDiffScale, BatchedProbesMatchScalarLoopAtFleetScale) {
   ScaleCase c = kScaleCases[GetParam()];
   const char* scale_env = std::getenv("MSOL_DIFF_SCALE");
   if (scale_env != nullptr && std::string(scale_env) == "small") {
@@ -391,12 +465,13 @@ TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
   }
   const std::string label = std::string(c.policy) + " m=" +
                             std::to_string(c.slaves) + " n=" +
-                            std::to_string(c.tasks);
+                            std::to_string(c.tasks) + " " +
+                            platform::to_string(c.avail);
 
   const std::uint64_t seed = 424200ULL + static_cast<std::uint64_t>(GetParam());
   util::Rng rng(seed);
-  const platform::Platform plat = platform::PlatformGenerator().generate(
-      platform::PlatformClass::kFullyHeterogeneous, c.slaves, rng);
+  const platform::Platform plat =
+      platform::PlatformGenerator().generate(c.cls, c.slaves, rng);
 
   // Bursty arrivals cluster timestamps — the calendar queue's worst natural
   // regime (many events in few buckets) — at 90% of one-port capacity.
@@ -404,38 +479,24 @@ TEST_P(EngineDiffScale, CalendarMatchesHeapAtFleetScale) {
   const Workload work =
       Workload::bursty(c.tasks, c.tasks / 64 + 1, 1.0 / rate, rng);
 
-  EngineOptions heap_options;
-  heap_options.event_queue = EventQueueChoice::kHeap;
-  heap_options.scalar_probes = true;
-  if (c.churn) {
-    const Time horizon = 1.5 * static_cast<Time>(c.tasks) / rate;
-    heap_options.availability = platform::generate_availability(
-        platform::AvailabilityModel::kChurn, c.slaves, horizon / 4.0, 0.1,
-        horizon, rng);
+  EngineOptions options;
+  const Time horizon = 1.5 * static_cast<Time>(c.tasks) / rate;
+  if (c.avail == platform::AvailabilityModel::kChurn) {
+    options.availability = platform::generate_availability(
+        c.avail, c.slaves, horizon / 4.0, 0.1, horizon, rng);
+  } else if (c.avail == platform::AvailabilityModel::kDrift) {
+    options.availability = platform::generate_availability(
+        c.avail, c.slaves, horizon / 8.0, 0.0, horizon, rng);
   }
-  EngineOptions calendar_options = heap_options;
-  calendar_options.event_queue = EventQueueChoice::kCalendar;
-  calendar_options.scalar_probes = (GetParam() % 2 == 1);
 
-  const auto policy_e = algorithms::make_scheduler(c.policy);
-  OnePortEngine expected(plat, *policy_e, heap_options);
-  expected.load(work);
-  expected.run_to_completion();
-
-  const auto policy_a = algorithms::make_scheduler(c.policy);
-  OnePortEngine actual(plat, *policy_a, calendar_options);
-  actual.load(work);
-  actual.run_to_completion();
-  expect_identical(actual, expected, label + " [calendar vs heap]");
-
-  // Reverse direction through reset(): the engine that just ran the
-  // calendar queue is re-pointed at the heap implementation — a stale
-  // calendar entry surviving configure() would diverge here.
-  const auto policy_b = algorithms::make_scheduler(c.policy);
-  actual.reset(plat, *policy_b, heap_options);
-  actual.load(work);
-  actual.run_to_completion();
-  expect_identical(actual, expected, label + " [heap via reused engine]");
+  const auto policy = algorithms::make_scheduler(c.policy);
+  ProbeAudit audited(*policy);
+  OnePortEngine engine(plat, audited, options);
+  engine.load(work);
+  engine.run_to_completion();
+  EXPECT_GT(audited.decisions(), 0) << label;
+  EXPECT_EQ(audited.mismatch(), "") << label;
+  validate_or_throw(plat, work, engine.schedule(), options);
 }
 
 INSTANTIATE_TEST_SUITE_P(

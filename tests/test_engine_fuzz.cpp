@@ -1,13 +1,20 @@
 // Randomized stress for the engine: random platforms, random probe/inject
 // interleavings, random port capacities and slowdown windows, random (but
 // legal) scheduler behaviour — after every run the from-scratch validator
-// must accept the schedule and the metrics must satisfy basic sanity.
+// must accept the schedule and the metrics must satisfy basic sanity. The
+// same holds for random sharded federations: every shard's schedule must
+// validate and the merged schedule must hold every task exactly once.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
 
+#include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/sharded_engine.hpp"
 #include "core/validator.hpp"
 #include "offline/bounds.hpp"
 #include "platform/generator.hpp"
@@ -152,6 +159,96 @@ TEST_P(EngineFuzz, ChaoticRunsStayFeasible) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range(0, 40));
+
+// ----- sharded federations ---------------------------------------------------
+//
+// Every (K, routing, churn) combination for K in {2, 3, 5}, twice over with
+// different seeds: random platform class, size and workload (releases
+// quantized half the time, so least-loaded epochs route several tasks off
+// one load observation), random port capacity, slowdowns, policy and shard
+// thread count.
+
+class ShardedFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardedFuzz, RandomFederationsStayFeasible) {
+  constexpr int kShardCounts[] = {2, 3, 5};
+  constexpr ShardRouting kRoutings[] = {ShardRouting::kHash,
+                                        ShardRouting::kRoundRobin,
+                                        ShardRouting::kLeastLoaded};
+  const int param = GetParam();
+  const int shards = kShardCounts[param % 3];
+  const ShardRouting routing = kRoutings[(param / 3) % 3];
+  const bool churn = (param / 9) % 2 == 1;
+  const std::string label = "param " + std::to_string(param) + " K=" +
+                            std::to_string(shards) + " " +
+                            to_string(routing) + (churn ? " churn" : "");
+
+  util::Rng rng(static_cast<std::uint64_t>(31000 + param));
+  const platform::PlatformClass classes[] = {
+      platform::PlatformClass::kFullyHomogeneous,
+      platform::PlatformClass::kCommHomogeneous,
+      platform::PlatformClass::kCompHomogeneous,
+      platform::PlatformClass::kFullyHeterogeneous};
+  const platform::PlatformClass cls = classes[rng.uniform_int(0, 3)];
+  const int m = shards * static_cast<int>(rng.uniform_int(1, 6));
+  const platform::Platform plat =
+      platform::PlatformGenerator().generate(cls, m, rng);
+
+  const int n = static_cast<int>(rng.uniform_int(20, 150));
+  const double rate = rng.uniform(0.5, 6.0);
+  std::vector<TaskSpec> tasks = Workload::poisson(n, rate, rng).tasks();
+  if (rng.chance(0.5)) {
+    for (TaskSpec& t : tasks) t.release = std::floor(t.release);
+  }
+  Workload work{std::move(tasks)};
+  if (rng.chance(0.5)) work = work.with_size_jitter(0.3, rng);
+
+  ShardedEngineOptions options;
+  options.shards = shards;
+  options.routing = routing;
+  options.shard_threads = static_cast<int>(rng.uniform_int(1, 3));
+  options.engine.port_capacity = static_cast<int>(rng.uniform_int(0, 2));
+  if (rng.chance(0.5)) {
+    options.engine.slowdowns.push_back(SlowdownWindow{
+        static_cast<SlaveId>(rng.uniform_int(0, m - 1)),
+        rng.uniform(0.0, 5.0), rng.uniform(5.0, 30.0),
+        rng.uniform(1.0, 4.0)});
+  }
+  if (churn) {
+    const double mtbf = rng.uniform(2.0, 10.0);
+    const double outage_frac = rng.uniform(0.05, 0.3);
+    const double horizon = static_cast<double>(n) / rate + 20.0;
+    options.engine.availability = platform::generate_availability(
+        platform::AvailabilityModel::kChurn, m, mtbf, outage_frac, horizon,
+        rng);
+  }
+  const char* const policies[] = {"LS", "RR", "SRPT", "SLJF", "MINREADY"};
+  const std::string policy = policies[rng.uniform_int(0, 4)];
+
+  ShardedEngine engine(
+      plat, [&] { return algorithms::make_scheduler(policy); }, options);
+  engine.load(work);
+  engine.run_to_completion();
+
+  for (int k = 0; k < engine.num_shards(); ++k) {
+    EXPECT_NO_THROW(validate_or_throw(
+        engine.partition().shard_platform(k), engine.shard_workload(k),
+        engine.shard_engine(k).schedule(), engine.shard_options(k)))
+        << label << " (" << policy << ") shard " << k;
+  }
+
+  std::vector<int> seen(static_cast<std::size_t>(work.size()), 0);
+  for (const TaskRecord& r : engine.schedule().records()) {
+    ASSERT_GE(r.task, 0) << label;
+    ASSERT_LT(r.task, work.size()) << label;
+    ++seen[static_cast<std::size_t>(r.task)];
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << label << " (" << policy << ") task " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Combinations, ShardedFuzz, ::testing::Range(0, 36));
 
 }  // namespace
 }  // namespace msol::core

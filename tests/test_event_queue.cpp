@@ -1,12 +1,12 @@
-// Property fuzz for the dual-implementation EventQueue: the bucketed
-// calendar queue must honor exactly the contract the heap does — pops in
-// nondecreasing time order, top() always a minimum, no entry ever lost or
+// Property fuzz for the calendar EventQueue against a sorted-multimap model
+// (the queue's one oracle): every pop surfaces the minimum of the current
+// content, drains are nondecreasing, and no entry is ever lost or
 // duplicated — across randomized push/pop interleavings drawn from the
 // distributions that stress a calendar queue specifically (all ties at one
-// instant, heavy-tailed gaps, a dense advancing window, grow/shrink
-// churn). Ties may surface in different orders between implementations, so
-// equality is asserted per-timestamp as a multiset of (kind, gen) payloads,
-// never as a literal sequence.
+// instant, heavy-tailed gaps, a dense advancing window, grow/shrink churn,
+// and a fleet-size regime holding thousands of live entries). Tie order is
+// unspecified by the contract, so equality is asserted per-timestamp as a
+// multiset of (kind, gen) payloads, never as a literal sequence.
 //
 // Labeled `fuzz` (see CMakeLists), so the ASan/UBSan CI leg runs it.
 
@@ -36,6 +36,8 @@ class Model {
   }
 
   std::size_t size() const { return entries_.size(); }
+  /// Earliest stored time; the model must not be empty.
+  Time min_time() const { return entries_.begin()->first; }
 
   /// Consumes one entry equal to `e`; fails the test if the queue surfaced
   /// a time that is not the minimum or a payload never pushed (duplicate /
@@ -60,43 +62,72 @@ class Model {
   std::multimap<Time, Payload> entries_;
 };
 
-/// Drives one queue implementation through `ops` randomized operations and
-/// checks it against the model and the nondecreasing-pop invariant. Returns
-/// the total number of pops (so a differential caller can compare).
-void fuzz_impl(EventQueueImpl impl, std::uint64_t seed, int ops,
-               const std::string& label) {
-  EventQueue queue(impl);
+/// Time distributions that stress a calendar queue specifically.
+enum class Regime {
+  kUniform,      ///< uniform over a fixed horizon
+  kOneInstant,   ///< every entry at one instant: the calendar's degenerate case
+  kHeavyTail,    ///< heavy-tailed gaps: u^-3 spans ~6 orders of magnitude
+  kDenseWindow,  ///< dense moving window just ahead of the cursor
+  /// Fleet size: at least kFleetLive entries stay live while a mix of the
+  /// above plus exact-instant tie pile-ups and below-the-floor pushes
+  /// drives every resize, the cached minimum and the floor invariant.
+  kFleet,
+};
+
+constexpr std::size_t kFleetLive = 4096;
+
+/// Drives the queue through `ops` randomized operations and checks it
+/// against the model and the nondecreasing-pop invariant.
+void fuzz_queue(Regime regime, std::uint64_t seed, int ops,
+                const std::string& label) {
+  EventQueue queue;
   Model model;
   util::Rng rng(seed);
+  const bool fleet = regime == Regime::kFleet;
+  // Fleet size: refill below the floor, otherwise pop-biased, so the live
+  // count hovers just above kFleetLive instead of growing without bound.
+  const std::size_t min_live = fleet ? kFleetLive : 0;
+  const int push_below = fleet ? 30 : 55;
+  const int pop_below = fleet ? 99 : 95;
 
   Time cursor = 0.0;  // advancing window base (engine-like pattern)
-  const int regime = static_cast<int>(seed % 4);
 
+  const auto heavy_tail = [&]() -> Time {
+    const double u = rng.uniform(0.01, 1.0);
+    return cursor + 1.0 / (u * u * u);
+  };
   const auto draw_time = [&]() -> Time {
     switch (regime) {
-      case 0:  // uniform over a fixed horizon
+      case Regime::kUniform:
         return rng.uniform(0.0, 100.0);
-      case 1:  // every entry at one instant: the calendar's degenerate case
+      case Regime::kOneInstant:
         return 42.0;
-      case 2: {  // heavy-tailed gaps: u^-3 spans ~6 orders of magnitude
-        const double u = rng.uniform(0.01, 1.0);
-        return cursor + 1.0 / (u * u * u);
-      }
-      default:  // dense moving window just ahead of the cursor
+      case Regime::kHeavyTail:
+        return heavy_tail();
+      case Regime::kDenseWindow:
         return cursor + rng.uniform(0.0, 2.0);
+      case Regime::kFleet:
+        break;
     }
+    const int pick = static_cast<int>(rng.uniform_int(0, 9));
+    if (pick < 4) return cursor + rng.uniform(0.0, 4.0);
+    if (pick < 6) return heavy_tail();
+    // Whole-second instants: exact ties across separate pushes.
+    if (pick < 9) return std::floor(cursor) + static_cast<Time>(pick - 5);
+    // Behind the popped minimum (a wake-up race): lowers the floor.
+    return std::max(0.0, cursor - rng.uniform(0.0, 1.0));
   };
 
   for (int op = 0; op < ops; ++op) {
     const int roll = static_cast<int>(rng.uniform_int(0, 99));
-    if (roll < 55 || queue.empty()) {
+    if (roll < push_below || queue.empty() || queue.size() <= min_live) {
       const Time t = draw_time();
       const EventKind kind =
           static_cast<EventKind>(rng.uniform_int(0, 2));
       const auto gen = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
       queue.push(t, kind, gen);
       model.push(t, kind, gen);
-    } else if (roll < 95) {
+    } else if (roll < pop_below) {
       // Note: popped times need not be globally nondecreasing here — a
       // later push may legally carry an earlier time (the engine's wake-up
       // races do exactly this). The model check below asserts the real
@@ -106,15 +137,16 @@ void fuzz_impl(EventQueueImpl impl, std::uint64_t seed, int ops,
       model.consume(popped, label + " op " + std::to_string(op));
       if (::testing::Test::HasFatalFailure()) return;
       // The engine's clock only moves to popped instants; advancing the
-      // window base the same way keeps regime-3 pushes mostly in-order
+      // window base the same way keeps dense-window pushes mostly in-order
       // with occasional slightly-in-the-past entries (wake-up races).
       cursor = std::max(cursor, popped.time - 0.5);
-    } else if (roll < 98) {
-      // Burst: a clump of near-identical times lands in one bucket.
+    } else if (roll < 98 || fleet) {
+      // Burst: a clump of near-identical times lands in one bucket; at
+      // fleet size the clump is an exact-instant pile-up.
       const Time t = draw_time();
-      const int burst = static_cast<int>(rng.uniform_int(2, 30));
+      const int burst = static_cast<int>(rng.uniform_int(2, fleet ? 64 : 30));
       for (int b = 0; b < burst; ++b) {
-        const Time jitter = rng.uniform(0.0, 1e-6);
+        const Time jitter = fleet ? 0.0 : rng.uniform(0.0, 1e-6);
         queue.push(t + jitter, EventKind::kCompletion, 0);
         model.push(t + jitter, EventKind::kCompletion, 0);
       }
@@ -124,6 +156,11 @@ void fuzz_impl(EventQueueImpl impl, std::uint64_t seed, int ops,
       cursor = 0.0;
     }
     ASSERT_EQ(queue.size(), model.size()) << label << " op " << op;
+    // Peek like the engine does before its next push: top() caches the
+    // minimum, and that cache must then survive earlier-time pushes.
+    if (!queue.empty()) {
+      ASSERT_EQ(queue.top().time, model.min_time()) << label << " op " << op;
+    }
   }
 
   // Drain: no further pushes, so here pops MUST be nondecreasing, and
@@ -147,90 +184,38 @@ TEST_P(EventQueueFuzz, CalendarHonorsContract) {
     const std::uint64_t seed =
         20260808ULL * static_cast<std::uint64_t>(GetParam() + 1) +
         static_cast<std::uint64_t>(c);
-    fuzz_impl(EventQueueImpl::kCalendar, seed, 1200,
-              "calendar seed " + std::to_string(seed));
+    fuzz_queue(static_cast<Regime>(seed % 4), seed, 1200,
+               "calendar seed " + std::to_string(seed));
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST_P(EventQueueFuzz, HeapHonorsContract) {
-  for (int c = 0; c < 8; ++c) {
-    const std::uint64_t seed =
-        20260808ULL * static_cast<std::uint64_t>(GetParam() + 1) +
-        static_cast<std::uint64_t>(c);
-    fuzz_impl(EventQueueImpl::kHeap, seed, 1200,
-              "heap seed " + std::to_string(seed));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+TEST_P(EventQueueFuzz, CalendarHonorsContractAtFleetSize) {
+  const std::uint64_t seed = 4096ULL * static_cast<std::uint64_t>(GetParam() + 1);
+  fuzz_queue(Regime::kFleet, seed, 100000,
+             "fleet seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, EventQueueFuzz, ::testing::Range(0, 6));
 
-// ----- differential: calendar vs heap, same operation script ---------------
-//
-// The two implementations fed an identical script must pop the identical
-// *time sequence* — ties may reorder payloads, so only times are compared
-// literally; payload conservation is covered by the model in fuzz_impl.
-
-TEST(EventQueueDiff, CalendarAndHeapPopIdenticalTimeSequences) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    EventQueue calendar(EventQueueImpl::kCalendar);
-    EventQueue heap(EventQueueImpl::kHeap);
-    util::Rng rng(seed * 7919);
-    Time cursor = 0.0;
-    for (int op = 0; op < 800; ++op) {
-      if (rng.uniform(0.0, 1.0) < 0.6 || calendar.empty()) {
-        Time t;
-        switch (op % 3) {
-          case 0: t = rng.uniform(0.0, 50.0); break;
-          case 1: t = 13.0; break;  // tie pile-up
-          default: t = cursor + rng.uniform(0.0, 1.5); break;
-        }
-        const auto kind = static_cast<EventKind>(rng.uniform_int(0, 2));
-        const auto gen = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
-        calendar.push(t, kind, gen);
-        heap.push(t, kind, gen);
-      } else {
-        ASSERT_EQ(calendar.top().time, heap.top().time)
-            << "seed " << seed << " op " << op;
-        cursor = std::max(cursor, calendar.top().time);
-        calendar.pop();
-        heap.pop();
-      }
-      ASSERT_EQ(calendar.size(), heap.size()) << "seed " << seed;
-    }
-    while (!calendar.empty()) {
-      ASSERT_FALSE(heap.empty()) << "seed " << seed;
-      ASSERT_EQ(calendar.top().time, heap.top().time) << "seed " << seed;
-      calendar.pop();
-      heap.pop();
-    }
-    ASSERT_TRUE(heap.empty()) << "seed " << seed;
-  }
-}
-
 // ----- directed edge cases -------------------------------------------------
 
 TEST(EventQueueEdge, RejectsNegativeAndNonFiniteTimes) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kHeap}) {
-    EventQueue queue(impl);
-    EXPECT_THROW(queue.push(-1.0, EventKind::kCompletion),
-                 std::invalid_argument);
-    EXPECT_THROW(queue.push(std::numeric_limits<double>::quiet_NaN(),
-                            EventKind::kCompletion),
-                 std::invalid_argument);
-    EXPECT_THROW(queue.push(std::numeric_limits<double>::infinity(),
-                            EventKind::kCompletion),
-                 std::invalid_argument);
-    EXPECT_TRUE(queue.empty());  // failed pushes must not leak entries
-  }
+  EventQueue queue;
+  EXPECT_THROW(queue.push(-1.0, EventKind::kCompletion), std::invalid_argument);
+  EXPECT_THROW(queue.push(std::numeric_limits<double>::quiet_NaN(),
+                          EventKind::kCompletion),
+               std::invalid_argument);
+  EXPECT_THROW(queue.push(std::numeric_limits<double>::infinity(),
+                          EventKind::kCompletion),
+               std::invalid_argument);
+  EXPECT_TRUE(queue.empty());  // failed pushes must not leak entries
 }
 
 TEST(EventQueueEdge, TenThousandEntriesAtOneInstant) {
   // One bucket absorbs everything: the calendar's documented degenerate
-  // case must stay correct (the heap fallback exists for its *speed*).
-  EventQueue queue(EventQueueImpl::kCalendar);
+  // case must stay correct.
+  EventQueue queue;
   for (int i = 0; i < 10000; ++i)
     queue.push(7.25, EventKind::kCompletion, static_cast<std::uint32_t>(i));
   EXPECT_EQ(queue.size(), 10000u);
@@ -247,7 +232,7 @@ TEST(EventQueueEdge, TenThousandEntriesAtOneInstant) {
 }
 
 TEST(EventQueueEdge, GrowShrinkCyclesPreserveEntries) {
-  EventQueue queue(EventQueueImpl::kCalendar);
+  EventQueue queue;
   util::Rng rng(5);
   // Repeatedly inflate past the grow threshold and drain below the shrink
   // threshold; every cycle must conserve the surviving entries.
@@ -275,20 +260,6 @@ TEST(EventQueueEdge, GrowShrinkCyclesPreserveEntries) {
     }
     ASSERT_EQ(queue.size(), model.size()) << "cycle " << cycle;
   }
-}
-
-TEST(EventQueueEdge, ConfigureSwitchesImplementationAndDropsEntries) {
-  EventQueue queue(EventQueueImpl::kCalendar);
-  queue.push(3.0, EventKind::kCompletion);
-  queue.push(1.0, EventKind::kCompletion);
-  queue.configure(EventQueueImpl::kHeap);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.impl(), EventQueueImpl::kHeap);
-  queue.push(2.0, EventKind::kCompletion);
-  EXPECT_EQ(queue.top().time, 2.0);
-  queue.configure(EventQueueImpl::kCalendar);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.impl(), EventQueueImpl::kCalendar);
 }
 
 }  // namespace

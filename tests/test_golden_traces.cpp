@@ -1,4 +1,4 @@
-// Golden-trace regression: ten fixed-seed (platform, workload, scheduler)
+// Golden-trace regression: fixed-seed (platform, workload, scheduler)
 // triples whose full schedule AND decision trace are serialized byte-exact
 // under tests/golden/. Any engine change that shifts semantics — even by one
 // ulp or one reordered decision — fails here before it can silently skew
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -47,6 +48,10 @@ struct GoldenCase {
   /// frozen ReferenceEngine cannot replay these, so the engine cross-check
   /// is skipped and the golden file alone pins the semantics.
   std::string avail = "";
+  /// > 1 runs the triple through a ShardedEngine with least-loaded routing:
+  /// these fixtures are the router's oracle (which shard each epoch's tasks
+  /// land on is visible in every merged record's slave id).
+  int shards = 1;
 };
 
 const std::vector<GoldenCase>& golden_cases() {
@@ -92,6 +97,12 @@ const std::vector<GoldenCase>& golden_cases() {
        "bursty-fleet", 1200, 132, "SRPT", 20, 1, false, "churn-generated"},
       {"rr_fleet256_churn", PlatformClass::kCommHomogeneous, 256, 33,
        "bursty-fleet", 1000, 133, "RR", 20, 1, false, "churn-generated"},
+      // Least-loaded federations: releases quantized so every epoch routes
+      // several tasks off one load observation, a static and a churn fleet.
+      {"ls_k4_leastloaded_static", PlatformClass::kFullyHeterogeneous, 32, 41,
+       "quantized", 400, 141, "LS", 20, 1, false, "", 4},
+      {"ls_k8_leastloaded_churn", PlatformClass::kFullyHeterogeneous, 64, 42,
+       "quantized", 500, 142, "LS", 20, 1, false, "churn-generated", 8},
   };
   return cases;
 }
@@ -113,6 +124,13 @@ Workload make_workload(const GoldenCase& c) {
     // Large clumps of simultaneous releases: the calendar queue's dense
     // regime, arriving fast enough to keep a 256-slave backlog.
     return Workload::bursty(c.tasks, 32, 0.5, rng);
+  }
+  if (c.workload == "quantized") {
+    // Poisson releases snapped down to a 1 s grid: duplicate release
+    // instants, several tasks per least-loaded routing epoch.
+    std::vector<TaskSpec> tasks = Workload::poisson(c.tasks, 4.0, rng).tasks();
+    for (TaskSpec& t : tasks) t.release = std::floor(t.release);
+    return Workload(std::move(tasks));
   }
   throw std::logic_error("golden: unknown workload '" + c.workload + "'");
 }
@@ -180,7 +198,9 @@ std::string render(const GoldenCase& c, Engine& engine) {
   std::ostringstream out;
   out << "# golden trace: " << c.name << "\n"
       << "# scheduler=" << c.scheduler << " lookahead=" << c.lookahead
-      << " port=" << c.port_capacity << " slaves=" << c.slaves << "\n"
+      << " port=" << c.port_capacity << " slaves=" << c.slaves;
+  if (c.shards > 1) out << " shards=" << c.shards << " routing=least-loaded";
+  out << "\n"
       << to_csv(engine.schedule()) << "--- trace ---\n"
       << serialize_trace(engine.trace());
   return out.str();
@@ -194,6 +214,17 @@ std::string run_case(const GoldenCase& c) {
   util::Rng rng(c.platform_seed);
   const platform::Platform plat =
       platform::PlatformGenerator().generate(c.cls, c.slaves, rng);
+  if (c.shards > 1) {
+    ShardedEngineOptions options;
+    options.shards = c.shards;
+    options.routing = ShardRouting::kLeastLoaded;
+    options.engine = make_options(c);
+    ShardedEngine engine(
+        plat,
+        [&] { return algorithms::make_scheduler(c.scheduler, c.lookahead); },
+        std::move(options));
+    return render(c, engine);
+  }
   const auto scheduler = algorithms::make_scheduler(c.scheduler, c.lookahead);
   OnePortEngine engine(plat, *scheduler, make_options(c));
   const std::string actual = render(c, engine);
@@ -247,13 +278,14 @@ INSTANTIATE_TEST_SUITE_P(Cases, GoldenTraces,
 
 // The sharded engine at K=1 must reproduce the very same golden bytes: the
 // identity partition, routing pass, and merge layer all have to be exact
-// no-ops on every pinned fixture (availability, slowdowns, port capacity,
-// 256-slave fleets included).
+// no-ops on every pinned single-engine fixture (availability, slowdowns,
+// port capacity, 256-slave fleets included).
 class ShardedGoldenTraces : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ShardedGoldenTraces, SingleShardReproducesTheGoldenBytes) {
   const GoldenCase& c = golden_cases()[GetParam()];
   if (regen_requested()) GTEST_SKIP() << "regen is handled by GoldenTraces";
+  if (c.shards > 1) GTEST_SKIP() << "already a sharded fixture";
 
   util::Rng rng(c.platform_seed);
   const platform::Platform plat =

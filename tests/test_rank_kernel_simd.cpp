@@ -56,6 +56,8 @@ struct DenseState {
 void expect_bitwise_equal(const std::vector<Time>& a,
                           const std::vector<Time>& b) {
   ASSERT_EQ(a.size(), b.size());
+  // memcmp's pointers must be non-null even for zero bytes (m = 0 views).
+  if (a.empty()) return;
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Time)), 0);
 }
 

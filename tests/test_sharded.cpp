@@ -230,13 +230,11 @@ TEST(ShardedEngine, SingleShardIsByteIdenticalToOnePortEngine) {
 /// Runs the sharded engine and returns a canonical text rendering of its
 /// merged views — two runs are "byte-identical" iff these strings match.
 std::string render_merged(const Scenario& s, const char* policy, int shards,
-                          ShardRouting routing, int shard_threads = 1,
-                          bool route_scan = false) {
+                          ShardRouting routing, int shard_threads = 1) {
   ShardedEngineOptions options;
   options.shards = shards;
   options.routing = routing;
   options.shard_threads = shard_threads;
-  options.route_scan = route_scan;
   options.engine = s.options;
   ShardedEngine engine(s.platform, factory_for(policy), options);
   engine.load(s.workload);
@@ -303,26 +301,6 @@ TEST(ShardedEngine, ParallelAdvancementIsByteIdenticalToSequential) {
       EXPECT_EQ(render_merged(s, "LS", shards, routing, /*shard_threads=*/0),
                 sequential)
           << "K=" << shards << " routing " << to_string(routing) << " auto";
-    }
-  }
-}
-
-TEST(ShardedEngine, IncrementalLeastLoadedMatchesOriginalScan) {
-  // The cached-load router must reproduce the original per-injection O(K)
-  // engine scan decision for decision — the quantized releases give it
-  // multi-task epochs where the once-per-instant hoisting actually bites.
-  for (const std::uint64_t seed : {51ULL, 52ULL, 53ULL}) {
-    for (const int shards : {2, 8}) {
-      const Scenario s = make_fleet_scenario(seed, /*with_availability=*/true);
-      const std::string scan = render_merged(
-          s, "LS", shards, ShardRouting::kLeastLoaded, /*shard_threads=*/1,
-          /*route_scan=*/true);
-      for (const int threads : {1, 4}) {
-        EXPECT_EQ(render_merged(s, "LS", shards, ShardRouting::kLeastLoaded,
-                                threads, /*route_scan=*/false),
-                  scan)
-            << "seed " << seed << " K=" << shards << " threads " << threads;
-      }
     }
   }
 }
