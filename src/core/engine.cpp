@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -84,23 +83,6 @@ void OnePortEngine::reset(platform::Platform platform,
   for (std::vector<TaskId>& doomed : doomed_tasks_) doomed.clear();
   doomed_partial_work_.assign(m, 0.0);
   disruption_ = DisruptionStats{};
-  lazy_avail_ = options_.lazy_availability.enabled();
-  avail_cursors_.clear();
-  if (lazy_avail_ && !options_.availability.empty()) {
-    throw std::invalid_argument(
-        "OnePortEngine: availability and lazy_availability are mutually "
-        "exclusive");
-  }
-  if (!options_.lazy_stream_ids.empty()) {
-    if (!lazy_avail_) {
-      throw std::invalid_argument(
-          "OnePortEngine: lazy_stream_ids set without lazy_availability");
-    }
-    if (options_.lazy_stream_ids.size() != m) {
-      throw std::invalid_argument(
-          "OnePortEngine: lazy_stream_ids must have one entry per slave");
-    }
-  }
   if (!options_.availability.empty()) {
     if (options_.availability.size() != m) {
       throw std::invalid_argument(
@@ -129,36 +111,6 @@ void OnePortEngine::reset(platform::Platform platform,
         events_.push(spans[i].begin, EventKind::kAvailability);
         next_avail_time_ = std::min(next_avail_time_, spans[i].begin);
       }
-    }
-  } else if (lazy_avail_) {
-    platform::validate(options_.lazy_availability);
-    avail_cursors_.reserve(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      // Identity keying draws slave j's stream as fork j; a ShardedEngine
-      // re-keys each local slave to its global id (see EngineOptions).
-      const int stream = options_.lazy_stream_ids.empty()
-                             ? static_cast<int>(j)
-                             : static_cast<int>(options_.lazy_stream_ids[j]);
-      avail_cursors_.emplace_back(options_.lazy_availability, stream);
-      if (!avail_cursors_[j].trivial()) avail_enabled_ = true;
-    }
-    if (avail_enabled_) {
-      for (std::size_t j = 0; j < m; ++j) {
-        platform::AvailabilityCursor& cur = avail_cursors_[j];
-        while (std::isfinite(cur.next_begin()) &&
-               cur.next_begin() <= kTimeEps) {
-          const platform::AvailabilitySpan span = cur.advance();
-          slave_online_[j] = span.online ? 1 : 0;
-          slave_speed_[j] = span.speed;
-        }
-        const Time nb = cur.next_begin();
-        if (std::isfinite(nb)) {
-          events_.push(nb, EventKind::kAvailability);
-          next_avail_time_ = std::min(next_avail_time_, nb);
-        }
-      }
-    } else {
-      lazy_avail_ = false;  // every cursor trivial: closed-form path
     }
   }
 }
@@ -360,23 +312,6 @@ void OnePortEngine::process_avail_transitions() {
   if (!avail_enabled_ || next_avail_time_ > now_ + kTimeEps) return;
   next_avail_time_ = std::numeric_limits<Time>::infinity();
   const std::size_t m = static_cast<std::size_t>(platform_->size());
-  if (lazy_avail_) {
-    for (std::size_t j = 0; j < m; ++j) {
-      platform::AvailabilityCursor& cur = avail_cursors_[j];
-      bool advanced = false;
-      while (std::isfinite(cur.next_begin()) &&
-             cur.next_begin() <= now_ + kTimeEps) {
-        apply_avail_span(j, cur.advance());
-        advanced = true;
-      }
-      const Time nb = cur.next_begin();
-      if (std::isfinite(nb)) {
-        if (advanced) events_.push(nb, EventKind::kAvailability);
-        next_avail_time_ = std::min(next_avail_time_, nb);
-      }
-    }
-    return;
-  }
   for (std::size_t j = 0; j < m; ++j) {
     const auto& spans = options_.availability[j].spans();
     std::size_t& i = next_span_[j];
@@ -500,18 +435,15 @@ void OnePortEngine::commit(TaskId task_id, SlaveId slave) {
       const double work = platform_->comp(slave) * spec.comp_factor *
                           slowdown_factor_at(options_.slowdowns, slave,
                                              exec_start);
-      const std::optional<Time> outage =
-          lazy_avail_ ? avail_cursors_[js].next_offline_after(now_)
-                      : options_.availability[js].next_offline_after(now_);
+      const platform::AvailabilityProfile& profile = options_.availability[js];
+      const std::optional<Time> outage = profile.next_offline_after(now_);
       if (outage && exec_start >= *outage) {
         doomed = true;  // still on the link (or queued) when the slave dies
       } else {
         const Time cut =
             outage ? *outage : std::numeric_limits<Time>::infinity();
         const platform::AvailabilityProfile::WorkResult run =
-            lazy_avail_ ? avail_cursors_[js].run_work(exec_start, work, cut)
-                        : options_.availability[js].run_work(exec_start, work,
-                                                             cut);
+            profile.run_work(exec_start, work, cut);
         if (run.completed) {
           rec.comp_start = exec_start;
           rec.comp_end = run.end;

@@ -13,7 +13,6 @@
 #include "core/types.hpp"
 #include "core/workload.hpp"
 #include "platform/availability.hpp"
-#include "platform/availability_stream.hpp"
 #include "platform/platform.hpp"
 
 namespace msol::core {
@@ -83,25 +82,6 @@ struct EngineOptions {
   /// bit-identical to ReferenceEngine. Non-empty must have one profile per
   /// slave. See the "time-varying availability" block comment below.
   std::vector<platform::AvailabilityProfile> availability;
-  /// On-demand availability: when `lazy_availability.model != kAlways` the
-  /// engine draws each slave's spans incrementally from an independent
-  /// per-slave stream (AvailabilityCursor) instead of materializing whole
-  /// profiles up front — O(window) memory per slave instead of
-  /// O(horizon/mtbf), which is what fleet-scale shards need. Semantics are
-  /// byte-identical to running with generate_availability_forked(spec, m)
-  /// materialized into `availability` (tests/test_availability_stream.cpp
-  /// pins this). Mutually exclusive with a non-empty `availability`.
-  platform::LazyAvailabilitySpec lazy_availability;
-  /// Stream re-keying for `lazy_availability`: when non-empty it must hold
-  /// one entry per slave, and slave j draws its availability spans from
-  /// counter-fork `lazy_stream_ids[j]` of lazy_availability.seed instead of
-  /// fork j. ShardedEngine maps each shard-local slave to its GLOBAL slave
-  /// id this way, so a sharded lazy run replays exactly the per-slave
-  /// realizations a materialized generate_availability_forked(spec, m)
-  /// run slices by the partition (test_sharded.cpp pins the byte-identity).
-  /// Empty = identity keying; must be empty when lazy_availability is
-  /// disabled.
-  std::vector<SlaveId> lazy_stream_ids;
   /// Record a decision/event log readable via OnePortEngine::trace().
   bool enable_trace = false;
 };
@@ -213,6 +193,9 @@ class OnePortEngine final : public EngineView {
   /// the engine's schedule is empty afterwards until the next reset/run.
   Schedule take_schedule();
 
+  /// The options the engine was last reset() with.
+  const EngineOptions& options() const { return options_; }
+
   /// Re-dispatch / lost-work counters accrued so far; all zero when
   /// availability is disabled.
   const DisruptionStats& disruption() const { return disruption_; }
@@ -301,9 +284,7 @@ class OnePortEngine final : public EngineView {
   /// uncompleted task of j and resets the slave's bookkeeping.
   void handle_offline(SlaveId j, Time t);
   /// Applies one availability span to slave j's cached state: online/speed
-  /// update, trace events, and the offline flush. Shared between the
-  /// materialized-profile walk and the lazy-cursor walk so the two modes
-  /// cannot drift.
+  /// update, trace events, and the offline flush.
   void apply_avail_span(std::size_t j, const platform::AvailabilitySpan& span);
   /// One decision round; returns true if an assignment was committed.
   bool try_decide();
@@ -390,10 +371,6 @@ class OnePortEngine final : public EngineView {
   /// process_avail_transitions() early-out in O(1) on the vast majority of
   /// event-loop iterations, where nothing is due.
   Time next_avail_time_ = 0.0;
-  /// Lazy mode (EngineOptions::lazy_availability): per-slave on-demand span
-  /// cursors replace the materialized next_span_ walk and profile queries.
-  bool lazy_avail_ = false;
-  std::vector<platform::AvailabilityCursor> avail_cursors_;
   std::vector<std::size_t> next_span_;      ///< per-slave next profile span
   std::vector<std::uint8_t> slave_online_;  ///< cached state at now()
   std::vector<double> slave_speed_;         ///< cached speed at now()

@@ -31,33 +31,31 @@ ShardedEngine::ShardedEngine(const platform::Platform& platform,
                              const SchedulerFactory& factory,
                              ShardedEngineOptions options)
     : options_(std::move(options)), partition_(platform, options_.shards) {
-  if (!options_.engine.lazy_stream_ids.empty()) {
-    throw std::invalid_argument(
-        "ShardedEngine: engine.lazy_stream_ids must be left empty (the "
-        "partition owns the re-keying of lazy availability streams)");
-  }
   if (options_.shard_threads < 0) {
     throw std::invalid_argument(
         "ShardedEngine: shard_threads must be >= 0 (0 = hardware "
         "concurrency)");
   }
   const int num = partition_.num_shards();
-  shard_options_.reserve(static_cast<std::size_t>(num));
   schedulers_.reserve(static_cast<std::size_t>(num));
   engines_.reserve(static_cast<std::size_t>(num));
   shard_tasks_.resize(static_cast<std::size_t>(num));
   shard_specs_.resize(static_cast<std::size_t>(num));
+  // The slave-addressed options are taken out of options_ and re-expressed
+  // per shard below, so the global profiles are freed once construction
+  // ends and each profile lives only inside its shard engine. What stays in
+  // options_.engine holds no per-slave data; copying it per shard carries
+  // every other field through untouched.
+  const std::vector<platform::AvailabilityProfile> availability =
+      std::exchange(options_.engine.availability, {});
+  const std::vector<SlowdownWindow> slowdowns =
+      std::exchange(options_.engine.slowdowns, {});
   for (int k = 0; k < num; ++k) {
-    // Copy the global options wholesale so future EngineOptions fields flow
-    // through untouched, then re-express the two slave-addressed ones in
-    // shard-local terms. At K=1 both rewrites are the identity, which is
-    // half of the byte-identity guarantee (the other half is the identity
-    // partition).
+    // At K=1 both rewrites are the identity, which is half of the
+    // byte-identity guarantee (the other half is the identity partition).
     EngineOptions opts = options_.engine;
-    opts.availability =
-        partition_.slice_availability(options_.engine.availability, k);
-    opts.slowdowns.clear();
-    for (const SlowdownWindow& w : options_.engine.slowdowns) {
+    opts.availability = partition_.slice_availability(availability, k);
+    for (const SlowdownWindow& w : slowdowns) {
       if (w.slave < 0 || w.slave >= platform.size() ||
           partition_.shard_of(w.slave) != k) {
         continue;
@@ -66,14 +64,6 @@ ShardedEngine::ShardedEngine(const platform::Platform& platform,
       local.slave = partition_.local_id(w.slave);
       opts.slowdowns.push_back(local);
     }
-    if (options_.engine.lazy_availability.enabled()) {
-      // Re-key each shard-local slave's lazy stream to its GLOBAL slave id,
-      // so the churn a slave draws is a property of the slave, not of which
-      // shard it landed in — byte-identical to materializing
-      // generate_availability_forked(spec, m) and slicing by the partition.
-      opts.lazy_stream_ids = partition_.shard_slaves(k);
-    }
-    shard_options_.push_back(opts);
     schedulers_.push_back(factory());
     if (schedulers_.back() == nullptr) {
       throw std::invalid_argument(
@@ -81,8 +71,7 @@ ShardedEngine::ShardedEngine(const platform::Platform& platform,
     }
     schedulers_.back()->reset();
     engines_.push_back(std::make_unique<OnePortEngine>(
-        partition_.shard_platform(k), *schedulers_.back(),
-        shard_options_.back()));
+        partition_.shard_platform(k), *schedulers_.back(), std::move(opts)));
   }
   int threads = options_.shard_threads;
   if (threads == 0) {

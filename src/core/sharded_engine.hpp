@@ -40,12 +40,8 @@ ShardRouting parse_shard_routing(const std::string& text);
 /// Knobs for a ShardedEngine. `engine` holds the per-shard OnePortEngine
 /// options in GLOBAL terms: `availability` has one profile per global slave
 /// and `slowdowns` name global slave ids — the sharded engine slices and
-/// remaps both to each shard's local ids. `lazy_availability` is supported:
-/// each shard-local slave's stream is re-keyed to its GLOBAL slave id via
-/// EngineOptions::lazy_stream_ids, so the lazy sharded run is byte-identical
-/// to materializing generate_availability_forked(spec, m) into
-/// `availability` (a caller-supplied `engine.lazy_stream_ids` is the one
-/// configuration that stays rejected — the partition owns the re-keying).
+/// remaps both to each shard's local ids, and keeps only the per-shard
+/// slices (see ShardedEngine::shard_options).
 struct ShardedEngineOptions {
   int shards = 1;
   ShardRouting routing = ShardRouting::kHash;
@@ -99,9 +95,8 @@ using SchedulerFactory = std::function<std::unique_ptr<OnlineScheduler>()>;
 /// + differential suites pin this).
 class ShardedEngine {
  public:
-  /// Throws std::invalid_argument on shards < 1, shards > platform size,
-  /// shard_threads < 0, or a caller-supplied engine.lazy_stream_ids (see
-  /// ShardedEngineOptions).
+  /// Throws std::invalid_argument on shards < 1, shards > platform size, or
+  /// shard_threads < 0.
   ShardedEngine(const platform::Platform& platform,
                 const SchedulerFactory& factory, ShardedEngineOptions options);
 
@@ -133,16 +128,13 @@ class ShardedEngine {
   OnlineScheduler& shard_scheduler(int k) {
     return *schedulers_[static_cast<std::size_t>(k)];
   }
-  const DisruptionStats& shard_disruption(int k) const {
-    return shard_engine(k).disruption();
-  }
   /// The slice of the loaded workload shard k executed, in its local task
   /// id order (valid after run_to_completion; per-shard validation uses it).
   Workload shard_workload(int k) const;
   /// The options shard k's engine ran with (availability sliced, slowdowns
-  /// remapped to local slave ids).
+  /// remapped to local slave ids): the shard engine's own copy.
   const EngineOptions& shard_options(int k) const {
-    return shard_options_[static_cast<std::size_t>(k)];
+    return shard_engine(k).options();
   }
   /// Global task id of shard k's local task `local`.
   TaskId global_task(int k, TaskId local) const {
@@ -182,7 +174,6 @@ class ShardedEngine {
     std::uint64_t stamp = ~std::uint64_t{0};
   };
   std::vector<ShardLoad> load_cache_;
-  std::vector<EngineOptions> shard_options_;
   std::vector<std::unique_ptr<OnlineScheduler>> schedulers_;
   std::vector<std::unique_ptr<OnePortEngine>> engines_;
 

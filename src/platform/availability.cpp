@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace msol::platform {
@@ -140,6 +141,19 @@ std::vector<AvailabilityProfile> generate_availability(
   if (outage_frac < 0.0 || outage_frac > 0.9) {
     throw std::invalid_argument(
         "generate_availability: outage_frac must be in [0, 0.9]");
+  }
+  if (model != AvailabilityModel::kRareOutage) {
+    // Churn and drift draw about horizon / mtbf transitions per slave, all
+    // held in memory at once: refuse a realization that could not fit.
+    const double expected = num_slaves * horizon / mtbf;
+    if (expected > kMaxExpectedTransitions) {
+      std::ostringstream msg;
+      msg << "generate_availability: num_slaves * horizon / mtbf = "
+          << num_slaves << " * " << horizon << " / " << mtbf << " = "
+          << expected << " expected transitions exceeds the limit of "
+          << kMaxExpectedTransitions;
+      throw std::invalid_argument(msg.str());
+    }
   }
 
   std::vector<AvailabilityProfile> profiles;

@@ -85,6 +85,11 @@ enum class AvailabilityModel {
 
 std::string to_string(AvailabilityModel model);
 
+/// Upper bound on num_slaves * horizon / mtbf, the expected number of
+/// transitions a churn or drift realization holds (about 24 bytes each, two
+/// per churn cycle). Thirty times the largest committed grid's 3.3e5.
+inline constexpr double kMaxExpectedTransitions = 1e7;
+
 /// Draws one profile per slave for the requested model.
 ///
 ///   mtbf        mean online time between failures (kChurn) / mean interval
@@ -96,8 +101,9 @@ std::string to_string(AvailabilityModel model);
 ///
 /// kAlways returns all-trivial profiles *without touching the rng*, so
 /// adding the avail axis to a grid cannot shift the streams of cells that
-/// do not use it. Throws std::invalid_argument on non-positive mtbf/horizon
-/// or outage_frac outside [0, 0.9].
+/// do not use it. Throws std::invalid_argument on non-positive mtbf/horizon,
+/// outage_frac outside [0, 0.9], or (churn and drift) num_slaves * horizon /
+/// mtbf above kMaxExpectedTransitions.
 std::vector<AvailabilityProfile> generate_availability(
     AvailabilityModel model, int num_slaves, double mtbf, double outage_frac,
     core::Time horizon, util::Rng& rng);

@@ -1,5 +1,6 @@
 #include "runner/scenario.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <set>
@@ -69,6 +70,20 @@ std::vector<T> parse_list(const std::string& value, const std::string& line,
   }
   return out;
 }
+
+/// Rejects at parse time, with the grid line, a value the run would only
+/// refuse mid-sweep.
+template <typename Ok>
+void require_each(const std::vector<double>& values, Ok ok,
+                  const std::string& rule, const std::string& line) {
+  for (double v : values) {
+    if (!ok(v)) {
+      throw std::invalid_argument("grid: " + rule + " in: " + line);
+    }
+  }
+}
+
+bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 }  // namespace
 
@@ -298,6 +313,8 @@ ScenarioGrid parse_grid(const std::string& text) {
           });
     } else if (key == "load") {
       grid.loads = parse_list<double>(value, raw, parse_double);
+      require_each(grid.loads, finite_positive, "load must be finite and > 0",
+                   raw);
     } else if (key == "jitter") {
       grid.jitters = parse_list<double>(value, raw, parse_double);
     } else if (key == "port") {
@@ -319,8 +336,13 @@ ScenarioGrid parse_grid(const std::string& text) {
           });
     } else if (key == "mtbf_tasks") {
       grid.mtbf_tasks = parse_list<double>(value, raw, parse_double);
+      require_each(grid.mtbf_tasks, finite_positive,
+                   "mtbf_tasks must be finite and > 0", raw);
     } else if (key == "outage_frac") {
       grid.outage_fracs = parse_list<double>(value, raw, parse_double);
+      require_each(
+          grid.outage_fracs, [](double v) { return v >= 0.0 && v <= 0.9; },
+          "outage_frac must be in [0, 0.9]", raw);
     } else if (key == "ipp_amplitude") {
       grid.ipp_amplitude = parse_double(value, raw);
     } else if (key == "ipp_period_tasks") {

@@ -123,8 +123,10 @@ std::vector<ScenarioSpec> shard_cells(std::vector<ScenarioSpec> cells,
 ///
 /// `algorithms` (alias: `algo`) takes registry names and policy-spec
 /// strings in the mini-language of algorithms/policy_spec.hpp; every
-/// entry is validated at parse time. Unknown keys, unparsable values, and
-/// duplicate keys throw std::invalid_argument with the offending line.
+/// entry is validated at parse time. Unknown keys, unparsable values,
+/// duplicate keys, and out-of-range `load`/`mtbf_tasks` (must be finite and
+/// > 0) or `outage_frac` (must be in [0, 0.9]) throw std::invalid_argument
+/// with the offending line.
 /// Omitted keys keep the ScenarioGrid defaults.
 ScenarioGrid parse_grid(const std::string& text);
 

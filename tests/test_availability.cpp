@@ -7,6 +7,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "algorithms/registry.hpp"
@@ -163,6 +164,34 @@ TEST(GenerateAvailability, DeterministicInSeedAndValidatesArguments) {
   EXPECT_THROW(generate_availability(AvailabilityModel::kChurn, 2, 1.0, 0.1,
                                      0.0, rng),
                std::invalid_argument);
+}
+
+TEST(GenerateAvailability, RefusesRealizationsTooLargeToMaterialize) {
+  // A 3-slave, 50-task churn grid at mtbf_tasks = 1e-7: the campaign asks
+  // for horizon / mtbf = 4 * 50 / 1e-7 transitions per slave, which must
+  // end in a message naming the values, not in std::bad_alloc.
+  util::Rng rng(1);
+  try {
+    generate_availability(AvailabilityModel::kChurn, 3, 1e-7, 0.1, 200.0,
+                          rng);
+    ADD_FAILURE() << "a 6e9-transition realization was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("3 * 200 / 1e-07"), std::string::npos) << what;
+    EXPECT_NE(what.find("exceeds"), std::string::npos) << what;
+  }
+  EXPECT_THROW(generate_availability(AvailabilityModel::kDrift, 3, 1e-7, 0.1,
+                                     200.0, rng),
+               std::invalid_argument);
+  // The limit sits on num_slaves * horizon / mtbf itself, not per slave.
+  const double per_slave = kMaxExpectedTransitions / 4.0;
+  EXPECT_THROW(generate_availability(AvailabilityModel::kChurn, 5, 1.0, 0.1,
+                                     per_slave, rng),
+               std::invalid_argument);
+  // Rare outages draw at most two spans per slave whatever the mtbf.
+  const auto rare = generate_availability(AvailabilityModel::kRareOutage, 3,
+                                          1e-7, 0.1, 200.0, rng);
+  EXPECT_EQ(rare.size(), 3u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "runner/checkpoint.hpp"
 #include "runner/parallel_runner.hpp"
@@ -499,6 +500,30 @@ TEST(GridFormat, ParsesAvailabilityAxes) {
   EXPECT_EQ(cells[2].config.avail, platform::AvailabilityModel::kRareOutage);
   EXPECT_NE(cells[4].id.find("/av-churn"), std::string::npos);
   EXPECT_THROW(parse_grid("avail = sometimes\n"), std::invalid_argument);
+}
+
+TEST(GridFormat, RejectsOutOfRangeLoadAndAvailabilityValues) {
+  // Values the run would refuse mid-sweep (generate_availability, the
+  // workload generators) fail at parse time with the offending line.
+  for (const char* line :
+       {"load = 0", "load = -1", "load = 0.5, nan", "load = inf",
+        "mtbf_tasks = 0", "mtbf_tasks = -5", "mtbf_tasks = nan",
+        "mtbf_tasks = 25, inf", "outage_frac = 0.95", "outage_frac = -0.1",
+        "outage_frac = nan"}) {
+    try {
+      parse_grid(std::string(line) + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("grid: ", 0), 0u) << what;
+      EXPECT_NE(what.find(std::string("in: ") + line), std::string::npos)
+          << what;
+    }
+  }
+  // The range edges themselves stay valid.
+  const ScenarioGrid edges = parse_grid(
+      "load = 1e-9\nmtbf_tasks = 1e-9\noutage_frac = 0, 0.9\n");
+  EXPECT_EQ(edges.outage_fracs, (std::vector<double>{0.0, 0.9}));
 }
 
 TEST(GridFormat, AvailabilityAxesDoNotShiftExistingCellSeeds) {

@@ -20,7 +20,6 @@
 #include "core/sharded_engine.hpp"
 #include "core/validator.hpp"
 #include "experiments/campaign.hpp"
-#include "platform/availability_stream.hpp"
 #include "platform/generator.hpp"
 #include "platform/partition.hpp"
 #include "runner/checkpoint.hpp"
@@ -305,33 +304,26 @@ TEST(ShardedEngine, ParallelAdvancementIsByteIdenticalToSequential) {
   }
 }
 
-TEST(ShardedEngine, LazyAvailabilityMatchesMaterializedForkedSlicing) {
-  // Sharded lazy availability re-keys each local cursor to its global slave
-  // id, so it must be byte-identical to materializing the forked profiles
-  // up front and letting the partition slice them.
-  platform::LazyAvailabilitySpec spec;
-  spec.model = platform::AvailabilityModel::kChurn;
-  spec.mtbf = 8.0;
-  spec.outage_frac = 0.2;
-  spec.horizon = 60.0;
-  spec.seed = 97;
-
-  const Scenario base = make_fleet_scenario(7171, /*with_availability=*/false);
-  Scenario lazy = base;
-  lazy.options.lazy_availability = spec;
-  Scenario materialized = base;
-  materialized.options.availability =
-      platform::generate_availability_forked(spec, base.platform.size());
-
-  for (const int shards : {1, 2, 8}) {
-    for (const ShardRouting routing :
-         {ShardRouting::kHash, ShardRouting::kLeastLoaded}) {
-      for (const int threads : {1, 4}) {
-        EXPECT_EQ(render_merged(lazy, "LS", shards, routing, threads),
-                  render_merged(materialized, "LS", shards, routing, threads))
-            << "K=" << shards << " routing " << to_string(routing)
-            << " threads " << threads;
-      }
+TEST(ShardedEngine, ShardOptionsAreTheShardEnginesOwn) {
+  // Each shard's options are held once, by its engine: shard_options(k) is
+  // that engine's copy, carrying exactly the shard's slice of the drawn
+  // churn profiles.
+  const Scenario s = make_fleet_scenario(4242, /*with_availability=*/true);
+  for (const int shards : {2, 8}) {
+    ShardedEngineOptions options;
+    options.shards = shards;
+    options.routing = ShardRouting::kLeastLoaded;
+    options.engine = s.options;
+    ShardedEngine sharded(s.platform, factory_for("LS"), options);
+    sharded.load(s.workload);
+    sharded.run_to_completion();
+    ASSERT_EQ(sharded.num_shards(), shards);
+    for (int k = 0; k < sharded.num_shards(); ++k) {
+      EXPECT_EQ(&sharded.shard_options(k), &sharded.shard_engine(k).options())
+          << "K=" << shards << " shard " << k;
+      EXPECT_EQ(static_cast<int>(sharded.shard_options(k).availability.size()),
+                sharded.partition().shard_platform(k).size())
+          << "K=" << shards << " shard " << k;
     }
   }
 }
@@ -384,18 +376,6 @@ TEST(ShardedEngine, GuardsMisuse) {
     ShardedEngineOptions options;
     options.shards = s.platform.size() + 1;
     options.engine = s.options;
-    EXPECT_THROW(ShardedEngine(s.platform, factory_for("LS"), options),
-                 std::invalid_argument);
-  }
-  {
-    // The partition owns lazy-stream re-keying; a caller-supplied mapping
-    // would silently fight it, so it is rejected up front.
-    ShardedEngineOptions options;
-    options.shards = 1;
-    options.engine = s.options;
-    options.engine.lazy_availability.model =
-        platform::AvailabilityModel::kChurn;
-    options.engine.lazy_stream_ids = {0};
     EXPECT_THROW(ShardedEngine(s.platform, factory_for("LS"), options),
                  std::invalid_argument);
   }
