@@ -21,7 +21,7 @@ struct MetaOptions {
   /// decision) — the pre-incremental evaluation path — instead of resyncing
   /// the persistent delta-driven IncrementalProjection.
   /// tests/test_meta_incremental.cpp pins both paths byte-identical
-  /// end-to-end; bench_meta_perf measures the gap.
+  /// end-to-end.
   bool rebuild_projections = false;
 };
 

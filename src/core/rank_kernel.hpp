@@ -70,9 +70,8 @@ bool rank_kernel_simd_available();
 /// Every lane performs exactly the scalar probe's operation sequence —
 /// same multiplies, adds, and max selections, no FMA contraction, no
 /// reassociation — so the output is bit-identical to completion_batch
-/// (tests/test_rank_kernel_simd.cpp asserts memcmp equality; the
-/// bench_fleet_scale kernel columns measure whether the compiler's
-/// autovectorization of the scalar loop was already achieving this).
+/// (tests/test_rank_kernel_simd.cpp asserts memcmp equality; the benchmark
+/// suite's core.rank_kernel.* metrics time each body against scalar).
 /// Views with online/speed state delegate to the scalar form.
 void completion_batch_simd(const SlaveStateView& s, Time now, Time send_start,
                            double comm_factor, double comp_factor, Time* out);

@@ -17,9 +17,9 @@ namespace msol::core {
 /// slaves and every per-slave completion list, and commit() locates the
 /// chosen task with a linear find — O(slaves * log tasks) per step and
 /// O(pending) per commitment. That is exactly why it was replaced on the
-/// hot path (bench_engine_perf quantifies the gap), and exactly why it is
-/// kept: the scans are simple enough to audit by eye, share no event
-/// plumbing with the calendar engine, and define the model's semantics.
+/// hot path, and exactly why it is kept: the scans are simple enough to
+/// audit by eye, share no event plumbing with the calendar engine, and
+/// define the model's semantics.
 /// tests/test_engine_diff.cpp runs every registered scheduler against both
 /// engines and requires bit-identical schedules and traces; do not
 /// "optimize" this class.

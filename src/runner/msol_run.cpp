@@ -318,7 +318,12 @@ int main(int argc, char** argv) {
     }
 
     runner::RunnerOptions runner_options;
-    runner_options.threads = static_cast<int>(cli.get_int("threads", 1));
+    const long long threads = cli.get_int("threads", 1);
+    if (threads < 0) {
+      throw std::runtime_error(
+          "--threads must be >= 0 (0 = all hardware threads)");
+    }
+    runner_options.threads = static_cast<int>(threads);
     const long long window = cli.get_int("window", 0);
     if (window < 0) throw std::runtime_error("--window must be >= 0");
     runner_options.window = static_cast<std::size_t>(window);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -46,16 +47,22 @@ double parse_double(const std::string& token, const std::string& line) {
   }
 }
 
-std::int64_t parse_int(const std::string& token, const std::string& line) {
+int parse_int(const std::string& token, const std::string& line) {
+  std::int64_t v = 0;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
+    v = std::stoll(token, &pos);
     if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
   } catch (const std::exception&) {
     throw std::invalid_argument("grid: bad integer '" + token +
                                 "' in: " + line);
   }
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("grid: integer '" + token +
+                                "' does not fit in int in: " + line);
+  }
+  return static_cast<int>(v);
 }
 
 template <typename T, typename Parse>
@@ -72,11 +79,11 @@ std::vector<T> parse_list(const std::string& value, const std::string& line,
 }
 
 /// Rejects at parse time, with the grid line, a value the run would only
-/// refuse mid-sweep.
-template <typename Ok>
-void require_each(const std::vector<double>& values, Ok ok,
+/// refuse mid-sweep or would silently misread.
+template <typename T, typename Ok>
+void require_each(const std::vector<T>& values, Ok ok,
                   const std::string& rule, const std::string& line) {
-  for (double v : values) {
+  for (const T& v : values) {
     if (!ok(v)) {
       throw std::invalid_argument("grid: " + rule + " in: " + line);
     }
@@ -84,6 +91,8 @@ void require_each(const std::vector<double>& values, Ok ok,
 }
 
 bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+bool at_least_one(int v) { return v >= 1; }
+bool non_negative(int v) { return v >= 0; }
 
 }  // namespace
 
@@ -151,6 +160,16 @@ std::vector<ScenarioSpec> expand(const ScenarioGrid& grid) {
     if (size == 0) {
       throw std::invalid_argument(std::string("expand: empty axis '") + axis +
                                   "'");
+    }
+  }
+  // Every engine shard needs a slave (PlatformPartition); caught here, before
+  // a run opens any output, whether K came from the grid or --engine-shards.
+  for (int slaves : grid.slave_counts) {
+    if (grid.engine_shards > slaves) {
+      throw std::invalid_argument(
+          "grid: engine_shards = " + std::to_string(grid.engine_shards) +
+          " exceeds slaves = " + std::to_string(slaves) +
+          " (every engine shard needs a slave)");
     }
   }
 
@@ -274,11 +293,17 @@ ScenarioGrid parse_grid(const std::string& text) {
                                     "' in: " + raw);
       }
     } else if (key == "platforms") {
-      grid.num_platforms = static_cast<int>(parse_int(value, raw));
+      grid.num_platforms = parse_int(value, raw);
+      require_each<int>({grid.num_platforms}, at_least_one,
+                        "platforms must be >= 1", raw);
     } else if (key == "tasks") {
-      grid.num_tasks = static_cast<int>(parse_int(value, raw));
+      grid.num_tasks = parse_int(value, raw);
+      require_each<int>({grid.num_tasks}, at_least_one,
+                        "tasks must be >= 1", raw);
     } else if (key == "lookahead") {
-      grid.lookahead = static_cast<int>(parse_int(value, raw));
+      grid.lookahead = parse_int(value, raw);
+      require_each<int>({grid.lookahead}, non_negative,
+                        "lookahead must be >= 0", raw);
     } else if (key == "algorithms") {
       grid.algorithms = split_csv(value);
       if (grid.algorithms.empty()) {
@@ -301,10 +326,9 @@ ScenarioGrid parse_grid(const std::string& text) {
             return parse_platform_class(t);
           });
     } else if (key == "slaves") {
-      grid.slave_counts = parse_list<int>(
-          value, raw, [](const std::string& t, const std::string& l) {
-            return static_cast<int>(parse_int(t, l));
-          });
+      grid.slave_counts = parse_list<int>(value, raw, parse_int);
+      require_each(grid.slave_counts, at_least_one, "slaves must be >= 1",
+                   raw);
     } else if (key == "arrival") {
       grid.arrivals = parse_list<experiments::ArrivalProcess>(
           value, raw,
@@ -317,11 +341,13 @@ ScenarioGrid parse_grid(const std::string& text) {
                    raw);
     } else if (key == "jitter") {
       grid.jitters = parse_list<double>(value, raw, parse_double);
+      require_each(
+          grid.jitters, [](double v) { return v >= 0.0 && v < 1.0; },
+          "jitter must be in [0, 1)", raw);
     } else if (key == "port") {
-      grid.port_capacities = parse_list<int>(
-          value, raw, [](const std::string& t, const std::string& l) {
-            return static_cast<int>(parse_int(t, l));
-          });
+      grid.port_capacities = parse_list<int>(value, raw, parse_int);
+      require_each(grid.port_capacities, non_negative, "port must be >= 0",
+                   raw);
     } else if (key == "sizes") {
       grid.size_mixes = parse_list<experiments::TaskSizeMix>(
           value, raw,
@@ -345,14 +371,17 @@ ScenarioGrid parse_grid(const std::string& text) {
           "outage_frac must be in [0, 0.9]", raw);
     } else if (key == "ipp_amplitude") {
       grid.ipp_amplitude = parse_double(value, raw);
+      require_each<double>(
+          {grid.ipp_amplitude}, [](double v) { return v >= 0.0 && v <= 1.0; },
+          "ipp_amplitude must be in [0, 1]", raw);
     } else if (key == "ipp_period_tasks") {
       grid.ipp_period_tasks = parse_double(value, raw);
+      require_each<double>({grid.ipp_period_tasks}, finite_positive,
+                           "ipp_period_tasks must be finite and > 0", raw);
     } else if (key == "engine_shards") {
-      grid.engine_shards = static_cast<int>(parse_int(value, raw));
-      if (grid.engine_shards < 1) {
-        throw std::invalid_argument("grid: engine_shards must be >= 1 in: " +
-                                    raw);
-      }
+      grid.engine_shards = parse_int(value, raw);
+      require_each<int>({grid.engine_shards}, at_least_one,
+                        "engine_shards must be >= 1", raw);
     } else if (key == "shard_routing") {
       try {
         core::parse_shard_routing(value);
@@ -362,12 +391,10 @@ ScenarioGrid parse_grid(const std::string& text) {
       }
       grid.shard_routing = value;
     } else if (key == "shard_threads") {
-      grid.shard_threads = static_cast<int>(parse_int(value, raw));
-      if (grid.shard_threads < 0) {
-        throw std::invalid_argument(
-            "grid: shard_threads must be >= 0 (0 = hardware concurrency) "
-            "in: " + raw);
-      }
+      grid.shard_threads = parse_int(value, raw);
+      require_each<int>({grid.shard_threads}, non_negative,
+                        "shard_threads must be >= 0 (0 = hardware concurrency)",
+                        raw);
     } else if (key == "comm_lo") {
       grid.ranges.comm_lo = parse_double(value, raw);
     } else if (key == "comm_hi") {

@@ -84,7 +84,8 @@ std::size_t cell_count(const ScenarioGrid& grid);
 
 /// Expands the cartesian product into concrete cells, in the fixed axis
 /// order documented on ScenarioGrid. Throws std::invalid_argument if any
-/// axis is empty.
+/// axis is empty or if `engine_shards` exceeds a `slaves` value (every
+/// engine shard needs at least one slave).
 std::vector<ScenarioSpec> expand(const ScenarioGrid& grid);
 
 /// Selects the cells assigned to shard `shard_index` of `shards` by stable
@@ -124,9 +125,14 @@ std::vector<ScenarioSpec> shard_cells(std::vector<ScenarioSpec> cells,
 /// `algorithms` (alias: `algo`) takes registry names and policy-spec
 /// strings in the mini-language of algorithms/policy_spec.hpp; every
 /// entry is validated at parse time. Unknown keys, unparsable values,
-/// duplicate keys, and out-of-range `load`/`mtbf_tasks` (must be finite and
-/// > 0) or `outage_frac` (must be in [0, 0.9]) throw std::invalid_argument
-/// with the offending line.
+/// duplicate keys, integers that do not fit in `int`, and values outside
+/// these ranges throw std::invalid_argument with the offending line:
+///   - `platforms`, `tasks`, `slaves`, `engine_shards`: >= 1;
+///   - `lookahead`, `port`, `shard_threads`: >= 0;
+///   - `load`, `mtbf_tasks`, `ipp_period_tasks`: finite and > 0;
+///   - `jitter`: in [0, 1);
+///   - `ipp_amplitude`: in [0, 1];
+///   - `outage_frac`: in [0, 0.9].
 /// Omitted keys keep the ScenarioGrid defaults.
 ScenarioGrid parse_grid(const std::string& text);
 

@@ -79,6 +79,25 @@ TEST(ScenarioGrid, EmptyAxisThrows) {
   EXPECT_THROW(expand(grid), std::invalid_argument);
 }
 
+TEST(ScenarioExpand, RejectsMoreEngineShardsThanSlaves) {
+  // Every engine shard needs a slave; expand() refuses before any cell runs,
+  // whichever slaves value is the smallest.
+  ScenarioGrid grid = small_grid();
+  grid.slave_counts = {8, 3};
+  grid.engine_shards = 4;
+  try {
+    expand(grid);
+    ADD_FAILURE() << "accepted engine_shards = 4 with slaves = 3";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(what.rfind("grid: ", 0), 0u) << what;
+    EXPECT_NE(what.find("slaves = 3"), std::string::npos) << what;
+  }
+  // One shard per slave is the edge, and stays valid.
+  grid.engine_shards = 3;
+  EXPECT_EQ(expand(grid).size(), 2 * cell_count(small_grid()));
+}
+
 // -------------------------------------------------------------- parsing ----
 
 TEST(GridFormat, ParsesAllKeys) {
@@ -502,14 +521,20 @@ TEST(GridFormat, ParsesAvailabilityAxes) {
   EXPECT_THROW(parse_grid("avail = sometimes\n"), std::invalid_argument);
 }
 
-TEST(GridFormat, RejectsOutOfRangeLoadAndAvailabilityValues) {
+TEST(GridFormat, RejectsOutOfRangeValues) {
   // Values the run would refuse mid-sweep (generate_availability, the
-  // workload generators) fail at parse time with the offending line.
+  // workload generators, the engine), would silently misread, or that do
+  // not fit in int fail at parse time with the offending line.
   for (const char* line :
        {"load = 0", "load = -1", "load = 0.5, nan", "load = inf",
         "mtbf_tasks = 0", "mtbf_tasks = -5", "mtbf_tasks = nan",
         "mtbf_tasks = 25, inf", "outage_frac = 0.95", "outage_frac = -0.1",
-        "outage_frac = nan"}) {
+        "outage_frac = nan", "platforms = 0", "platforms = 4294967297",
+        "tasks = 0", "tasks = -5", "slaves = 0", "slaves = 5, 3000000000",
+        "lookahead = -1", "port = -1", "jitter = -0.5", "jitter = nan",
+        "jitter = 2", "jitter = 1", "ipp_amplitude = 5",
+        "ipp_amplitude = -0.1", "ipp_period_tasks = -1",
+        "ipp_period_tasks = 0", "ipp_period_tasks = inf"}) {
     try {
       parse_grid(std::string(line) + "\n");
       ADD_FAILURE() << "accepted: " << line;
@@ -522,8 +547,16 @@ TEST(GridFormat, RejectsOutOfRangeLoadAndAvailabilityValues) {
   }
   // The range edges themselves stay valid.
   const ScenarioGrid edges = parse_grid(
-      "load = 1e-9\nmtbf_tasks = 1e-9\noutage_frac = 0, 0.9\n");
+      "load = 1e-9\nmtbf_tasks = 1e-9\noutage_frac = 0, 0.9\n"
+      "platforms = 1\ntasks = 1\nslaves = 1\nlookahead = 0\nport = 0\n"
+      "jitter = 0\nipp_amplitude = 1\nipp_period_tasks = 1e-9\n");
   EXPECT_EQ(edges.outage_fracs, (std::vector<double>{0.0, 0.9}));
+  EXPECT_EQ(edges.num_tasks, 1);
+  EXPECT_EQ(edges.lookahead, 0);
+  EXPECT_EQ(edges.port_capacities, (std::vector<int>{0}));
+  EXPECT_EQ(edges.jitters, (std::vector<double>{0.0}));
+  EXPECT_EQ(edges.ipp_amplitude, 1.0);
+  EXPECT_EQ(parse_grid("ipp_amplitude = 0\n").ipp_amplitude, 0.0);
 }
 
 TEST(GridFormat, AvailabilityAxesDoNotShiftExistingCellSeeds) {
