@@ -103,6 +103,20 @@ const std::vector<GoldenCase>& golden_cases() {
        "quantized", 400, 141, "LS", 20, 1, false, "", 4},
       {"ls_k8_leastloaded_churn", PlatformClass::kFullyHeterogeneous, 64, 42,
        "quantized", 500, 142, "LS", 20, 1, false, "churn-generated", 8},
+      // Meta policies, static and churn. The static portfolio also runs on
+      // the ReferenceEngine, which is not a OnePortEngine, so it pins the
+      // portfolio's fresh-snapshot path against its incremental one; the
+      // churn fixtures re-dispatch work mid-decision-stream.
+      {"portfolio_static_het", PlatformClass::kFullyHeterogeneous, 6, 51,
+       "bursty", 60, 151, "portfolio:LS;SRPT;rank:queue+horizon:4"},
+      {"portfolio_churn_het", PlatformClass::kFullyHeterogeneous, 6, 56,
+       "poisson", 60, 152, "portfolio:LS;SRPT;rank:queue+horizon:4", 20, 1,
+       false, "churn-mixed"},
+      {"hedge_static_het", PlatformClass::kFullyHeterogeneous, 6, 53, "bursty",
+       60, 153, "hedge:LS;rank:queue+window:8+hyst:2"},
+      {"hedge_churn_het", PlatformClass::kFullyHeterogeneous, 6, 54, "poisson",
+       60, 154, "hedge:LS;rank:queue+window:8+hyst:2", 20, 1, false,
+       "churn-mixed"},
   };
   return cases;
 }
