@@ -1,6 +1,7 @@
 #include "algorithms/meta/meta_policy.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <variant>
 
@@ -14,18 +15,9 @@ namespace msol::algorithms::meta {
 // PortfolioPolicy
 // ---------------------------------------------------------------------------
 
-PortfolioPolicy::PortfolioPolicy(MetaSpec spec, MetaOptions options)
-    : MetaPolicy(std::move(spec)), options_(options) {
+PortfolioPolicy::PortfolioPolicy(MetaSpec spec) : MetaPolicy(std::move(spec)) {
   if (spec_.kind != MetaKind::kPortfolio) {
     throw std::invalid_argument("PortfolioPolicy: spec is not portfolio:");
-  }
-  member_uses_rng_.reserve(spec_.members.size());
-  for (const PolicySpec& member : spec_.members) {
-    // tie_rng_ is the only seed consumer in ComposedPolicy, so a member
-    // whose tie-break is not rng is a deterministic function of the
-    // snapshot — memoizable. An rng member's stream position depends on the
-    // decision ordinal and must be re-simulated every consult.
-    member_uses_rng_.push_back(member.tie == TieKind::kRng ? 1 : 0);
   }
 }
 
@@ -39,21 +31,14 @@ static std::uint64_t member_eval_seed(const PolicySpec& member, int index,
       .child_seed(static_cast<std::uint64_t>(decisions));
 }
 
-core::Decision PortfolioPolicy::decide_rebuild(const core::EngineView& engine,
-                                               int horizon) {
-  // Legacy evaluation: each member is rebuilt per decision and simulated on
-  // its own fresh projection of the live view. Retained behind
-  // MetaOptions::rebuild_projections as the differential baseline the
-  // incremental path below is pinned byte-identical to, and as the fallback
-  // for views that are not OnePortEngine (no delta feed to subscribe to).
+template <typename Evaluate>
+core::Decision PortfolioPolicy::choose(Evaluate&& evaluate) {
   int best = 0;
   ProjectionOutcome best_out;
   for (int i = 0; i < static_cast<int>(spec_.members.size()); ++i) {
-    PolicySpec member = spec_.members[static_cast<std::size_t>(i)];
-    member.seed = member_eval_seed(member, i, decisions_);
-    ComposedPolicy policy(member);
-    EngineProjection projection(engine);
-    const ProjectionOutcome out = projection.run(policy, horizon);
+    const ProjectionOutcome out = evaluate(
+        i, member_eval_seed(spec_.members[static_cast<std::size_t>(i)], i,
+                            decisions_));
     if (i == 0 || out.commits > best_out.commits ||
         (out.commits == best_out.commits &&
          out.makespan < best_out.makespan - core::kTimeEps)) {
@@ -67,21 +52,31 @@ core::Decision PortfolioPolicy::decide_rebuild(const core::EngineView& engine,
   return best_out.first;
 }
 
+core::Decision PortfolioPolicy::decide_rebuild(const core::EngineView& engine,
+                                               int horizon) {
+  // Fresh-snapshot evaluation: each member is rebuilt per decision and
+  // simulated on its own EngineProjection of the view. It serves views that
+  // are not a OnePortEngine (no delta feed to subscribe to), and it is the
+  // oracle the incremental path below is pinned byte-identical to.
+  return choose([&](int i, std::uint64_t seed) {
+    PolicySpec member = spec_.members[static_cast<std::size_t>(i)];
+    member.seed = seed;
+    ComposedPolicy policy(member);
+    EngineProjection projection(engine);
+    return projection.run(policy, horizon);
+  });
+}
+
 core::Decision PortfolioPolicy::decide(const core::EngineView& engine) {
   const int horizon = std::min(spec_.horizon, engine.pending_count());
-  const auto* live = options_.rebuild_projections
-                         ? nullptr
-                         : dynamic_cast<const core::OnePortEngine*>(&engine);
+  const auto* live = dynamic_cast<const core::OnePortEngine*>(&engine);
   if (live == nullptr) return decide_rebuild(engine, horizon);
 
   // Incremental path: one persistent delta-synced projection shared by all
-  // members, cached member policies reseeded per evaluation (reseed ==
-  // fresh construction for decide(), see ComposedPolicy::reseed), and a
-  // stamp memo that skips deterministic members when nothing observable
-  // changed since the previous consult.
+  // members, and cached member policies reseeded per evaluation (reseed ==
+  // fresh construction for decide(), see ComposedPolicy::reseed).
   if (!incremental_ || incremental_->engine() != live) {
     incremental_ = std::make_unique<IncrementalProjection>(*live);
-    memo_key_.valid = false;
   }
   incremental_->sync();
   if (members_.empty()) {
@@ -89,60 +84,18 @@ core::Decision PortfolioPolicy::decide(const core::EngineView& engine) {
     for (const PolicySpec& member : spec_.members) {
       members_.push_back(std::make_unique<ComposedPolicy>(member));
     }
-    memo_.resize(spec_.members.size());
   }
-  // Every observable is covered: delta seq (pending set, commits,
-  // availability), now (time-derived observables), total_tasks (inject_task
-  // is not delta-logged); generation guards engine reuse, and the per-field
-  // stamps are belt-and-braces against any future mutation path that
-  // bumps a stamp without logging.
-  MemoKey key;
-  key.valid = true;
-  key.generation = live->delta_generation();
-  key.seq = live->delta_end();
-  key.load = live->load_stamp();
-  key.ready = live->ready_stamp();
-  key.avail = live->avail_stamp();
-  key.now = engine.now();
-  key.total_tasks = engine.total_tasks();
-  const bool memo_usable =
-      memo_key_.valid && key.generation == memo_key_.generation &&
-      key.seq == memo_key_.seq && key.load == memo_key_.load &&
-      key.ready == memo_key_.ready && key.avail == memo_key_.avail &&
-      key.now == memo_key_.now && key.total_tasks == memo_key_.total_tasks;
-  int best = 0;
-  ProjectionOutcome best_out;
-  for (int i = 0; i < static_cast<int>(spec_.members.size()); ++i) {
-    const auto is = static_cast<std::size_t>(i);
-    ProjectionOutcome out;
-    if (memo_usable && member_uses_rng_[is] == 0) {
-      out = memo_[is];
-      ++memo_hits_;
-    } else {
-      members_[is]->reseed(member_eval_seed(spec_.members[is], i, decisions_));
-      out = incremental_->run(*members_[is], horizon);
-      memo_[is] = out;
-    }
-    if (i == 0 || out.commits > best_out.commits ||
-        (out.commits == best_out.commits &&
-         out.makespan < best_out.makespan - core::kTimeEps)) {
-      best = i;
-      best_out = out;
-    }
-  }
-  memo_key_ = key;
-  if (last_choice_ >= 0 && best != last_choice_) ++switches_;
-  last_choice_ = best;
-  ++decisions_;
-  return best_out.first;
+  return choose([&](int i, std::uint64_t seed) {
+    ComposedPolicy& member = *members_[static_cast<std::size_t>(i)];
+    member.reseed(seed);
+    return incremental_->run(member, horizon);
+  });
 }
 
 void PortfolioPolicy::reset() {
   decisions_ = 0;
   last_choice_ = -1;
   switches_ = 0;
-  memo_hits_ = 0;
-  memo_key_.valid = false;
   // Dropped, not kept: a reset policy may next run against a different
   // engine object (simulate()'s thread-local engines are per-thread, but
   // harness code constructs engines on the stack), and a dangling live
@@ -192,14 +145,11 @@ void HedgePolicy::reset() {
 
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<core::OnlineScheduler> make_meta_policy(const MetaSpec& spec,
-                                                        MetaOptions options) {
+std::unique_ptr<core::OnlineScheduler> make_meta_policy(const MetaSpec& spec) {
   switch (spec.kind) {
     case MetaKind::kPortfolio:
-      return std::make_unique<PortfolioPolicy>(spec, options);
+      return std::make_unique<PortfolioPolicy>(spec);
     case MetaKind::kHedge:
-      // Hedge members run directly on the live view (no projections), so
-      // the options carry nothing for them yet.
       return std::make_unique<HedgePolicy>(spec);
   }
   throw std::invalid_argument("make_meta_policy: unknown meta kind");

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,18 +11,6 @@
 #include "core/scheduler.hpp"
 
 namespace msol::algorithms::meta {
-
-/// Construction-time knobs for meta policies (not part of the MetaSpec
-/// mini-language: they change how a spec is *evaluated*, never what it
-/// means — every option value must produce byte-identical decisions).
-struct MetaOptions {
-  /// Differential baseline: rebuild a fresh EngineProjection per (member,
-  /// decision) — the pre-incremental evaluation path — instead of resyncing
-  /// the persistent delta-driven IncrementalProjection.
-  /// tests/test_meta_incremental.cpp pins both paths byte-identical
-  /// end-to-end.
-  bool rebuild_projections = false;
-};
 
 /// Base of the meta layer: a scheduler assembled from a MetaSpec that may
 /// switch between member compositions mid-run. Campaigns dynamic_cast to
@@ -63,17 +50,13 @@ class MetaPolicy : public core::OnlineScheduler {
 /// the engine hands schedulers in production runs): one persistent
 /// IncrementalProjection subscribes to the engine's delta feed, sync()
 /// patches it forward per decision, and the cached member policies are
-/// reseeded (not reconstructed) per evaluation. A memo layer keeps each
-/// member's last outcome keyed by the engine's change stamps and skips the
-/// forward-sim outright when nothing observable moved between two consults
-/// (rng-tied members are always re-simulated: their stream position is part
-/// of the evaluation). Non-engine views (tests' fakes), and every view when
-/// MetaOptions::rebuild_projections is set, take the legacy fresh-snapshot
-/// loop — decisions are byte-identical either way (pinned by
-/// tests/test_meta_incremental.cpp).
+/// reseeded (not reconstructed) per evaluation. Any other view (the
+/// ReferenceEngine, tests' fakes) takes the fresh-snapshot EngineProjection
+/// loop, the oracle the incremental path is pinned byte-identical to
+/// (tests/test_meta_incremental.cpp and the meta golden traces).
 class PortfolioPolicy final : public MetaPolicy {
  public:
-  explicit PortfolioPolicy(MetaSpec spec, MetaOptions options = {});
+  explicit PortfolioPolicy(MetaSpec spec);
 
   core::Decision decide(const core::EngineView& engine) override;
   void reset() override;
@@ -83,10 +66,8 @@ class PortfolioPolicy final : public MetaPolicy {
 
   /// Decisions taken this run (the bench's decisions/sec numerator).
   long long decisions() const { return decisions_; }
-  /// Member forward-sims skipped by the stamp memo this run.
-  long long memo_hits() const { return memo_hits_; }
   /// The persistent projection, when the incremental path is active
-  /// (null before the first decision or on the rebuild baseline) —
+  /// (null before the first decision or on a non-engine view) —
   /// diagnostics for the bench's resync-vs-rebuild columns.
   const IncrementalProjection* projection() const {
     return incremental_.get();
@@ -94,29 +75,18 @@ class PortfolioPolicy final : public MetaPolicy {
 
  private:
   core::Decision decide_rebuild(const core::EngineView& engine, int horizon);
+  /// Evaluates every member through `evaluate(index, seed)`, commits the
+  /// best outcome's first decision and counts a switch when the choice
+  /// moved.
+  template <typename Evaluate>
+  core::Decision choose(Evaluate&& evaluate);
 
-  MetaOptions options_;
   long long decisions_ = 0;
   int last_choice_ = -1;
   /// Incremental path state: the shared persistent projection and the
   /// reseed-per-evaluation member cache (see the class comment).
   std::unique_ptr<IncrementalProjection> incremental_;
   std::vector<std::unique_ptr<ComposedPolicy>> members_;
-  std::vector<std::uint8_t> member_uses_rng_;  ///< tie:rng — never memoized
-  /// Stamp key of the engine state the memoized outcomes were computed on.
-  struct MemoKey {
-    bool valid = false;
-    std::uint64_t generation = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t load = 0;
-    std::uint64_t ready = 0;
-    std::uint64_t avail = 0;
-    core::Time now = 0.0;
-    int total_tasks = 0;  ///< inject_task is not delta-logged
-  };
-  MemoKey memo_key_;
-  std::vector<ProjectionOutcome> memo_;
-  long long memo_hits_ = 0;
 };
 
 /// hedge:<specA>;<specB>+window:<n>+hyst:<k> — member A (calm) runs until
@@ -144,10 +114,7 @@ class HedgePolicy final : public MetaPolicy {
   int active_ = 0;
 };
 
-/// Builds the meta policy a MetaSpec describes (registry hook). The
-/// defaulted options select the incremental evaluation path; the rebuild
-/// baseline is opt-in (benches and the differential tests).
-std::unique_ptr<core::OnlineScheduler> make_meta_policy(
-    const MetaSpec& spec, MetaOptions options = {});
+/// Builds the meta policy a MetaSpec describes (registry hook).
+std::unique_ptr<core::OnlineScheduler> make_meta_policy(const MetaSpec& spec);
 
 }  // namespace msol::algorithms::meta

@@ -121,16 +121,17 @@ class EngineProjection : public core::EngineView {
 /// Byte-identity contract (the reason this class exists at all): run() is
 /// pinned bit-identical to constructing a fresh EngineProjection and
 /// running the same member — same decisions, same outcome fields — which
-/// tests/test_meta_incremental.cpp enforces end-to-end against the
-/// MetaOptions::rebuild_projections baseline. Two deliberate representation
-/// differences are proven equivalent rather than avoided: the mirror keeps
-/// *raw* busy-until values where the fresh snapshot clamps to its birth
-/// now() (every consumer — kernel max-chains, slave_ready_at, advance's
-/// strictly-after filter, tasks_in_system's threshold — re-clamps against a
-/// now that can only have grown), and slave_state() reports online=null
-/// when nobody is offline (the all-online byte array and the null fast path
-/// are the same function; null additionally unlocks the vector kernels,
-/// which are themselves memcmp-pinned to scalar).
+/// tests/test_meta_incremental.cpp enforces end-to-end against
+/// PortfolioPolicy's fresh-snapshot loop (the path any view that is not a
+/// OnePortEngine takes), and the meta golden traces pin. Two deliberate
+/// representation differences are proven equivalent rather than avoided:
+/// the mirror keeps *raw* busy-until values where the fresh snapshot clamps
+/// to its birth now() (every consumer — kernel max-chains, slave_ready_at,
+/// advance's strictly-after filter, tasks_in_system's threshold — re-clamps
+/// against a now that can only have grown), and slave_state() reports
+/// online=null when nobody is offline (the all-online byte array and the
+/// null fast path are the same function; null additionally unlocks the
+/// vector kernels, which are themselves memcmp-pinned to scalar).
 class IncrementalProjection : public core::EngineView {
  public:
   explicit IncrementalProjection(const core::OnePortEngine& live);

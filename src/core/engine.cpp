@@ -56,8 +56,6 @@ void OnePortEngine::reset(platform::Platform platform,
   delta_log_.clear();
   delta_base_ = 0;
   ++delta_gen_;
-  ready_stamp_ = 0;
-  avail_stamp_ = 0;
   port_busy_until_.clear();
   if (options_.port_capacity > 0) {
     port_busy_until_.assign(static_cast<std::size_t>(options_.port_capacity),
@@ -268,12 +266,11 @@ void OnePortEngine::apply_avail_span(std::size_t j,
   const double was_speed = slave_speed_[j];
   slave_online_[j] = span.online ? 1 : 0;
   slave_speed_[j] = span.speed;
-  // Stamp + delta-log only the *observable* changes: an offline slave's
+  // Delta-log only the *observable* changes: an offline slave's
   // cached speed shifting is invisible through current_speed() (it reports
   // 0.0 while offline; the up-transition event carries the speed that then
   // becomes visible).
   if (was_online != span.online || (span.online && span.speed != was_speed)) {
-    ++avail_stamp_;
     DeltaEvent event;
     event.slave = static_cast<SlaveId>(j);
     event.speed = span.speed;
@@ -356,7 +353,6 @@ void OnePortEngine::handle_offline(SlaveId j, Time t) {
   doomed_partial_work_[js] = 0.0;
   chain_doomed_[js] = 0;
   slave_ready_[js] = t;
-  ++ready_stamp_;  // the kDisrupt event already covers the feed
   slave_act_busy_[js] = t;
 }
 
@@ -478,7 +474,6 @@ void OnePortEngine::commit(TaskId task_id, SlaveId slave) {
   // (pending_erase is only ever called from here) and the slave's new raw
   // busy-until estimate, doomed-extrapolation included. Subscribers re-read
   // port_free_at() at sync time, so the port write below needs no event.
-  ++ready_stamp_;
   DeltaEvent event;
   event.kind = DeltaKind::kCommit;
   event.task = task_id;

@@ -212,11 +212,11 @@ class OnePortEngine final : public EngineView {
 
   /// --- delta feed (incremental observers) ---------------------------------
   ///
-  /// Per-field change stamps extending the load_stamp() pattern, plus an
-  /// epoch log of the events behind them, so a subscriber (the meta layer's
-  /// IncrementalProjection) can resync its mirror of the observables by
-  /// replaying [its cursor, delta_end()) instead of re-snapshotting the
-  /// ready/online/speed arrays and re-walking the pending set per decision.
+  /// An epoch log of the engine's observable changes, so a subscriber (the
+  /// meta layer's IncrementalProjection) can resync its mirror of the
+  /// observables by replaying [its cursor, delta_end()) instead of
+  /// re-snapshotting the ready/online/speed arrays and re-walking the
+  /// pending set per decision.
   ///
   /// Logging is off until a subscriber opts in (the log would otherwise grow
   /// for nothing); enabling is idempotent and const because subscribers hold
@@ -239,15 +239,6 @@ class OnePortEngine final : public EngineView {
   const DeltaEvent& delta_event(std::uint64_t seq) const {
     return delta_log_[static_cast<std::size_t>(seq - delta_base_)];
   }
-  /// Monotone stamp of the slave busy-until array: bumped by every
-  /// slave_ready_ write (commits and offline flushes), never by pure time
-  /// advancement — slave_ready_at() results are reproducible from a cached
-  /// raw value while the stamp holds (modulo the max(now, raw) clamp, which
-  /// the caller reapplies).
-  std::uint64_t ready_stamp() const { return ready_stamp_; }
-  /// Monotone stamp of the observable availability state: bumped whenever
-  /// some slave's is_available()/current_speed() changes.
-  std::uint64_t avail_stamp() const { return avail_stamp_; }
 
   /// --- EngineView (the scheduler/adversary observables) -------------------
 
@@ -349,8 +340,6 @@ class OnePortEngine final : public EngineView {
   std::vector<DeltaEvent> delta_log_;
   std::uint64_t delta_base_ = 0;
   std::uint64_t delta_gen_ = 0;
-  std::uint64_t ready_stamp_ = 0;
-  std::uint64_t avail_stamp_ = 0;
 
   std::vector<Time> port_busy_until_;  ///< size == port_capacity (1+)
   std::vector<Time> slave_ready_;

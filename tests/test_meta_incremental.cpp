@@ -1,13 +1,14 @@
 // Differential shard for the incremental projection engine: the
-// delta-driven evaluation path (persistent IncrementalProjection + stamp
-// memo, the default) must be *byte-identical* end-to-end to the legacy
-// rebuild-every-decision baseline retained behind
-// MetaOptions::rebuild_projections — same schedule records bit for bit,
-// same disruption counters — across regimes {static poisson, bursty,
-// availability churn} x seeds x {2-member, 4-member, tie:rng-member
-// portfolios, hedge}. Plus white-box checks of the resync/rebuild
-// accounting, the stamp memo, reset-reuse, and the thread-count
-// byte-identity of grids with rng-tied portfolio members.
+// delta-driven evaluation path a portfolio takes on a OnePortEngine
+// (persistent IncrementalProjection) must be *byte-identical* end-to-end
+// to its fresh-snapshot EngineProjection loop, which it takes on any other
+// view — same schedule records bit for bit, same disruption counters —
+// across regimes {static poisson, bursty, availability churn} x seeds x
+// {2-member, 4-member, tie:rng-member portfolios, hedge}. The reference
+// side reaches that loop through RebuildPath, a test-only decorator that
+// hands the policy a forwarding view that is not a OnePortEngine. Plus
+// white-box checks of the resync/rebuild accounting, reset-reuse, and the
+// thread-count byte-identity of grids with rng-tied portfolio members.
 //
 // MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks the workloads while
 // keeping every case's structure.
@@ -18,9 +19,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "algorithms/meta/meta_policy.hpp"
@@ -89,6 +90,81 @@ void expect_schedules_identical(const core::Schedule& a,
 
 // ------------------------------------------------- incremental vs rebuild ----
 
+/// Forwards every observable to the view it wraps without being a
+/// OnePortEngine, so a portfolio consulted through it takes the
+/// fresh-snapshot EngineProjection loop.
+class ForwardingView final : public core::EngineView {
+ public:
+  explicit ForwardingView(const core::EngineView& inner) : inner_(inner) {}
+
+  core::Time now() const override { return inner_.now(); }
+  const Platform& platform() const override { return inner_.platform(); }
+  core::Time port_free_at() const override { return inner_.port_free_at(); }
+  bool is_available(core::SlaveId j) const override {
+    return inner_.is_available(j);
+  }
+  double current_speed(core::SlaveId j) const override {
+    return inner_.current_speed(j);
+  }
+  core::Time slave_ready_at(core::SlaveId j) const override {
+    return inner_.slave_ready_at(j);
+  }
+  int tasks_in_system(core::SlaveId j) const override {
+    return inner_.tasks_in_system(j);
+  }
+  core::TaskId pending_front() const override {
+    return inner_.pending_front();
+  }
+  std::vector<core::TaskId> pending_tasks() const override {
+    return inner_.pending_tasks();
+  }
+  int pending_count() const override { return inner_.pending_count(); }
+  int total_tasks() const override { return inner_.total_tasks(); }
+  int completed_or_committed() const override {
+    return inner_.completed_or_committed();
+  }
+  const core::TaskSpec& task_spec(core::TaskId i) const override {
+    return inner_.task_spec(i);
+  }
+  std::optional<core::SlaveId> assignment_of(
+      core::TaskId task) const override {
+    return inner_.assignment_of(task);
+  }
+  core::Time completion_if_assigned(core::TaskId task,
+                                    core::SlaveId j) const override {
+    return inner_.completion_if_assigned(task, j);
+  }
+  core::SlaveStateView slave_state() const override {
+    return inner_.slave_state();
+  }
+  const core::Schedule& schedule() const override { return inner_.schedule(); }
+  const core::Trace& trace() const override { return inner_.trace(); }
+
+ private:
+  const core::EngineView& inner_;
+};
+
+/// Consults the wrapped policy through a ForwardingView: the reference side
+/// of the differential.
+class RebuildPath final : public core::OnlineScheduler {
+ public:
+  explicit RebuildPath(std::unique_ptr<core::OnlineScheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  core::Decision decide(const core::EngineView& engine) override {
+    return inner_->decide(ForwardingView(engine));
+  }
+  void on_task_released(const core::EngineView& engine,
+                        core::TaskId task) override {
+    inner_->on_task_released(ForwardingView(engine), task);
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<core::OnlineScheduler> inner_;
+};
+
 enum class DiffRegime { kStatic, kBursty, kChurn };
 
 struct DiffCase {
@@ -98,13 +174,13 @@ struct DiffCase {
   int tasks;
 };
 
-/// Spec coverage: the smallest portfolio, a 4-member portfolio (widest memo
-/// and reseed rotation), a portfolio whose rng-tied member must be
-/// re-simulated every consult (stream position is part of the evaluation),
-/// and a hedge (runs members on the live view — the options must be inert
-/// for it). Regimes: static poisson (resync-only steady state), bursty
-/// (clustered releases, deep pending mirror), churn (kDisrupt rebuilds and
-/// offline-slave projections).
+/// Spec coverage: the smallest portfolio, a 4-member portfolio (widest
+/// reseed rotation), a portfolio with an rng-tied member (its stream
+/// position is part of the evaluation), and a hedge (runs members on the
+/// view it is handed — the view's type must be inert for it). Regimes:
+/// static poisson (resync-only steady state), bursty (clustered releases,
+/// deep pending mirror), churn (kDisrupt rebuilds and offline-slave
+/// projections).
 constexpr DiffCase kDiffCases[] = {
     {"portfolio:LS;rank:queue+horizon:4", DiffRegime::kStatic, 6, 150},
     {"portfolio:LS;rank:queue+horizon:4", DiffRegime::kBursty, 6, 150},
@@ -130,6 +206,9 @@ constexpr std::uint64_t kDiffSeeds[] = {71, 902};
 struct DiffRun {
   core::Schedule schedule;
   core::DisruptionStats disruption;
+  /// Whether the portfolio held an IncrementalProjection after the run
+  /// (false for a hedge).
+  bool had_projection = false;
 };
 
 DiffRun run_case(const DiffCase& c, std::uint64_t seed, bool rebuild) {
@@ -154,10 +233,17 @@ DiffRun run_case(const DiffCase& c, std::uint64_t seed, bool rebuild) {
         horizon, avail_rng);
   }
 
-  const auto policy = make_meta_policy(parse_meta_spec(c.spec),
-                                       MetaOptions{rebuild});
+  std::unique_ptr<core::OnlineScheduler> policy =
+      make_meta_policy(parse_meta_spec(c.spec));
+  const core::OnlineScheduler* meta = policy.get();
+  if (rebuild) {
+    policy = std::make_unique<RebuildPath>(std::move(policy));
+  }
   DiffRun out;
   out.schedule = core::simulate(plat, work, *policy, options, &out.disruption);
+  const auto* portfolio = dynamic_cast<const PortfolioPolicy*>(meta);
+  out.had_projection =
+      portfolio != nullptr && portfolio->projection() != nullptr;
   return out;
 }
 
@@ -174,6 +260,11 @@ TEST_P(MetaIncrementalDiff, DecisionsMatchRebuildBaselineByteForByte) {
 
   const DiffRun incremental = run_case(c, seed, /*rebuild=*/false);
   const DiffRun baseline = run_case(c, seed, /*rebuild=*/true);
+  // Each side really took its own path: otherwise this would compare the
+  // incremental path with itself.
+  const bool portfolio = std::string(c.spec).rfind("portfolio:", 0) == 0;
+  EXPECT_EQ(incremental.had_projection, portfolio) << label;
+  EXPECT_FALSE(baseline.had_projection) << label;
   expect_schedules_identical(incremental.schedule, baseline.schedule, label);
   EXPECT_EQ(incremental.disruption.redispatches, baseline.disruption.redispatches)
       << label;
@@ -256,79 +347,6 @@ TEST(IncrementalProjection, ChurnForcesRebuildsButResyncsStillDominate) {
   EXPECT_GT(policy.projection()->resyncs(), 0);
 }
 
-// ------------------------------------------------------------- stamp memo ----
-
-Platform heterogeneous_platform(int m, std::uint64_t seed) {
-  util::Rng rng(seed);
-  return platform::PlatformGenerator().generate(
-      platform::PlatformClass::kFullyHeterogeneous, m, rng);
-}
-
-/// Never assigns: freezes the engine so the portfolio under test can be
-/// consulted repeatedly at one instant with unchanged observables.
-class DeferPolicy : public core::OnlineScheduler {
- public:
-  std::string name() const override { return "DEFER"; }
-  core::Decision decide(const core::EngineView&) override {
-    return core::Defer{};
-  }
-};
-
-TEST(PortfolioPolicy, MemoSkipsDeterministicMembersWhenNothingMoved) {
-  const Platform plat = heterogeneous_platform(4, 41);
-  util::Rng work_rng(7);
-  const Workload work = Workload::bursty(12, 12, 1.0, work_rng);
-  DeferPolicy freeze;
-  core::OnePortEngine engine(plat, freeze, {});
-  engine.load(work);
-  engine.run_until(5.0);  // releases processed, nothing committed
-  ASSERT_GT(engine.pending_count(), 0);
-
-  PortfolioPolicy policy(parse_meta_spec("portfolio:LS;SRPT+horizon:4"));
-  const core::Decision first = policy.decide(engine);
-  EXPECT_EQ(policy.memo_hits(), 0);
-  const core::Decision second = policy.decide(engine);
-  // Both members are deterministic and no observable changed between the
-  // consults: both forward-sims are skipped outright.
-  EXPECT_EQ(policy.memo_hits(), 2);
-
-  // Memoized or not, the committed decision is the same — and identical to
-  // the rebuild baseline consulted at the same frozen instant.
-  PortfolioPolicy baseline(parse_meta_spec("portfolio:LS;SRPT+horizon:4"),
-                           MetaOptions{/*rebuild_projections=*/true});
-  const core::Decision reference = baseline.decide(engine);
-  ASSERT_TRUE(std::holds_alternative<core::Assign>(first));
-  ASSERT_TRUE(std::holds_alternative<core::Assign>(second));
-  ASSERT_TRUE(std::holds_alternative<core::Assign>(reference));
-  EXPECT_EQ(std::get<core::Assign>(first).task,
-            std::get<core::Assign>(second).task);
-  EXPECT_EQ(std::get<core::Assign>(first).slave,
-            std::get<core::Assign>(second).slave);
-  EXPECT_EQ(std::get<core::Assign>(first).task,
-            std::get<core::Assign>(reference).task);
-  EXPECT_EQ(std::get<core::Assign>(first).slave,
-            std::get<core::Assign>(reference).slave);
-}
-
-TEST(PortfolioPolicy, RngMembersAreNeverMemoized) {
-  const Platform plat = heterogeneous_platform(4, 43);
-  util::Rng work_rng(9);
-  const Workload work = Workload::bursty(12, 12, 1.0, work_rng);
-  DeferPolicy freeze;
-  core::OnePortEngine engine(plat, freeze, {});
-  engine.load(work);
-  engine.run_until(5.0);
-  ASSERT_GT(engine.pending_count(), 0);
-
-  PortfolioPolicy policy(parse_meta_spec(
-      "portfolio:LS;rank:completion+eps:0.1+tie:rng+horizon:4"));
-  policy.decide(engine);
-  policy.decide(engine);
-  // Only the deterministic LS member may hit the memo; the rng member's
-  // stream position depends on the decision ordinal and is re-simulated.
-  EXPECT_EQ(policy.memo_hits(), 1);
-}
-
 // ------------------------------------------------------------ reset reuse ----
 
 TEST(PortfolioPolicy, ReusedInstanceReproducesAFreshInstanceRun) {
@@ -343,7 +361,7 @@ TEST(PortfolioPolicy, ReusedInstanceReproducesAFreshInstanceRun) {
       make_meta_policy(parse_meta_spec("portfolio:LS;SRPT;rank:queue+horizon:4"));
   const core::Schedule first = core::simulate(plat, work, *reused);
   // Second run through the same instance: reset() must drop the projection
-  // and memo so the replay is exact (a stale mirror or memo would diverge).
+  // so the replay is exact (a stale mirror would diverge).
   const core::Schedule again = core::simulate(plat, work, *reused);
   expect_schedules_identical(first, again, "reused instance");
   EXPECT_TRUE(core::validate(plat, work, first).empty());

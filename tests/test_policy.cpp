@@ -233,7 +233,7 @@ TEST(ComposedPolicy, ResetRestoresEveryStatefulComponent) {
   const Workload work = Workload::poisson(25, 2.0, rng);
   // Stateful on every axis: cyclic cursor, wrr credits, plan cursor, rng
   // tie stream, quota counts, pace clock.
-  for (const std::string& spec :
+  for (std::string spec :
        {"RR", "WRR", "SLJF+lookahead:8", "RLS", "RANDOM",
         "filter:quota+rank:completion", "LS+gate:pace:0.2"}) {
     const auto policy = make_scheduler(spec, 8);
@@ -252,7 +252,7 @@ TEST(ComposedPolicy, ThrottleComposesWithAnyRanker) {
   const Platform plat = platform::PlatformGenerator().generate(
       PlatformClass::kFullyHeterogeneous, 3, rng);
   const Workload work = Workload::all_at_zero(18);
-  for (const std::string& spec :
+  for (std::string spec :
        {"SRPT+throttle:2", "rank:ready+throttle:1", "RR+filter:throttle:2"}) {
     const auto policy = make_scheduler(spec);
     const Schedule s = core::simulate(plat, work, *policy);
