@@ -1,15 +1,14 @@
 #pragma once
 
-// Shared reporting helpers for the figure/table bench binaries. Every bench
-// prints (a) the configuration it ran, (b) the regenerated series in the
-// paper's normalization (SRPT = 1), and optionally CSV via --csv.
+// Shared helpers for the campaign bench binaries: a CampaignConfig from
+// `--key=value` flags, and the configuration echo every such bench prints
+// before its table.
 
 #include <iostream>
 #include <string>
 
 #include "experiments/campaign.hpp"
 #include "util/cli.hpp"
-#include "util/table.hpp"
 
 namespace msol::bench {
 
@@ -40,29 +39,6 @@ inline void print_config(const experiments::CampaignConfig& config) {
             << "tasks          : " << config.num_tasks << " ("
             << to_string(config.arrival) << ", load " << config.load << ")\n"
             << "lookahead K    : " << config.lookahead << "\n\n";
-}
-
-/// "mean +/-ci95" cell for normalized columns.
-inline std::string fmt_ci(const util::Summary& summary) {
-  return util::fmt(summary.mean) + " +-" + util::fmt(summary.ci95_half_width);
-}
-
-/// Figure-1 style block: normalized (to SRPT) makespan / sum-flow /
-/// max-flow per algorithm, in the paper's left-to-right metric order, with
-/// 95% confidence half-widths over the campaign's platforms.
-inline void print_campaign(const experiments::CampaignResult& result,
-                           bool csv) {
-  util::Table table({"algorithm", "norm-makespan", "norm-sum-flow",
-                     "norm-max-flow", "makespan[s]", "sum-flow[s]",
-                     "max-flow[s]"});
-  for (const experiments::AlgorithmResult& alg : result.algorithms) {
-    table.add_row({alg.name, fmt_ci(alg.norm_makespan),
-                   fmt_ci(alg.norm_sum_flow), fmt_ci(alg.norm_max_flow),
-                   util::fmt(alg.makespan.mean, 1),
-                   util::fmt(alg.sum_flow.mean, 1),
-                   util::fmt(alg.max_flow.mean, 1)});
-  }
-  std::cout << (csv ? table.to_csv() : table.to_string());
 }
 
 }  // namespace msol::bench

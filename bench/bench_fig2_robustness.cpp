@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace msol;

@@ -83,16 +83,16 @@ std::vector<std::string> validate(const platform::Platform& platform,
                                   const Workload& workload,
                                   const Schedule& schedule,
                                   int port_capacity) {
-  EngineOptions options;
-  options.port_capacity = port_capacity;
-  return validate(platform, workload, schedule, options);
+  return validate(platform, workload, schedule, EngineOptions{},
+                  port_capacity);
 }
 
 std::vector<std::string> validate(const platform::Platform& platform,
                                   const Workload& workload,
                                   const Schedule& schedule,
-                                  const EngineOptions& options) {
-  const int port_capacity = options.port_capacity;
+                                  const EngineOptions& options,
+                                  std::optional<int> ports) {
+  const int port_capacity = ports.value_or(options.port_capacity);
   std::vector<std::string> out;
 
   // Coverage: every task exactly once, valid ids.
@@ -177,16 +177,16 @@ std::vector<std::string> validate(const platform::Platform& platform,
 void validate_or_throw(const platform::Platform& platform,
                        const Workload& workload, const Schedule& schedule,
                        int port_capacity) {
-  EngineOptions options;
-  options.port_capacity = port_capacity;
-  validate_or_throw(platform, workload, schedule, options);
+  validate_or_throw(platform, workload, schedule, EngineOptions{},
+                    port_capacity);
 }
 
 void validate_or_throw(const platform::Platform& platform,
                        const Workload& workload, const Schedule& schedule,
-                       const EngineOptions& options) {
+                       const EngineOptions& options,
+                       std::optional<int> port_capacity) {
   const std::vector<std::string> violations =
-      validate(platform, workload, schedule, options);
+      validate(platform, workload, schedule, options, port_capacity);
   if (violations.empty()) return;
   std::string msg = "infeasible schedule:";
   for (const std::string& v : violations) msg += "\n  - " + v;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,11 +32,13 @@ std::vector<std::string> validate(const platform::Platform& platform,
 /// Variant honoring the full engine options: port capacity, injected
 /// slowdown windows, AND availability profiles (compute durations must
 /// match the piecewise speed integral, and no completed task may span an
-/// offline stretch of its slave).
-std::vector<std::string> validate(const platform::Platform& platform,
-                                  const Workload& workload,
-                                  const Schedule& schedule,
-                                  const EngineOptions& options);
+/// offline stretch of its slave). A set `port_capacity` replaces
+/// options.port_capacity: a merged K-shard schedule is checked against the
+/// whole fleet's options, read in place, with K x c ports.
+std::vector<std::string> validate(
+    const platform::Platform& platform, const Workload& workload,
+    const Schedule& schedule, const EngineOptions& options,
+    std::optional<int> port_capacity = std::nullopt);
 
 /// Throws std::logic_error listing the violations if any.
 void validate_or_throw(const platform::Platform& platform,
@@ -44,6 +47,7 @@ void validate_or_throw(const platform::Platform& platform,
 
 void validate_or_throw(const platform::Platform& platform,
                        const Workload& workload, const Schedule& schedule,
-                       const EngineOptions& options);
+                       const EngineOptions& options,
+                       std::optional<int> port_capacity = std::nullopt);
 
 }  // namespace msol::core

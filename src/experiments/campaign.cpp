@@ -60,25 +60,20 @@ namespace {
 core::Workload make_arrivals(const CampaignConfig& config,
                              const platform::Platform& platform,
                              util::Rng& rng) {
+  const double rate = config.load * max_throughput(platform);
+  const int burst = 25;
   switch (config.arrival) {
     case ArrivalProcess::kAllAtZero:
       return core::Workload::all_at_zero(config.num_tasks);
-    case ArrivalProcess::kPoisson: {
-      const double rate = config.load * max_throughput(platform);
+    case ArrivalProcess::kPoisson:
       return core::Workload::poisson(config.num_tasks, rate, rng);
-    }
-    case ArrivalProcess::kBursty: {
-      const double rate = config.load * max_throughput(platform);
-      const int burst = 25;
+    case ArrivalProcess::kBursty:
       return core::Workload::bursty(config.num_tasks, burst,
                                     static_cast<double>(burst) / rate, rng);
-    }
-    case ArrivalProcess::kInhomogeneous: {
-      const double rate = config.load * max_throughput(platform);
+    case ArrivalProcess::kInhomogeneous:
       return core::Workload::inhomogeneous_poisson(
           config.num_tasks, rate, config.ipp_amplitude,
           config.ipp_period_tasks / rate, rng);
-    }
   }
   throw std::logic_error("make_arrivals: unknown arrival process");
 }
@@ -95,18 +90,6 @@ core::Workload apply_size_mix(const CampaignConfig& config,
     case TaskSizeMix::kLognormal:
       workload = workload.with_lognormal_noise(0.4, 0.4, rng);
       break;
-  }
-  return workload;
-}
-
-/// Size mix first, then the Figure-2 jitter, in that fixed order so the
-/// jitter perturbs the *sized* tasks the way the robustness experiment
-/// intends.
-core::Workload shape_workload(const CampaignConfig& config,
-                              core::Workload workload, util::Rng& rng) {
-  workload = apply_size_mix(config, std::move(workload), rng);
-  if (config.size_jitter > 0.0) {
-    workload = workload.with_size_jitter(config.size_jitter, rng);
   }
   return workload;
 }
@@ -146,6 +129,61 @@ struct RawValues {
   std::vector<double> switches;
 };
 
+/// One algorithm's validated run on one instance.
+struct SpecRun {
+  core::Schedule schedule;
+  core::DisruptionStats disruption;
+  double switches = 0.0;  ///< meta-policy member changes, summed over shards
+};
+
+double switches_of(const core::OnlineScheduler& scheduler) {
+  const auto* meta =
+      dynamic_cast<const algorithms::meta::MetaPolicy*>(&scheduler);
+  return meta != nullptr ? static_cast<double>(meta->switches()) : 0.0;
+}
+
+/// Runs `name` on (plat, workload) and validates what it produced. One
+/// engine shard runs on simulate()'s thread-local engine, with no
+/// ShardedEngine built. K > 1 shards run K one-port clusters: each shard is
+/// checked against its own cluster, then the merged schedule against the
+/// whole fleet's options, read in place, whose K masters may have K x c
+/// sends in flight (c = 0 stays unbounded).
+SpecRun run_spec(const CampaignConfig& config, const std::string& name,
+                 const platform::Platform& plat, const core::Workload& workload,
+                 const core::EngineOptions& options) {
+  SpecRun run;
+  if (config.engine_shards <= 1) {
+    const auto scheduler = algorithms::make_scheduler(name, config.lookahead);
+    run.schedule =
+        simulate(plat, workload, *scheduler, options, &run.disruption);
+    core::validate_or_throw(plat, workload, run.schedule, options);
+    run.switches = switches_of(*scheduler);
+    return run;
+  }
+  core::ShardedEngineOptions sharded_options;
+  sharded_options.shards = config.engine_shards;
+  sharded_options.routing = core::parse_shard_routing(config.shard_routing);
+  sharded_options.shard_threads = config.shard_threads;
+  sharded_options.engine = options;
+  core::ShardedEngine sharded(
+      plat, [&] { return algorithms::make_scheduler(name, config.lookahead); },
+      std::move(sharded_options));
+  sharded.load(workload);
+  sharded.run_to_completion();
+  for (int k = 0; k < sharded.num_shards(); ++k) {
+    core::validate_or_throw(sharded.partition().shard_platform(k),
+                            sharded.shard_workload(k),
+                            sharded.shard_engine(k).schedule(),
+                            sharded.shard_options(k));
+    run.switches += switches_of(sharded.shard_scheduler(k));
+  }
+  run.schedule = sharded.schedule();
+  core::validate_or_throw(plat, workload, run.schedule, options,
+                          sharded.num_shards() * options.port_capacity);
+  run.disruption = sharded.disruption();
+  return run;
+}
+
 }  // namespace
 
 CampaignResult run_campaign(const CampaignConfig& config) {
@@ -162,75 +200,37 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     util::Rng rep_rng = rng.fork();
     const platform::Platform plat = generator.generate(
         config.platform_class, config.num_slaves, rep_rng);
-    const core::Workload workload =
-        shape_workload(config, make_arrivals(config, plat, rep_rng), rep_rng);
-
+    // Size mix first, then the Figure-2 jitter, so the jitter perturbs the
+    // sized tasks (run_robustness draws in the same order).
+    core::Workload workload = apply_size_mix(
+        config, make_arrivals(config, plat, rep_rng), rep_rng);
+    if (config.size_jitter > 0.0) {
+      workload = workload.with_size_jitter(config.size_jitter, rep_rng);
+    }
     const core::EngineOptions options =
         make_engine_options(config, plat, rep_rng);
 
     // SRPT is the paper's normalizer; run it first.
-    std::map<std::string, core::Schedule> schedules;
-    std::map<std::string, core::DisruptionStats> disruptions;
+    std::map<std::string, SpecRun> runs;
     for (const std::string& name : names) {
-      core::Schedule schedule;
-      core::DisruptionStats disruption;
-      double switches = 0.0;
-      if (config.engine_shards <= 1) {
-        auto scheduler = algorithms::make_scheduler(name, config.lookahead);
-        schedule = simulate(plat, workload, *scheduler, options, &disruption);
-        core::validate_or_throw(plat, workload, schedule, options);
-        const auto* meta = dynamic_cast<const algorithms::meta::MetaPolicy*>(
-            scheduler.get());
-        if (meta != nullptr) switches = static_cast<double>(meta->switches());
-      } else {
-        // Sharded fleet: K one-port clusters, one scheduler instance each.
-        // Every shard's schedule is validated against its own cluster's
-        // one-port model; the merged global schedule feeds the metrics.
-        core::ShardedEngineOptions sharded_options;
-        sharded_options.shards = config.engine_shards;
-        sharded_options.routing = core::parse_shard_routing(
-            config.shard_routing);
-        sharded_options.shard_threads = config.shard_threads;
-        sharded_options.engine = options;
-        core::ShardedEngine sharded(
-            plat,
-            [&] { return algorithms::make_scheduler(name, config.lookahead); },
-            std::move(sharded_options));
-        sharded.load(workload);
-        sharded.run_to_completion();
-        for (int k = 0; k < sharded.num_shards(); ++k) {
-          core::validate_or_throw(sharded.partition().shard_platform(k),
-                                  sharded.shard_workload(k),
-                                  sharded.shard_engine(k).schedule(),
-                                  sharded.shard_options(k));
-          const auto* meta =
-              dynamic_cast<const algorithms::meta::MetaPolicy*>(
-                  &sharded.shard_scheduler(k));
-          if (meta != nullptr) {
-            switches += static_cast<double>(meta->switches());
-          }
-        }
-        schedule = sharded.schedule();
-        disruption = sharded.disruption();
-      }
-      schedules.emplace(name, std::move(schedule));
-      disruptions.emplace(name, disruption);
-      raw[name].switches.push_back(switches);
+      runs.emplace(name, run_spec(config, name, plat, workload, options));
     }
 
     const core::Schedule* srpt = nullptr;
-    const auto it = schedules.find("SRPT");
-    if (it != schedules.end()) srpt = &it->second;
+    const auto it = runs.find("SRPT");
+    if (it != runs.end()) srpt = &it->second.schedule;
 
     for (const std::string& name : names) {
-      const core::Schedule& s = schedules.at(name);
-      const core::DisruptionStats& d = disruptions.at(name);
+      const SpecRun& run = runs.at(name);
+      const core::Schedule& s = run.schedule;
       RawValues& values = raw[name];
       values.makespan.push_back(s.makespan());
       values.max_flow.push_back(s.max_flow());
       values.sum_flow.push_back(s.sum_flow());
-      values.redispatches.push_back(static_cast<double>(d.redispatches));
-      values.lost_work.push_back(d.lost_work);
+      values.redispatches.push_back(
+          static_cast<double>(run.disruption.redispatches));
+      values.lost_work.push_back(run.disruption.lost_work);
+      values.switches.push_back(run.switches);
       if (srpt != nullptr) {
         values.norm_makespan.push_back(s.makespan() / srpt->makespan());
         values.norm_max_flow.push_back(s.max_flow() / srpt->max_flow());
@@ -268,11 +268,6 @@ std::vector<RobustnessResult> run_robustness(const CampaignConfig& config) {
     throw std::invalid_argument(
         "run_robustness: config.size_jitter must be positive");
   }
-  if (config.engine_shards != 1) {
-    throw std::invalid_argument(
-        "run_robustness: engine sharding is not supported (engine_shards "
-        "must be 1)");
-  }
   const std::vector<std::string> names = algorithm_names(config);
 
   util::Rng rng(config.seed);
@@ -291,12 +286,10 @@ std::vector<RobustnessResult> run_robustness(const CampaignConfig& config) {
         make_engine_options(config, plat, rep_rng);
 
     for (const std::string& name : names) {
-      auto scheduler = algorithms::make_scheduler(name, config.lookahead);
-      const core::Schedule base = simulate(plat, identical, *scheduler, options);
-      const core::Schedule pert = simulate(plat, jittered, *scheduler, options);
-      core::validate_or_throw(plat, identical, base, options);
-      core::validate_or_throw(plat, jittered, pert, options);
-
+      const core::Schedule base =
+          run_spec(config, name, plat, identical, options).schedule;
+      const core::Schedule pert =
+          run_spec(config, name, plat, jittered, options).schedule;
       RawValues& values = raw[name];
       values.makespan.push_back(pert.makespan() / base.makespan());
       values.max_flow.push_back(pert.max_flow() / base.max_flow());

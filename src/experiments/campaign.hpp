@@ -13,7 +13,7 @@ namespace msol::experiments {
 
 /// How release times are drawn for a campaign. The paper streams "one
 /// thousand tasks" but does not document the arrival process, so it is a
-/// first-class, swept parameter here (see bench_arrival_sweep).
+/// first-class, swept parameter here (see examples/paper/arrival.grid).
 enum class ArrivalProcess {
   kAllAtZero,      ///< whole bag available up front
   kPoisson,        ///< exponential inter-arrivals at `load` x system capacity
@@ -119,7 +119,8 @@ struct CampaignResult {
 };
 
 /// Runs the campaign; every produced schedule is validated against the
-/// one-port model before being measured. Deterministic in `config.seed`.
+/// one-port model before being measured (a sharded run per shard, then its
+/// merged schedule against the whole fleet). Deterministic in `config.seed`.
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// Figure 2: per-algorithm ratio of each metric under +/-`size_jitter`
@@ -131,9 +132,8 @@ struct RobustnessResult {
   util::Summary sum_flow_ratio;
 };
 
-/// Both schedules of every pair are validated against the one-port model.
-/// Runs on the single engine only: throws std::invalid_argument when
-/// engine_shards != 1 (or size_jitter <= 0).
+/// Both schedules of every pair run and are validated as run_campaign's
+/// are. Throws std::invalid_argument when size_jitter <= 0.
 std::vector<RobustnessResult> run_robustness(const CampaignConfig& config);
 
 /// Maximum sustainable task throughput of a platform under the one-port

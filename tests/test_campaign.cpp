@@ -127,17 +127,43 @@ TEST(Campaign, UnboundedPortNeverHurtsListScheduling) {
             a.algorithms[1].makespan.mean + 1e-9);
 }
 
+TEST(Campaign, ValidatesMergedShardedScheduleUnderChurn) {
+  // K = 2 least-loaded shards on a churning fleet: each shard's schedule is
+  // checked against its own cluster, then the merged one against the whole
+  // fleet with 2 ports. Re-dispatches show the outages reached the shards.
+  CampaignConfig config = small_config(PlatformClass::kFullyHeterogeneous);
+  config.engine_shards = 2;
+  config.shard_routing = "least-loaded";
+  config.avail = platform::AvailabilityModel::kChurn;
+  config.mtbf_tasks = 10.0;
+  config.outage_frac = 0.2;
+  config.algorithms = {"SRPT", "LS", "RR"};
+  CampaignResult result;
+  EXPECT_NO_THROW(result = run_campaign(config));
+  ASSERT_EQ(result.algorithms.size(), 3u);
+  double redispatches = 0.0;
+  for (const AlgorithmResult& alg : result.algorithms) {
+    EXPECT_EQ(alg.makespan.count, 3u) << alg.name;
+    redispatches += alg.redispatches.mean;
+  }
+  EXPECT_GT(redispatches, 0.0);
+}
+
 TEST(Robustness, RequiresPositiveJitter) {
   EXPECT_THROW(run_robustness(small_config(PlatformClass::kFullyHomogeneous)),
                std::invalid_argument);
 }
 
-TEST(Robustness, RejectsEngineSharding) {
+TEST(Robustness, ValidatesEngineShardedRuns) {
+  // Both runs of every pair take run_campaign's path, so a K = 2
+  // least-loaded federation is checked per shard and merged, not refused.
   CampaignConfig config = small_config(PlatformClass::kFullyHeterogeneous);
   config.size_jitter = 0.10;
   config.engine_shards = 2;
   config.shard_routing = "least-loaded";
-  EXPECT_THROW(run_robustness(config), std::invalid_argument);
+  std::vector<RobustnessResult> results;
+  EXPECT_NO_THROW(results = run_robustness(config));
+  EXPECT_EQ(results.size(), 7u);
 }
 
 TEST(Robustness, ValidatesBothSchedulesUnderChurn) {

@@ -1,0 +1,291 @@
+// The paper's claims, checked on the grids that reproduce its figures.
+//
+// Each test loads one examples/paper/*.grid with the same load_grid +
+// expand path msol_run takes, runs every cell at the grid's own scale and
+// seed, and checks the claim stated in that grid's header comment. Figure 2
+// has no grid (it needs paired base/jittered runs), so its claim is checked
+// through run_robustness at bench_fig2_robustness's default scale.
+//
+// The margin rule, fixed before any claim was first run: every claim is a
+// set of orderings a <= b between two measured means (SRPT-normalized
+// metrics, jitter ratios, or spreads of them), and an ordering holds when
+// a <= b + kMargin. A claim is reproduced when all its orderings hold.
+//
+// A claim that does not reproduce stays in this file, recorded as
+// kNotReproduced; the test then asserts that it still does not, so a change
+// that flips any claim either way fails here. Every claim prints its
+// observed values (ctest -L paper -V). Never re-seed or resize a grid to
+// make a claim pass.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <iomanip>
+#include <iostream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "experiments/campaign.hpp"
+#include "runner/scenario.hpp"
+#include "util/table.hpp"
+
+namespace msol {
+namespace {
+
+using experiments::AlgorithmResult;
+using experiments::CampaignResult;
+
+constexpr double kMargin = 0.02;
+
+enum class Status { kReproduced, kNotReproduced };
+
+/// One claim: its wording, the orderings that operationalize it, and
+/// whether it reproduced at the grid's committed seed and scale.
+class Claim {
+ public:
+  explicit Claim(std::string text) : text_(std::move(text)) {}
+
+  /// Records the ordering a <= b (within kMargin).
+  void at_most(const std::string& what, double a, double b) {
+    const bool ok = a <= b + kMargin;
+    std::ostringstream line;
+    line << std::fixed << std::setprecision(3) << (ok ? "  ok    " : "  FAIL  ")
+         << what << ": " << a << " <= " << b;
+    lines_.push_back(line.str());
+    holds_ = holds_ && ok;
+  }
+
+  void expect(Status recorded) const {
+    std::cout << "[claim] " << text_ << " -- "
+              << (holds_ ? "reproduced" : "not reproduced") << "\n";
+    for (const std::string& line : lines_) std::cout << line << "\n";
+    EXPECT_EQ(holds_, recorded == Status::kReproduced)
+        << text_ << (holds_ ? ": now reproduces" : ": no longer reproduces");
+  }
+
+ private:
+  std::string text_;
+  std::vector<std::string> lines_;
+  bool holds_ = true;
+};
+
+struct GridCell {
+  runner::ScenarioSpec spec;
+  CampaignResult result;
+};
+
+std::vector<GridCell> run_grid(const std::string& file) {
+  const runner::ScenarioGrid grid =
+      runner::load_grid(std::string(MSOL_PAPER_GRID_DIR) + "/" + file);
+  std::vector<GridCell> cells;
+  for (runner::ScenarioSpec& spec : runner::expand(grid)) {
+    CampaignResult result = experiments::run_campaign(spec.config);
+    cells.push_back({std::move(spec), std::move(result)});
+  }
+  return cells;
+}
+
+const AlgorithmResult& alg(const GridCell& cell, const std::string& name) {
+  for (const AlgorithmResult& a : cell.result.algorithms) {
+    if (a.name == name) return a;
+  }
+  throw std::invalid_argument("no algorithm " + name + " in " + cell.spec.id);
+}
+
+/// max - min of one normalized metric over a cell's algorithms.
+template <typename Get>
+double spread(const GridCell& cell, Get metric) {
+  double lo = INFINITY;
+  double hi = -INFINITY;
+  for (const AlgorithmResult& a : cell.result.algorithms) {
+    lo = std::min(lo, metric(a));
+    hi = std::max(hi, metric(a));
+  }
+  return hi - lo;
+}
+
+double norm_makespan(const AlgorithmResult& a) { return a.norm_makespan.mean; }
+double norm_sum_flow(const AlgorithmResult& a) { return a.norm_sum_flow.mean; }
+double norm_max_flow(const AlgorithmResult& a) { return a.norm_max_flow.mean; }
+
+struct Metric {
+  const char* name;
+  double (*get)(const AlgorithmResult&);
+};
+constexpr Metric kMetrics[] = {{"makespan", norm_makespan},
+                               {"sum-flow", norm_sum_flow},
+                               {"max-flow", norm_max_flow}};
+
+TEST(Paper, Figure1aStaticHeuristicsBeatSrptOnHomogeneousPlatforms) {
+  const std::vector<GridCell> cells = run_grid("fig1.grid");
+  ASSERT_EQ(cells.size(), 4u);
+  const GridCell& homogeneous = cells[0];
+  ASSERT_EQ(homogeneous.spec.config.platform_class,
+            platform::PlatformClass::kFullyHomogeneous);
+  Claim claim("Fig 1(a): static heuristics beat SRPT on sum-flow");
+  for (const char* name : {"RR", "RRC", "RRP", "SLJF", "SLJFWC"}) {
+    claim.at_most(std::string(name) + " norm sum-flow vs SRPT",
+                  norm_sum_flow(alg(homogeneous, name)), 1.0);
+  }
+  claim.expect(Status::kReproduced);
+}
+
+TEST(Paper, OnePortAblationSpreadCollapsesWithoutThePortConstraint) {
+  const std::vector<GridCell> cells = run_grid("port.grid");
+  ASSERT_EQ(cells.size(), 4u);
+  const GridCell& one_port = cells.front();
+  const GridCell& unbounded = cells.back();
+  ASSERT_EQ(one_port.spec.config.port_capacity, 1);
+  ASSERT_EQ(unbounded.spec.config.port_capacity, 0);
+  Claim claim("Port ablation: the spread between algorithms collapses");
+  claim.at_most("norm makespan spread, unbounded vs one-port",
+                spread(unbounded, norm_makespan),
+                spread(one_port, norm_makespan));
+  claim.at_most("norm sum-flow spread, unbounded vs one-port",
+                spread(unbounded, norm_sum_flow),
+                spread(one_port, norm_sum_flow));
+  claim.expect(Status::kNotReproduced);
+}
+
+TEST(Paper, Sec41LargerPlanningWindowGivesBetterAssignment) {
+  const std::vector<GridCell> cells = run_grid("lookahead.grid");
+  ASSERT_EQ(cells.size(), 1u);
+  const GridCell& cell = cells[0];
+  const int windows[] = {0, 10, 100, 1000};
+  for (const char* variant : {"sljf", "sljfwc"}) {
+    Claim claim(std::string("Sec 4.1: the greater K, the better ") + variant);
+    const std::string prefix = std::string("rank:plan:") + variant + ":";
+    for (int i = 1; i < 4; ++i) {
+      const std::string larger = prefix + std::to_string(windows[i]);
+      const std::string smaller = prefix + std::to_string(windows[i - 1]);
+      for (const Metric& m : kMetrics) {
+        claim.at_most(std::string("norm ") + m.name + " K=" +
+                          std::to_string(windows[i]) + " vs K=" +
+                          std::to_string(windows[i - 1]),
+                      m.get(alg(cell, larger)), m.get(alg(cell, smaller)));
+      }
+    }
+    claim.expect(Status::kReproduced);
+  }
+  Claim degenerate("Sec 4.1: K=0 degenerates to list scheduling");
+  for (const char* spec : {"rank:plan:sljf:0", "rank:plan:sljfwc:0"}) {
+    for (const Metric& m : kMetrics) {
+      const double plan = m.get(alg(cell, spec));
+      const double ls = m.get(alg(cell, "LS"));
+      degenerate.at_most(std::string(spec) + " norm " + m.name + " vs LS",
+                         plan, ls);
+      degenerate.at_most(std::string("LS norm ") + m.name + " vs " + spec,
+                         ls, plan);
+    }
+  }
+  degenerate.expect(Status::kReproduced);
+}
+
+TEST(Paper, ThrottleInterpolatesBetweenSrptAndLs) {
+  const std::vector<GridCell> cells = run_grid("throttle.grid");
+  ASSERT_EQ(cells.size(), 1u);
+  const GridCell& cell = cells[0];
+  Claim fig1d("Fig 1(d): LS beats SRPT on makespan, loses on sum-flow");
+  fig1d.at_most("LS norm makespan vs SRPT", norm_makespan(alg(cell, "LS")),
+                1.0);
+  fig1d.at_most("SRPT vs LS norm sum-flow", 1.0,
+                norm_sum_flow(alg(cell, "LS")));
+  fig1d.expect(Status::kNotReproduced);
+
+  Claim curve("Throttle: LS-K maps the SRPT <-> LS trade-off curve");
+  const std::vector<std::string> caps = {"LS-K1", "LS-K2", "LS-K3",
+                                         "LS-K5", "LS-K10", "LS"};
+  for (std::size_t i = 1; i < caps.size(); ++i) {
+    const AlgorithmResult& looser = alg(cell, caps[i]);
+    const AlgorithmResult& tighter = alg(cell, caps[i - 1]);
+    curve.at_most("norm makespan " + caps[i] + " vs " + caps[i - 1],
+                  norm_makespan(looser), norm_makespan(tighter));
+    curve.at_most("norm sum-flow " + caps[i - 1] + " vs " + caps[i],
+                  norm_sum_flow(tighter), norm_sum_flow(looser));
+  }
+  curve.expect(Status::kNotReproduced);
+}
+
+TEST(Paper, ExtendedPortfolioAdditionsWinWhereTheyShould) {
+  const std::vector<GridCell> cells = run_grid("extended.grid");
+  ASSERT_EQ(cells.size(), 4u);
+  Claim wrr("Extended: WRR fixes the round-robin collapse");
+  Claim throttled("Extended: LS-K3 has SRPT's sum-flow at LS's makespan");
+  Claim minready("Extended: MINREADY only survives homogeneity");
+  for (const GridCell& cell : cells) {
+    const std::string cls =
+        platform::to_string(cell.spec.config.platform_class);
+    wrr.at_most(cls + " WRR vs RR norm makespan",
+                norm_makespan(alg(cell, "WRR")),
+                norm_makespan(alg(cell, "RR")));
+    wrr.at_most(cls + " WRR vs RR norm sum-flow",
+                norm_sum_flow(alg(cell, "WRR")),
+                norm_sum_flow(alg(cell, "RR")));
+    throttled.at_most(cls + " LS-K3 norm sum-flow vs SRPT",
+                      norm_sum_flow(alg(cell, "LS-K3")), 1.0);
+    throttled.at_most(cls + " LS-K3 vs LS norm makespan",
+                      norm_makespan(alg(cell, "LS-K3")),
+                      norm_makespan(alg(cell, "LS")));
+    const double minready_makespan = norm_makespan(alg(cell, "MINREADY"));
+    if (cell.spec.config.platform_class ==
+        platform::PlatformClass::kFullyHomogeneous) {
+      minready.at_most(cls + " MINREADY norm makespan vs SRPT",
+                       minready_makespan, 1.0);
+    } else {
+      minready.at_most(cls + " SRPT vs MINREADY norm makespan", 1.0,
+                       minready_makespan);
+    }
+  }
+  wrr.expect(Status::kReproduced);
+  throttled.expect(Status::kReproduced);
+  minready.expect(Status::kNotReproduced);
+}
+
+TEST(Paper, ArrivalAblationKeepsTheFigure1dOrdering) {
+  const std::vector<GridCell> cells = run_grid("arrival.grid");
+  ASSERT_EQ(cells.size(), 9u);
+  Claim claim("Arrival: LS beats SRPT on makespan, loses on sum-flow "
+              "under sustained load");
+  for (const GridCell& cell : cells) {
+    const experiments::CampaignConfig& config = cell.spec.config;
+    const std::string label = experiments::to_string(config.arrival) +
+                              " load " + util::fmt(config.load, 1);
+    const AlgorithmResult& ls = alg(cell, "LS");
+    claim.at_most(label + " LS norm makespan vs SRPT", norm_makespan(ls),
+                  1.0);
+    if (config.arrival == experiments::ArrivalProcess::kPoisson &&
+        config.load >= 0.9) {
+      claim.at_most(label + " SRPT vs LS norm sum-flow", 1.0,
+                    norm_sum_flow(ls));
+    }
+  }
+  claim.expect(Status::kNotReproduced);
+}
+
+TEST(Paper, Figure2MakespanIsTheRobustMetric) {
+  // bench_fig2_robustness's defaults: ten fully heterogeneous platforms,
+  // five slaves, one thousand Poisson tasks at load 0.9, +/-10% jitter.
+  experiments::CampaignConfig config;
+  config.size_jitter = 0.10;
+  const std::vector<experiments::RobustnessResult> results =
+      experiments::run_robustness(config);
+  ASSERT_EQ(results.size(), 7u);
+  Claim claim("Fig 2: makespan is robust to jitter, sum-flow and max-flow "
+              "noticeably less so");
+  for (const experiments::RobustnessResult& r : results) {
+    const double makespan = std::abs(r.makespan_ratio.mean - 1.0);
+    claim.at_most(r.name + " |makespan ratio - 1|", makespan, 0.0);
+    claim.at_most(r.name + " |makespan ratio - 1| vs |sum-flow ratio - 1|",
+                  makespan, std::abs(r.sum_flow_ratio.mean - 1.0));
+    claim.at_most(r.name + " |makespan ratio - 1| vs |max-flow ratio - 1|",
+                  makespan, std::abs(r.max_flow_ratio.mean - 1.0));
+  }
+  claim.expect(Status::kReproduced);
+}
+
+}  // namespace
+}  // namespace msol
