@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace msol::algorithms::meta {
 
 bool operator==(const MetaSpec& a, const MetaSpec& b) {
@@ -22,19 +24,6 @@ namespace {
   throw std::invalid_argument("meta spec '" + text + "': clause '" + clause +
                               "' (offset " + std::to_string(offset) +
                               "): " + why);
-}
-
-std::int64_t parse_int_strict(const std::string& token,
-                              const std::string& text,
-                              const std::string& clause, std::size_t offset) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail_clause(text, clause, offset, "bad integer '" + token + "'");
-  }
 }
 
 bool is_meta_key(const std::string& clause, std::string& key,
@@ -85,21 +74,22 @@ MetaSpec parse_meta_spec(const std::string& text, int lookahead,
                       (for_portfolio ? std::string("portfolio:")
                                      : std::string("hedge:")));
     }
-    const std::int64_t v = parse_int_strict(value, text, clause, offset);
+    const std::optional<int> v = util::parse_int(value);
+    if (!v) fail_clause(text, clause, offset, "bad integer '" + value + "'");
     if (key == "horizon") {
       if (saw_horizon) fail_clause(text, clause, offset, "duplicate clause");
-      if (v < 1) fail_clause(text, clause, offset, "horizon must be >= 1");
-      spec.horizon = static_cast<int>(v);
+      if (*v < 1) fail_clause(text, clause, offset, "horizon must be >= 1");
+      spec.horizon = *v;
       saw_horizon = true;
     } else if (key == "window") {
       if (saw_window) fail_clause(text, clause, offset, "duplicate clause");
-      if (v < 2) fail_clause(text, clause, offset, "window must be >= 2");
-      spec.window = static_cast<int>(v);
+      if (*v < 2) fail_clause(text, clause, offset, "window must be >= 2");
+      spec.window = *v;
       saw_window = true;
     } else {
       if (saw_hyst) fail_clause(text, clause, offset, "duplicate clause");
-      if (v < 1) fail_clause(text, clause, offset, "hyst must be >= 1");
-      spec.hysteresis = static_cast<int>(v);
+      if (*v < 1) fail_clause(text, clause, offset, "hyst must be >= 1");
+      spec.hysteresis = *v;
       saw_hyst = true;
     }
     body.resize(plus);
@@ -107,13 +97,8 @@ MetaSpec parse_meta_spec(const std::string& text, int lookahead,
 
   // The remainder is the `;`-separated member list, each in the base
   // grammar (or a legacy registry name).
-  std::size_t begin = 0;
   int index = 0;
-  while (begin <= body.size()) {
-    const std::size_t end = body.find(';', begin);
-    const std::string member =
-        body.substr(begin, end == std::string::npos ? std::string::npos
-                                                    : end - begin);
+  for (const std::string& member : util::split(body, ';')) {
     if (member.empty()) {
       fail(text, "member " + std::to_string(index) + " is empty");
     }
@@ -128,8 +113,6 @@ MetaSpec parse_meta_spec(const std::string& text, int lookahead,
            "member " + std::to_string(index) + ": " + error.what());
     }
     ++index;
-    if (end == std::string::npos) break;
-    begin = end + 1;
   }
 
   if (spec.kind == MetaKind::kPortfolio && spec.members.size() < 2) {

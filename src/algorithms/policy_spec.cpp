@@ -1,9 +1,10 @@
 #include "algorithms/policy_spec.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace msol::algorithms {
@@ -39,57 +40,24 @@ struct ClauseCtx {
   throw std::invalid_argument("policy spec '" + text + "': " + why);
 }
 
-/// Strict full-string parses: "2junk" and "" are errors, never silent
-/// prefixes (the legacy LS-K stoi bug this layer replaces).
-std::int64_t parse_int_strict(const std::string& token, const ClauseCtx& ctx) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail(ctx, "bad integer '" + token + "'");
-  }
+/// The whole-token parse (util/parse.hpp) of `token`, or a clause error:
+/// "2junk" and "" never read as a silent prefix (the legacy LS-K stoi bug
+/// this layer replaces).
+template <typename T>
+T number(std::optional<T> (*parse)(const std::string&),
+         const std::string& token, const ClauseCtx& ctx) {
+  if (const std::optional<T> v = parse(token)) return *v;
+  fail(ctx, (std::is_integral_v<T> ? "bad integer '" : "bad number '") +
+                token + "'");
 }
 
-std::uint64_t parse_u64_strict(const std::string& token,
-                               const ClauseCtx& ctx) {
-  try {
-    if (!token.empty() && token[0] == '-') throw std::invalid_argument(token);
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail(ctx, "bad unsigned integer '" + token + "'");
-  }
-}
-
-double parse_double_strict(const std::string& token, const ClauseCtx& ctx) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size() || !std::isfinite(v)) {
-      throw std::invalid_argument(token);
-    }
-    return v;
-  } catch (const std::exception&) {
-    fail(ctx, "bad number '" + token + "'");
-  }
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t end = s.find(sep, begin);
-    if (end == std::string::npos) {
-      out.push_back(s.substr(begin));
-      return out;
-    }
-    out.push_back(s.substr(begin, end - begin));
-    begin = end + 1;
-  }
+/// fmt_exact without its exponent's '+' ("7.1e+02" -> "7.1e02"): '+'
+/// separates clauses, so a serialized number must not contain one.
+std::string fmt_number(double v) {
+  std::string out = util::fmt_exact(v);
+  const std::size_t plus = out.find("e+");
+  if (plus != std::string::npos) out.erase(plus + 1, 1);
+  return out;
 }
 
 struct ClauseToken {
@@ -100,16 +68,13 @@ struct ClauseToken {
 /// '+'-split that remembers each clause's character offset in the spec.
 std::vector<ClauseToken> split_clauses(const std::string& s) {
   std::vector<ClauseToken> out;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t end = s.find('+', begin);
-    if (end == std::string::npos) {
-      out.push_back({s.substr(begin), begin});
-      return out;
-    }
-    out.push_back({s.substr(begin, end - begin), begin});
-    begin = end + 1;
+  std::size_t offset = 0;
+  for (std::string& clause : util::split(s, '+')) {
+    const std::size_t next = offset + clause.size() + 1;
+    out.push_back({std::move(clause), offset});
+    offset = next;
   }
+  return out;
 }
 
 /// Expands a legacy registry name into its canonical components, or
@@ -149,10 +114,10 @@ bool expand_legacy_name(const std::string& token, int lookahead,
     spec.tie = TieKind::kRng;
     spec.eps = 0.15;
   } else if (token.rfind("LS-K", 0) == 0) {
-    const std::int64_t k = parse_int_strict(token.substr(4), ctx);
+    const int k = number(util::parse_int, token.substr(4), ctx);
     if (k < 1) fail(ctx, "LS-K cap must be >= 1");
     spec.filter = FilterKind::kThrottle;
-    spec.throttle_k = static_cast<int>(k);
+    spec.throttle_k = k;
     spec.ranker = RankerKind::kCompletion;
   } else {
     return false;
@@ -168,15 +133,15 @@ void apply_filter_clause(const std::vector<std::string>& parts,
     spec.filter = which == "all" ? FilterKind::kAll : FilterKind::kFree;
   } else if (which == "throttle") {
     if (parts.size() != 3) fail(ctx, "filter:throttle needs a cap");
-    const std::int64_t k = parse_int_strict(parts[2], ctx);
+    const int k = number(util::parse_int, parts[2], ctx);
     if (k < 1) fail(ctx, "throttle cap must be >= 1");
     spec.filter = FilterKind::kThrottle;
-    spec.throttle_k = static_cast<int>(k);
+    spec.throttle_k = k;
   } else if (which == "quota") {
     if (parts.size() > 3) fail(ctx, "filter:quota takes at most one arg");
     spec.filter = FilterKind::kQuota;
     if (parts.size() == 3) {
-      const double slack = parse_double_strict(parts[2], ctx);
+      const double slack = number(util::parse_double, parts[2], ctx);
       if (slack <= 0.0) fail(ctx, "quota slack must be > 0");
       spec.quota_slack = slack;
     }
@@ -213,9 +178,9 @@ void apply_rank_clause(const std::vector<std::string>& parts,
       fail(ctx, "unknown planner '" + parts[2] + "'");
     }
     if (parts.size() == 4) {
-      const std::int64_t k = parse_int_strict(parts[3], ctx);
+      const int k = number(util::parse_int, parts[3], ctx);
       if (k < 0) fail(ctx, "lookahead must be >= 0");
-      spec.lookahead = static_cast<int>(k);
+      spec.lookahead = k;
     }
     return;
   }
@@ -228,7 +193,7 @@ void apply_rank_clause(const std::vector<std::string>& parts,
     spec.ranker = RankerKind::kLinear;
     spec.linear_w.clear();
     for (std::size_t i = 2; i < parts.size(); ++i) {
-      spec.linear_w.push_back(parse_double_strict(parts[i], ctx));
+      spec.linear_w.push_back(number(util::parse_double, parts[i], ctx));
     }
     return;
   }
@@ -263,7 +228,9 @@ void apply_tie_clause(const std::vector<std::string>& parts,
   } else if (which == "rng") {
     if (parts.size() > 3) fail(ctx, "tie:rng takes at most a seed");
     spec.tie = TieKind::kRng;
-    if (parts.size() == 3) spec.seed = parse_u64_strict(parts[2], ctx);
+    if (parts.size() == 3) {
+      spec.seed = number(util::parse_uint64, parts[2], ctx);
+    }
   } else {
     fail(ctx, "unknown tie-break '" + which + "'");
   }
@@ -277,13 +244,13 @@ void apply_gate_clause(const std::vector<std::string>& parts,
     spec.gate = GateKind::kAlways;
   } else if (which == "batch") {
     if (parts.size() != 3) fail(ctx, "gate:batch needs a threshold");
-    const std::int64_t n = parse_int_strict(parts[2], ctx);
+    const int n = number(util::parse_int, parts[2], ctx);
     if (n < 1) fail(ctx, "batch threshold must be >= 1");
     spec.gate = GateKind::kBatch;
-    spec.batch_n = static_cast<int>(n);
+    spec.batch_n = n;
   } else if (which == "pace") {
     if (parts.size() != 3) fail(ctx, "gate:pace needs a minimum gap");
-    const double dt = parse_double_strict(parts[2], ctx);
+    const double dt = number(util::parse_double, parts[2], ctx);
     if (dt <= 0.0) fail(ctx, "pace gap must be > 0");
     spec.gate = GateKind::kPace;
     spec.pace_dt = dt;
@@ -311,7 +278,7 @@ PolicySpec parse_policy_spec(const std::string& text, int lookahead,
   }
   for (std::size_t i = first; i < clauses.size(); ++i) {
     const ClauseCtx ctx{text, clauses[i].text, clauses[i].offset};
-    const std::vector<std::string> parts = split(clauses[i].text, ':');
+    const std::vector<std::string> parts = util::split(clauses[i].text, ':');
     const std::string& key = parts[0];
     if (parts.size() < 2) {
       fail(ctx, "expected key:value clause" +
@@ -330,15 +297,15 @@ PolicySpec parse_policy_spec(const std::string& text, int lookahead,
     } else if (key == "quota" && parts.size() == 2) {
       apply_filter_clause({"filter", "quota", parts[1]}, ctx, spec);
     } else if (key == "lookahead" && parts.size() == 2) {
-      const std::int64_t k = parse_int_strict(parts[1], ctx);
+      const int k = number(util::parse_int, parts[1], ctx);
       if (k < 0) fail(ctx, "lookahead must be >= 0");
-      spec.lookahead = static_cast<int>(k);
+      spec.lookahead = k;
     } else if (key == "eps" && parts.size() == 2) {
-      const double theta = parse_double_strict(parts[1], ctx);
+      const double theta = number(util::parse_double, parts[1], ctx);
       if (theta < 0.0) fail(ctx, "eps must be >= 0");
       spec.eps = theta;
     } else if (key == "seed" && parts.size() == 2) {
-      spec.seed = parse_u64_strict(parts[1], ctx);
+      spec.seed = number(util::parse_uint64, parts[1], ctx);
     } else if (key == "batch" && parts.size() == 2) {
       apply_gate_clause({"gate", "batch", parts[1]}, ctx, spec);
     } else if (key == "pace" && parts.size() == 2) {
@@ -373,7 +340,7 @@ std::string to_string(const PolicySpec& spec) {
       out += "throttle:" + std::to_string(spec.throttle_k);
       break;
     case FilterKind::kQuota:
-      out += "quota:" + util::fmt_exact(spec.quota_slack);
+      out += "quota:" + fmt_number(spec.quota_slack);
       break;
   }
   out += "+rank:";
@@ -397,10 +364,10 @@ std::string to_string(const PolicySpec& spec) {
       break;
     case RankerKind::kLinear:
       out += "linear";
-      for (double w : spec.linear_w) out += ':' + util::fmt_exact(w);
+      for (double w : spec.linear_w) out += ':' + fmt_number(w);
       break;
   }
-  if (spec.eps != 0.0) out += "+eps:" + util::fmt_exact(spec.eps);
+  if (spec.eps != 0.0) out += "+eps:" + fmt_number(spec.eps);
   out += "+tie:";
   switch (spec.tie) {
     case TieKind::kIndex: out += "index"; break;
@@ -411,7 +378,7 @@ std::string to_string(const PolicySpec& spec) {
   switch (spec.gate) {
     case GateKind::kAlways: out += "always"; break;
     case GateKind::kBatch: out += "batch:" + std::to_string(spec.batch_n); break;
-    case GateKind::kPace: out += "pace:" + util::fmt_exact(spec.pace_dt); break;
+    case GateKind::kPace: out += "pace:" + fmt_number(spec.pace_dt); break;
   }
   return out;
 }

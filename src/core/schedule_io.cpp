@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace msol::core {
 
 namespace {
@@ -39,31 +41,27 @@ Schedule read_csv(std::istream& is) {
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::vector<double> values;
-    std::string cell;
-    while (std::getline(fields, cell, ',')) {
-      try {
-        values.push_back(std::stod(cell));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("schedule csv line " +
-                                    std::to_string(line_no) +
-                                    ": non-numeric cell '" + cell + "'");
-      }
+    const std::string where = "schedule csv line " + std::to_string(line_no);
+    const std::vector<std::string> cells = util::split(line, ',');
+    if (cells.size() != 7) {
+      throw std::invalid_argument(where + ": expected 7 columns");
     }
-    if (values.size() != 7) {
-      throw std::invalid_argument("schedule csv line " +
-                                  std::to_string(line_no) +
-                                  ": expected 7 columns");
-    }
+    const auto id = [&where](const std::string& cell) {
+      if (const std::optional<int> v = util::parse_int(cell)) return *v;
+      throw std::invalid_argument(where + ": bad integer id '" + cell + "'");
+    };
+    const auto time = [&where](const std::string& cell) {
+      if (const std::optional<double> v = util::parse_double(cell)) return *v;
+      throw std::invalid_argument(where + ": bad time '" + cell + "'");
+    };
     TaskRecord r;
-    r.task = static_cast<TaskId>(values[0]);
-    r.slave = static_cast<SlaveId>(values[1]);
-    r.release = values[2];
-    r.send_start = values[3];
-    r.send_end = values[4];
-    r.comp_start = values[5];
-    r.comp_end = values[6];
+    r.task = id(cells[0]);
+    r.slave = id(cells[1]);
+    r.release = time(cells[2]);
+    r.send_start = time(cells[3]);
+    r.send_end = time(cells[4]);
+    r.comp_start = time(cells[5]);
+    r.comp_end = time(cells[6]);
     schedule.add(r);
   }
   return schedule;

@@ -4,6 +4,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "util/parse.hpp"
 
 namespace msol::core {
 
@@ -28,29 +31,20 @@ Workload parse_workload(const std::string& text) {
 
 Workload read_workload(std::istream& is) {
   std::vector<TaskSpec> tasks;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream fields(line);
-    TaskSpec t;
-    if (!(fields >> t.release)) continue;  // blank or comment-only line
-    if (fields >> t.comm_factor) {
-      if (!(fields >> t.comp_factor)) {
-        throw std::invalid_argument(
-            "workload line " + std::to_string(line_no) +
-            ": comm_factor given without comp_factor");
-      }
+  const auto on_row = [&tasks](const std::vector<double>& row,
+                               const std::string& where) {
+    if (row.size() == 2) {
+      throw std::invalid_argument(where +
+                                  ": comm_factor given without comp_factor");
     }
-    std::string extra;
-    if (fields >> extra) {
-      throw std::invalid_argument("workload line " + std::to_string(line_no) +
-                                  ": trailing garbage '" + extra + "'");
+    if (row.size() > 3) {
+      throw std::invalid_argument(where + ": expected 1 or 3 columns, got " +
+                                  std::to_string(row.size()));
     }
-    tasks.push_back(t);
-  }
+    tasks.push_back(row.size() == 3 ? TaskSpec{row[0], row[1], row[2]}
+                                    : TaskSpec{row[0]});
+  };
+  util::read_number_rows(is, "workload", on_row);
   return Workload(std::move(tasks));  // re-validates
 }
 

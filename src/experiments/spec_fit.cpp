@@ -10,6 +10,7 @@
 
 #include "algorithms/policy_spec.hpp"
 #include "algorithms/registry.hpp"
+#include "util/parse.hpp"
 
 namespace msol::experiments {
 
@@ -145,19 +146,13 @@ std::vector<FitSample> load_fit_samples(std::istream& in) {
     if (fields.size() <= needed) continue;  // torn tail line after a kill
     std::vector<double> weights = feature_weights_for(fields[spec_col]);
     if (weights.empty()) continue;
-    double value = 0.0;
-    try {
-      std::size_t pos = 0;
-      value = std::stod(fields[value_col], &pos);
-      if (pos != fields[value_col].size()) continue;
-    } catch (const std::exception&) {
-      continue;
-    }
-    if (!std::isfinite(value)) continue;
+    // An unparsable value is skipped like a torn row, not an error.
+    const std::optional<double> value = util::parse_double(fields[value_col]);
+    if (!value) continue;
     FitSample sample;
     sample.regime = fields[arrival_col] + "/" + fields[avail_col];
     sample.weights = std::move(weights);
-    sample.norm_makespan = value;
+    sample.norm_makespan = *value;
     samples.push_back(std::move(sample));
   }
   return samples;

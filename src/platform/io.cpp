@@ -4,6 +4,9 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
+
+#include "util/parse.hpp"
 
 namespace msol::platform {
 
@@ -28,26 +31,14 @@ Platform parse(const std::string& text) {
 
 Platform read(std::istream& is) {
   std::vector<SlaveSpec> slaves;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream fields(line);
-    SlaveSpec s;
-    if (!(fields >> s.comm)) continue;  // blank or comment-only line
-    if (!(fields >> s.comp)) {
-      throw std::invalid_argument("platform line " + std::to_string(line_no) +
-                                  ": expected two columns (c_j p_j)");
+  const auto on_row = [&slaves](const std::vector<double>& row,
+                                const std::string& where) {
+    if (row.size() != 2) {
+      throw std::invalid_argument(where + ": expected two columns (c_j p_j)");
     }
-    std::string extra;
-    if (fields >> extra) {
-      throw std::invalid_argument("platform line " + std::to_string(line_no) +
-                                  ": trailing garbage '" + extra + "'");
-    }
-    slaves.push_back(s);
-  }
+    slaves.push_back(SlaveSpec{row[0], row[1]});
+  };
+  util::read_number_rows(is, "platform", on_row);
   if (slaves.empty()) {
     throw std::invalid_argument("platform: no slaves found in input");
   }

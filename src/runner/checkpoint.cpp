@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/parse.hpp"
+
 namespace msol::runner {
 
 namespace {
@@ -28,28 +30,21 @@ bool read_file(const std::string& path, std::string& out, bool must_exist) {
   return true;
 }
 
-/// Parses the cell index a CSV or JSONL data row starts with; returns
-/// false for anything else (header, torn line, garbage).
-bool parse_row_cell(OutputKind kind, const std::string& line,
-                    std::size_t& cell) {
+/// The cell index a CSV or JSONL data row starts with; empty for anything
+/// else (header, torn line, garbage).
+std::optional<std::uint64_t> parse_row_cell(OutputKind kind,
+                                            const std::string& line) {
   std::size_t pos = 0;
   if (kind == OutputKind::kJsonl) {
     static const std::string kPrefix = "{\"cell_index\":";
-    if (line.compare(0, kPrefix.size(), kPrefix) != 0) return false;
+    if (line.compare(0, kPrefix.size(), kPrefix) != 0) return std::nullopt;
     pos = kPrefix.size();
   }
-  const std::size_t digits_begin = pos;
-  std::size_t value = 0;
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    value = value * 10 + static_cast<std::size_t>(line[pos] - '0');
-    ++pos;
-  }
-  if (pos == digits_begin) return false;
   // Both formats follow the index with ',' (CSV field separator, JSON
   // object separator), which also rejects a torn digits-only prefix.
-  if (pos >= line.size() || line[pos] != ',') return false;
-  cell = value;
-  return true;
+  const std::size_t comma = line.find(',', pos);
+  if (comma == std::string::npos) return std::nullopt;
+  return util::parse_uint64(line.substr(pos, comma - pos));
 }
 
 /// One complete ('\n'-terminated) line, byte offsets into the file buffer.
@@ -127,15 +122,13 @@ ManifestData parse_manifest_text(const std::string& text) {
     // Strict "cell <index> <records>" parse; the first malformed line ends
     // the committed set (it and anything after it is treated like a torn
     // tail: those cells rerun).
-    std::istringstream line(line_text(text, lines[i]));
-    std::string tag;
-    std::size_t cell = 0;
-    std::size_t records = 0;
-    if (!(line >> tag >> cell >> records) || tag != "cell" ||
-        !(line >> std::ws).eof()) {
-      break;
-    }
-    data.completed[cell] = records;
+    const std::vector<std::string> fields =
+        util::split(line_text(text, lines[i]), ' ');
+    if (fields.size() != 3 || fields[0] != "cell") break;
+    const std::optional<std::uint64_t> cell = util::parse_uint64(fields[1]);
+    const std::optional<std::uint64_t> records = util::parse_uint64(fields[2]);
+    if (!cell || !records) break;
+    data.completed[*cell] = *records;
     data.valid_bytes = lines[i].end;
   }
   return data;
@@ -176,14 +169,12 @@ RepairResult repair_output(
     }
   }
   while (next < lines.size()) {
-    std::size_t cell = 0;
-    if (!parse_row_cell(kind, line_text(text, lines[next]), cell) ||
-        committed.count(cell) == 0) {
-      break;
-    }
+    const std::optional<std::uint64_t> cell =
+        parse_row_cell(kind, line_text(text, lines[next]));
+    if (!cell || committed.count(*cell) == 0) break;
     result.kept_bytes = lines[next].end;
     ++result.kept_rows;
-    ++result.rows_per_cell[cell];
+    ++result.rows_per_cell[*cell];
     ++next;
   }
   result.dropped_rows = (lines.size() - next) + (torn_tail ? 1 : 0);
@@ -233,8 +224,7 @@ MergeStats merge_outputs(OutputKind kind,
       input.rows.erase(input.rows.begin());
     }
     for (const Line& row : input.rows) {
-      std::size_t cell = 0;
-      if (!parse_row_cell(kind, line_text(input.text, row), cell)) {
+      if (!parse_row_cell(kind, line_text(input.text, row))) {
         throw std::runtime_error("merge: unparsable row in '" + input.path +
                                  "': " + line_text(input.text, row));
       }
@@ -246,10 +236,8 @@ MergeStats merge_outputs(OutputKind kind,
   MergeStats stats;
   bool any_emitted = false;
   std::size_t last_cell = 0;
-  const auto current_cell = [&](const Input& input) {
-    std::size_t cell = 0;
-    parse_row_cell(kind, line_text(input.text, input.rows[input.next]), cell);
-    return cell;
+  const auto current_cell = [&](const Input& input) {  // rows checked above
+    return *parse_row_cell(kind, line_text(input.text, input.rows[input.next]));
   };
 
   for (;;) {

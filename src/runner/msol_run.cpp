@@ -37,6 +37,7 @@
 #include "runner/result_sink.hpp"
 #include "runner/scenario.hpp"
 #include "util/cli.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -173,14 +174,9 @@ int run_fit(const msol::util::Cli& cli) {
                platform::PlatformClass::kCompHomogeneous,
                platform::PlatformClass::kFullyHeterogeneous};
   } else {
-    std::string token;
-    for (char c : classes_arg + ",") {
-      if (c == ',') {
-        if (!token.empty()) classes.push_back(runner::parse_platform_class(token));
-        token.clear();
-      } else if (c != ' ') {
-        token += c;
-      }
+    for (const std::string& item : util::split(classes_arg, ',')) {
+      const std::string token = util::trim(item);
+      if (!token.empty()) classes.push_back(runner::parse_platform_class(token));
     }
   }
   theory::SearchConfig config;

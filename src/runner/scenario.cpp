@@ -1,16 +1,15 @@
 #include "runner/scenario.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <limits>
-#include <set>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "algorithms/registry.hpp"
 #include "core/sharded_engine.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -18,79 +17,67 @@ namespace msol::runner {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const std::size_t first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const std::size_t last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
+// The helpers below throw std::invalid_argument with the bare reason;
+// parse_grid adds the "grid: " prefix and the offending line.
+
+double parse_double(const std::string& token) {
+  if (const std::optional<double> v = util::parse_double(token)) return *v;
+  throw std::invalid_argument("bad number '" + token + "'");
 }
 
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream stream(s);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const std::string token = trim(item);
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
+int parse_int(const std::string& token) {
+  if (const std::optional<int> v = util::parse_int(token)) return *v;
+  throw std::invalid_argument(
+      util::parse_int64(token) ? "integer '" + token + "' does not fit in int"
+                               : "bad integer '" + token + "'");
 }
 
-double parse_double(const std::string& token, const std::string& line) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("grid: bad number '" + token + "' in: " + line);
-  }
+/// A registry name, policy spec or meta spec, validated so that a typo
+/// fails at parse time, not mid-sweep.
+std::string parse_algorithm(const std::string& spec) {
+  algorithms::canonical_spec(spec);
+  return spec;
 }
 
-int parse_int(const std::string& token, const std::string& line) {
-  std::int64_t v = 0;
-  try {
-    std::size_t pos = 0;
-    v = std::stoll(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("grid: bad integer '" + token +
-                                "' in: " + line);
-  }
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("grid: integer '" + token +
-                                "' does not fit in int in: " + line);
-  }
-  return static_cast<int>(v);
-}
-
-template <typename T, typename Parse>
-std::vector<T> parse_list(const std::string& value, const std::string& line,
-                          Parse parse) {
+/// The comma-separated values of a key, trimmed, empty ones dropped.
+template <typename T>
+std::vector<T> parse_list(const std::string& value,
+                          T (*parse)(const std::string&)) {
   std::vector<T> out;
-  for (const std::string& token : split_csv(value)) {
-    out.push_back(parse(token, line));
+  for (const std::string& item : util::split(value, ',')) {
+    const std::string token = util::trim(item);
+    if (!token.empty()) out.push_back(parse(token));
   }
-  if (out.empty()) {
-    throw std::invalid_argument("grid: empty value list in: " + line);
-  }
+  if (out.empty()) throw std::invalid_argument("empty value list");
   return out;
 }
 
-/// Rejects at parse time, with the grid line, a value the run would only
-/// refuse mid-sweep or would silently misread.
-template <typename T, typename Ok>
-void require_each(const std::vector<T>& values, Ok ok,
-                  const std::string& rule, const std::string& line) {
-  for (const T& v : values) {
-    if (!ok(v)) {
-      throw std::invalid_argument("grid: " + rule + " in: " + line);
-    }
+/// The value among `values` that to_string() spells as `token`.
+template <typename Enum>
+Enum parse_enum(const std::string& token, std::initializer_list<Enum> values,
+                const std::string& what) {
+  for (Enum v : values) {
+    if (token == to_string(v)) return v;
   }
+  throw std::invalid_argument("unknown " + what + " '" + token + "'");
 }
 
-bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+/// Rejects at parse time a value the run would only refuse mid-sweep or
+/// would silently misread.
+template <typename T, typename Ok>
+T require(T value, Ok ok, const std::string& rule) {
+  if (!ok(value)) throw std::invalid_argument(rule);
+  return value;
+}
+
+template <typename T, typename Ok>
+std::vector<T> require_each(std::vector<T> values, Ok ok,
+                            const std::string& rule) {
+  for (const T& v : values) require(v, ok, rule);
+  return values;
+}
+
+bool positive(double v) { return v > 0.0; }
 bool at_least_one(int v) { return v >= 1; }
 bool non_negative(int v) { return v >= 0; }
 
@@ -98,42 +85,35 @@ bool non_negative(int v) { return v >= 0; }
 
 platform::PlatformClass parse_platform_class(const std::string& token) {
   using platform::PlatformClass;
-  for (PlatformClass cls :
-       {PlatformClass::kFullyHomogeneous, PlatformClass::kCommHomogeneous,
-        PlatformClass::kCompHomogeneous, PlatformClass::kFullyHeterogeneous}) {
-    if (token == platform::to_string(cls)) return cls;
-  }
-  throw std::invalid_argument("grid: unknown platform class '" + token + "'");
+  return parse_enum(
+      token,
+      {PlatformClass::kFullyHomogeneous, PlatformClass::kCommHomogeneous,
+       PlatformClass::kCompHomogeneous, PlatformClass::kFullyHeterogeneous},
+      "platform class");
 }
 
 experiments::ArrivalProcess parse_arrival(const std::string& token) {
   using experiments::ArrivalProcess;
-  for (ArrivalProcess arrival :
-       {ArrivalProcess::kAllAtZero, ArrivalProcess::kPoisson,
-        ArrivalProcess::kBursty, ArrivalProcess::kInhomogeneous}) {
-    if (token == experiments::to_string(arrival)) return arrival;
-  }
-  throw std::invalid_argument("grid: unknown arrival process '" + token + "'");
+  return parse_enum(token,
+                    {ArrivalProcess::kAllAtZero, ArrivalProcess::kPoisson,
+                     ArrivalProcess::kBursty, ArrivalProcess::kInhomogeneous},
+                    "arrival process");
 }
 
 experiments::TaskSizeMix parse_size_mix(const std::string& token) {
   using experiments::TaskSizeMix;
-  for (TaskSizeMix mix : {TaskSizeMix::kUnit, TaskSizeMix::kPareto,
-                          TaskSizeMix::kLognormal}) {
-    if (token == experiments::to_string(mix)) return mix;
-  }
-  throw std::invalid_argument("grid: unknown size mix '" + token + "'");
+  return parse_enum(token,
+                    {TaskSizeMix::kUnit, TaskSizeMix::kPareto,
+                     TaskSizeMix::kLognormal},
+                    "size mix");
 }
 
 platform::AvailabilityModel parse_availability(const std::string& token) {
   using platform::AvailabilityModel;
-  for (AvailabilityModel model :
-       {AvailabilityModel::kAlways, AvailabilityModel::kRareOutage,
-        AvailabilityModel::kChurn, AvailabilityModel::kDrift}) {
-    if (token == platform::to_string(model)) return model;
-  }
-  throw std::invalid_argument("grid: unknown availability model '" + token +
-                              "'");
+  return parse_enum(token,
+                    {AvailabilityModel::kAlways, AvailabilityModel::kRareOutage,
+                     AvailabilityModel::kChurn, AvailabilityModel::kDrift},
+                    "availability model");
 }
 
 std::size_t cell_count(const ScenarioGrid& grid) {
@@ -253,160 +233,138 @@ std::vector<ScenarioSpec> shard_cells(std::vector<ScenarioSpec> cells,
   return mine;
 }
 
+namespace {
+
+/// Sets `key` on `grid`; parse_grid locates any error it throws.
+void apply_key(ScenarioGrid& grid, const std::string& key,
+               const std::string& value) {
+  if (key == "name") {
+    grid.name = value;
+  } else if (key == "seed") {
+    // The full uint64 space, not parse_int: cell seeds are splitmix64
+    // outputs a user may paste back for reproduction.
+    const std::optional<std::uint64_t> seed = util::parse_uint64(value);
+    if (!seed) {
+      throw std::invalid_argument(
+          "seed must be an integer in [0, 2^64 - 1], got '" + value + "'");
+    }
+    grid.seed = *seed;
+  } else if (key == "platforms") {
+    grid.num_platforms =
+        require(parse_int(value), at_least_one, "platforms must be >= 1");
+  } else if (key == "tasks") {
+    grid.num_tasks =
+        require(parse_int(value), at_least_one, "tasks must be >= 1");
+  } else if (key == "lookahead") {
+    grid.lookahead =
+        require(parse_int(value), non_negative, "lookahead must be >= 0");
+  } else if (key == "algorithms") {
+    grid.algorithms = parse_list(value, parse_algorithm);
+  } else if (key == "class") {
+    grid.classes = parse_list(value, parse_platform_class);
+  } else if (key == "slaves") {
+    grid.slave_counts = require_each(parse_list(value, parse_int),
+                                     at_least_one, "slaves must be >= 1");
+  } else if (key == "arrival") {
+    grid.arrivals = parse_list(value, parse_arrival);
+  } else if (key == "load") {
+    grid.loads = require_each(parse_list(value, parse_double), positive,
+                              "load must be finite and > 0");
+  } else if (key == "jitter") {
+    grid.jitters = require_each(
+        parse_list(value, parse_double),
+        [](double v) { return v >= 0.0 && v < 1.0; },
+        "jitter must be in [0, 1)");
+  } else if (key == "port") {
+    grid.port_capacities = require_each(parse_list(value, parse_int),
+                                        non_negative, "port must be >= 0");
+  } else if (key == "sizes") {
+    grid.size_mixes = parse_list(value, parse_size_mix);
+  } else if (key == "avail") {
+    grid.avails = parse_list(value, parse_availability);
+  } else if (key == "mtbf_tasks") {
+    grid.mtbf_tasks = require_each(parse_list(value, parse_double), positive,
+                                   "mtbf_tasks must be finite and > 0");
+  } else if (key == "outage_frac") {
+    grid.outage_fracs = require_each(
+        parse_list(value, parse_double),
+        [](double v) { return v >= 0.0 && v <= 0.9; },
+        "outage_frac must be in [0, 0.9]");
+  } else if (key == "ipp_amplitude") {
+    grid.ipp_amplitude = require(
+        parse_double(value), [](double v) { return v >= 0.0 && v <= 1.0; },
+        "ipp_amplitude must be in [0, 1]");
+  } else if (key == "ipp_period_tasks") {
+    grid.ipp_period_tasks = require(parse_double(value), positive,
+                                    "ipp_period_tasks must be finite and > 0");
+  } else if (key == "engine_shards") {
+    grid.engine_shards =
+        require(parse_int(value), at_least_one, "engine_shards must be >= 1");
+  } else if (key == "shard_routing") {
+    core::parse_shard_routing(value);
+    grid.shard_routing = value;
+  } else if (key == "shard_threads") {
+    grid.shard_threads =
+        require(parse_int(value), non_negative,
+                "shard_threads must be >= 0 (0 = hardware concurrency)");
+  } else if (key == "comm_lo" || key == "comm_hi" || key == "comp_lo" ||
+             key == "comp_hi") {
+    platform::GeneratorRanges& r = grid.ranges;
+    double& end = key == "comm_lo"   ? r.comm_lo
+                  : key == "comm_hi" ? r.comm_hi
+                  : key == "comp_lo" ? r.comp_lo
+                                     : r.comp_hi;
+    end = require(parse_double(value), positive,
+                  key + " must be finite and > 0");
+  } else {
+    throw std::invalid_argument("unknown key '" + key + "'");
+  }
+}
+
+}  // namespace
+
 ScenarioGrid parse_grid(const std::string& text) {
   ScenarioGrid grid;
-  std::set<std::string> seen;
+  std::map<std::string, std::string> seen;  ///< key -> the line that set it
   std::stringstream stream(text);
   std::string raw;
   while (std::getline(stream, raw)) {
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
+    const std::string line = util::trim(raw.substr(0, raw.find('#')));
     if (line.empty()) continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("grid: expected key = value, got: " + raw);
-    }
-    std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw std::invalid_argument("grid: expected key = value, got: " + raw);
-    }
-    if (key == "algo") key = "algorithms";  // spec-axis alias
-    if (!seen.insert(key).second) {
-      throw std::invalid_argument("grid: duplicate key '" + key + "'");
-    }
-
-    if (key == "name") {
-      grid.name = value;
-    } else if (key == "seed") {
-      // stoull, not parse_int: seeds are the full uint64 space (cell seeds
-      // are splitmix64 outputs a user may paste back for reproduction).
-      try {
-        std::size_t pos = 0;
-        grid.seed = std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("grid: bad integer '" + value +
-                                    "' in: " + raw);
+    try {
+      const std::size_t eq = line.find('=');
+      std::string key = util::trim(line.substr(0, eq));
+      const std::string value =
+          eq == std::string::npos ? "" : util::trim(line.substr(eq + 1));
+      if (key.empty() || value.empty()) {
+        throw std::invalid_argument("expected key = value");
       }
-    } else if (key == "platforms") {
-      grid.num_platforms = parse_int(value, raw);
-      require_each<int>({grid.num_platforms}, at_least_one,
-                        "platforms must be >= 1", raw);
-    } else if (key == "tasks") {
-      grid.num_tasks = parse_int(value, raw);
-      require_each<int>({grid.num_tasks}, at_least_one,
-                        "tasks must be >= 1", raw);
-    } else if (key == "lookahead") {
-      grid.lookahead = parse_int(value, raw);
-      require_each<int>({grid.lookahead}, non_negative,
-                        "lookahead must be >= 0", raw);
-    } else if (key == "algorithms") {
-      grid.algorithms = split_csv(value);
-      if (grid.algorithms.empty()) {
-        throw std::invalid_argument("grid: empty value list in: " + raw);
+      if (key == "algo") key = "algorithms";  // spec-axis alias
+      if (!seen.emplace(key, raw).second) {
+        throw std::invalid_argument("duplicate key '" + key + "'");
       }
-      // Fail at parse time, not mid-sweep: every entry must be a registry
-      // name, a parseable policy spec, or a meta spec (portfolio:/hedge:).
-      for (const std::string& spec : grid.algorithms) {
-        try {
-          algorithms::canonical_spec(spec);
-        } catch (const std::invalid_argument& error) {
-          throw std::invalid_argument(std::string("grid: ") + error.what() +
-                                      " in: " + raw);
-        }
-      }
-    } else if (key == "class") {
-      grid.classes = parse_list<platform::PlatformClass>(
-          value, raw,
-          [](const std::string& t, const std::string&) {
-            return parse_platform_class(t);
-          });
-    } else if (key == "slaves") {
-      grid.slave_counts = parse_list<int>(value, raw, parse_int);
-      require_each(grid.slave_counts, at_least_one, "slaves must be >= 1",
-                   raw);
-    } else if (key == "arrival") {
-      grid.arrivals = parse_list<experiments::ArrivalProcess>(
-          value, raw,
-          [](const std::string& t, const std::string&) {
-            return parse_arrival(t);
-          });
-    } else if (key == "load") {
-      grid.loads = parse_list<double>(value, raw, parse_double);
-      require_each(grid.loads, finite_positive, "load must be finite and > 0",
-                   raw);
-    } else if (key == "jitter") {
-      grid.jitters = parse_list<double>(value, raw, parse_double);
-      require_each(
-          grid.jitters, [](double v) { return v >= 0.0 && v < 1.0; },
-          "jitter must be in [0, 1)", raw);
-    } else if (key == "port") {
-      grid.port_capacities = parse_list<int>(value, raw, parse_int);
-      require_each(grid.port_capacities, non_negative, "port must be >= 0",
-                   raw);
-    } else if (key == "sizes") {
-      grid.size_mixes = parse_list<experiments::TaskSizeMix>(
-          value, raw,
-          [](const std::string& t, const std::string&) {
-            return parse_size_mix(t);
-          });
-    } else if (key == "avail") {
-      grid.avails = parse_list<platform::AvailabilityModel>(
-          value, raw,
-          [](const std::string& t, const std::string&) {
-            return parse_availability(t);
-          });
-    } else if (key == "mtbf_tasks") {
-      grid.mtbf_tasks = parse_list<double>(value, raw, parse_double);
-      require_each(grid.mtbf_tasks, finite_positive,
-                   "mtbf_tasks must be finite and > 0", raw);
-    } else if (key == "outage_frac") {
-      grid.outage_fracs = parse_list<double>(value, raw, parse_double);
-      require_each(
-          grid.outage_fracs, [](double v) { return v >= 0.0 && v <= 0.9; },
-          "outage_frac must be in [0, 0.9]", raw);
-    } else if (key == "ipp_amplitude") {
-      grid.ipp_amplitude = parse_double(value, raw);
-      require_each<double>(
-          {grid.ipp_amplitude}, [](double v) { return v >= 0.0 && v <= 1.0; },
-          "ipp_amplitude must be in [0, 1]", raw);
-    } else if (key == "ipp_period_tasks") {
-      grid.ipp_period_tasks = parse_double(value, raw);
-      require_each<double>({grid.ipp_period_tasks}, finite_positive,
-                           "ipp_period_tasks must be finite and > 0", raw);
-    } else if (key == "engine_shards") {
-      grid.engine_shards = parse_int(value, raw);
-      require_each<int>({grid.engine_shards}, at_least_one,
-                        "engine_shards must be >= 1", raw);
-    } else if (key == "shard_routing") {
-      try {
-        core::parse_shard_routing(value);
-      } catch (const std::invalid_argument& error) {
-        throw std::invalid_argument(std::string("grid: ") + error.what() +
-                                    " in: " + raw);
-      }
-      grid.shard_routing = value;
-    } else if (key == "shard_threads") {
-      grid.shard_threads = parse_int(value, raw);
-      require_each<int>({grid.shard_threads}, non_negative,
-                        "shard_threads must be >= 0 (0 = hardware concurrency)",
-                        raw);
-    } else if (key == "comm_lo") {
-      grid.ranges.comm_lo = parse_double(value, raw);
-    } else if (key == "comm_hi") {
-      grid.ranges.comm_hi = parse_double(value, raw);
-    } else if (key == "comp_lo") {
-      grid.ranges.comp_lo = parse_double(value, raw);
-    } else if (key == "comp_hi") {
-      grid.ranges.comp_hi = parse_double(value, raw);
-    } else {
-      throw std::invalid_argument("grid: unknown key '" + key + "'");
+      apply_key(grid, key, value);
+    } catch (const std::invalid_argument& error) {
+      throw std::invalid_argument(std::string("grid: ") + error.what() +
+                                  " in: " + raw);
     }
   }
+  // The generator draws uniform(lo, hi), undefined for lo > hi. Either end
+  // may be the default, so the order is checked once the whole grid is
+  // read, naming the line that set the upper end (or else the lower one).
+  const auto require_ordered = [&seen](const std::string& lo_key, double lo,
+                                       const std::string& hi_key, double hi) {
+    if (lo <= hi) return;
+    const auto hi_line = seen.find(hi_key);
+    throw std::invalid_argument(
+        "grid: " + lo_key + " = " + util::fmt_exact(lo) + " exceeds " +
+        hi_key + " = " + util::fmt_exact(hi) + " in: " +
+        (hi_line != seen.end() ? hi_line->second : seen.at(lo_key)));
+  };
+  require_ordered("comm_lo", grid.ranges.comm_lo, "comm_hi",
+                  grid.ranges.comm_hi);
+  require_ordered("comp_lo", grid.ranges.comp_lo, "comp_hi",
+                  grid.ranges.comp_hi);
   return grid;
 }
 
@@ -418,15 +376,6 @@ ScenarioGrid load_grid(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return parse_grid(text.str());
-}
-
-std::string to_string(const std::vector<std::string>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += values[i];
-  }
-  return out;
 }
 
 std::string serialize_grid(const ScenarioGrid& grid) {
@@ -444,9 +393,6 @@ std::string serialize_grid(const ScenarioGrid& grid) {
   out << "platforms = " << grid.num_platforms << "\n";
   out << "tasks = " << grid.num_tasks << "\n";
   out << "lookahead = " << grid.lookahead << "\n";
-  if (!grid.algorithms.empty()) {
-    out << "algorithms = " << to_string(grid.algorithms) << "\n";
-  }
 
   const auto join = [&out](const char* key, const auto& values,
                            const auto& fmt) {
@@ -457,6 +403,9 @@ std::string serialize_grid(const ScenarioGrid& grid) {
     }
     out << "\n";
   };
+  if (!grid.algorithms.empty()) {
+    join("algorithms", grid.algorithms, [](const std::string& s) { return s; });
+  }
   join("class", grid.classes,
        [](platform::PlatformClass c) { return platform::to_string(c); });
   join("slaves", grid.slave_counts,

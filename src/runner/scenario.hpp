@@ -132,7 +132,9 @@ std::vector<ScenarioSpec> shard_cells(std::vector<ScenarioSpec> cells,
 ///   - `load`, `mtbf_tasks`, `ipp_period_tasks`: finite and > 0;
 ///   - `jitter`: in [0, 1);
 ///   - `ipp_amplitude`: in [0, 1];
-///   - `outage_frac`: in [0, 0.9].
+///   - `outage_frac`: in [0, 0.9];
+///   - `comm_lo`, `comm_hi`, `comp_lo`, `comp_hi`: > 0, each lo <= its hi;
+///   - `seed`: in [0, 2^64 - 1].
 /// Omitted keys keep the ScenarioGrid defaults.
 ScenarioGrid parse_grid(const std::string& text);
 
@@ -142,8 +144,6 @@ ScenarioGrid load_grid(const std::string& path);
 /// Serializes a grid to the text format parse_grid() accepts; the
 /// round-trip parse(serialize(g)) reproduces g exactly.
 std::string serialize_grid(const ScenarioGrid& grid);
-
-std::string to_string(const std::vector<std::string>& values);
 
 /// Parses the axis-value spellings used by the grid format ("poisson",
 /// "fully-heterogeneous", ...); shared with msol_run's --filter flags.

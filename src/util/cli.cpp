@@ -1,7 +1,8 @@
 #include "util/cli.hpp"
 
-#include <cmath>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace msol::util {
 
@@ -39,56 +40,36 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// The parsed value of `key`, `fallback` if absent, or an error naming
+/// the key and what it expects.
+template <typename T>
+T get_number(const std::map<std::string, std::string>& values,
+             const std::string& key, T fallback,
+             std::optional<T> (*parse)(const std::string&),
+             const std::string& expects) {
+  const auto it = values.find(key);
+  if (it == values.end()) return fallback;
+  if (const std::optional<T> v = parse(it->second)) return *v;
+  throw std::invalid_argument("--" + key + " expects " + expects + ", got '" +
+                              it->second + "'");
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + " expects an integer, got '" +
-                                it->second + "'");
-  }
+  return get_number(values_, key, fallback, parse_int64, "an integer");
 }
 
 std::uint64_t Cli::get_uint64(const std::string& key,
                               std::uint64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  // stoull silently wraps negatives ("-1" -> 2^64-1), so reject them first.
-  if (it->second.empty() || it->second[0] == '-') {
-    throw std::invalid_argument("--" + key +
-                                " expects a non-negative integer, got '" +
-                                it->second + "'");
-  }
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key +
-                                " expects a non-negative integer, got '" +
-                                it->second + "'");
-  }
+  return get_number(values_, key, fallback, parse_uint64,
+                    "a non-negative integer");
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  try {
-    // stod stops at the first non-numeric character, so "0.5x" would parse
-    // as 0.5; require full consumption and a finite value ("inf"/"nan" are
-    // never meaningful knob settings), matching get_uint64's strictness.
-    std::size_t pos = 0;
-    const double value = std::stod(it->second, &pos);
-    if (pos != it->second.size() || !std::isfinite(value)) {
-      throw std::invalid_argument(it->second);
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
-                                it->second + "'");
-  }
+  return get_number(values_, key, fallback, parse_double, "a finite number");
 }
 
 std::vector<std::string> Cli::keys() const {

@@ -27,10 +27,10 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric getters follow util/parse.hpp ("4x", "2.9", "inf" throw).
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  /// Full-uint64-range parse that rejects negatives and trailing junk;
-  /// counts and indices (--shards, --shard-index) use this so "-1" fails
-  /// loudly instead of wrapping.
+  /// Full uint64 range; counts and indices (--shards, --shard-index) use
+  /// this so "-1" fails loudly instead of wrapping.
   std::uint64_t get_uint64(const std::string& key,
                            std::uint64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;

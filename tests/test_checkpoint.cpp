@@ -180,6 +180,19 @@ TEST_F(CheckpointTest, LoadManifestDropsTornAndMalformedTail) {
   EXPECT_EQ(manifest.completed.count(3), 1u);
 }
 
+TEST_F(CheckpointTest, LoadManifestEndsCommittedSetAtAMisreadNumber) {
+  // "cell -1 7" used to commit cell 18446744073709551615.
+  for (const char* bad : {"cell -1 7", "cell 1 -2", "cell 1.5 2", "cell 1 2x",
+                          "cell 18446744073709551616 2", "cell +1 2",
+                          "cell  1 2", "cell 1 2 "}) {
+    write_all(path("m"), std::string("# header line\ncell 0 2\n") + bad +
+                             "\ncell 4 2\n");
+    const ManifestData manifest = load_manifest(path("m").string());
+    EXPECT_EQ(manifest.completed.size(), 1u) << bad;
+    EXPECT_EQ(manifest.completed.count(0), 1u) << bad;
+  }
+}
+
 TEST_F(CheckpointTest, ResumeTruncatesTornManifestTailBeforeAppending) {
   const ScenarioGrid grid = small_grid();
   const auto [ref_csv, ref_jsonl] = reference_run(grid, 1);

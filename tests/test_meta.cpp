@@ -123,6 +123,15 @@ TEST(MetaSpec, RejectsMalformedSpecsWithNamedClauses) {
   expect_parse_error("portfolio:LS;frobnicate:3", {"member 1"});
 }
 
+TEST(MetaSpec, RejectsIntegersThatDoNotFitInInt) {
+  // horizon:4294967297 used to be cast to int silently, as horizon 1.
+  expect_parse_error("portfolio:LS;SRPT+horizon:4294967297",
+                     {"clause 'horizon:4294967297'",
+                      "bad integer '4294967297'"});
+  expect_parse_error("hedge:LS;SRPT+window:-4294967290",
+                     {"bad integer '-4294967290'"});
+}
+
 // ---------------------------------------------------------------- registry ----
 
 TEST(MetaRegistry, MakeSchedulerRoutesMetaSpecs) {

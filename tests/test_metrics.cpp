@@ -117,5 +117,26 @@ TEST(ScheduleCsv, RejectsBadInput) {
       std::invalid_argument);
 }
 
+TEST(ScheduleCsv, RejectsMisreadIdsAndTimesWithTheLineNumber) {
+  // Each row used to read as something else: task 0, task 0, slave 1, a
+  // NaN release, an out-of-range float-to-int cast, and 7 of 8 columns.
+  for (const char* row :
+       {"0abc,0,0,0,1,1,2", "0.7,0,0,0,1,1,2", "0,1.9,0,0,1,1,2",
+        "0,0,nan,0,1,1,2", "1e300,0,0,0,1,1,2", "0,0,0,0,1,1,2,",
+        "0,0,0,0,1,1,inf", "4294967296,0,0,0,1,1,2", " 0,0,0,0,1,1,2"}) {
+    try {
+      from_csv(
+          "task,slave,release,send_start,send_end,comp_start,comp_end\n"
+          "1,0,0,0,1,1,2\n" +
+          std::string(row) + "\n");
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("schedule csv line 3"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace msol::core

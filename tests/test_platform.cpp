@@ -212,5 +212,20 @@ TEST(PlatformIo, RejectsMalformedInput) {
   EXPECT_THROW(parse("-1 1\n"), std::invalid_argument);  // Platform validation
 }
 
+TEST(PlatformIo, RejectsNonNumbersWithTheLineNumber) {
+  // "x 3" was skipped as if blank.
+  for (const char* text : {"0.5 1\nx 3\n", "0.5 1\n1 nan\n",
+                           "0.5 1\ninf 1\n", "0.5 1\n1 3x\n"}) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("platform line 2"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace msol::platform

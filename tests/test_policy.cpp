@@ -104,6 +104,18 @@ TEST(PolicySpec, EveryParseableSpecSerializesToAFixpoint) {
   }
 }
 
+TEST(PolicySpec, LargeNumbersSerializeWithoutAClauseSeparator) {
+  // 710 formats as "7.1e+02", whose '+' split the serialized spec into a
+  // bogus clause, so these specs did not survive their own serializer.
+  for (const std::string text :
+       {"rank:linear:0:0.2:0:0:710", "rank:linear:1e25:0:0:0:1e-300",
+        "filter:quota:1e6+rank:completion", "rank:completion+eps:250",
+        "LS+gate:pace:1e300"}) {
+    const PolicySpec spec = parse_policy_spec(text);
+    EXPECT_EQ(parse_policy_spec(to_string(spec)), spec) << to_string(spec);
+  }
+}
+
 TEST(PolicySpec, CanonicalNameSurvivesRedundantClauses) {
   // A clause that switches a component away leaves no stale parameters
   // behind: LS-K3 with the filter put back to `all` *is* LS.
@@ -173,6 +185,17 @@ TEST(PolicySpec, RejectsMalformedSpecs) {
   for (const std::string& text : bad) {
     EXPECT_THROW(parse_policy_spec(text), std::invalid_argument) << text;
     EXPECT_THROW(make_scheduler(text), std::invalid_argument) << text;
+  }
+}
+
+TEST(PolicySpec, RejectsIntegersThatDoNotFitInInt) {
+  // Each of these used to be cast to int silently: LS-K4294967297 ran as
+  // LS-K1.
+  for (const std::string text :
+       {"LS-K4294967297", "filter:throttle:4294967297", "gate:batch:4294967297",
+        "rank:plan:sljf:4294967296", "LS+lookahead:4294967296",
+        "tie:rng:18446744073709551616"}) {
+    EXPECT_THROW(parse_policy_spec(text), std::invalid_argument) << text;
   }
 }
 

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "runner/checkpoint.hpp"
 #include "runner/parallel_runner.hpp"
@@ -534,7 +536,11 @@ TEST(GridFormat, RejectsOutOfRangeValues) {
         "lookahead = -1", "port = -1", "jitter = -0.5", "jitter = nan",
         "jitter = 2", "jitter = 1", "ipp_amplitude = 5",
         "ipp_amplitude = -0.1", "ipp_period_tasks = -1",
-        "ipp_period_tasks = 0", "ipp_period_tasks = inf"}) {
+        "ipp_period_tasks = 0", "ipp_period_tasks = inf", "comm_lo = nan",
+        "comm_lo = -1", "comm_hi = 0", "comp_lo = 1e999", "comp_hi = inf",
+        "comm_lo = 5", "comp_lo = 9", "seed = -1", "seed = +1",
+        "seed = 18446744073709551616", "load = 0.5x", "tasks = 1e3",
+        "slaves = 2.9"}) {
     try {
       parse_grid(std::string(line) + "\n");
       ADD_FAILURE() << "accepted: " << line;
@@ -557,6 +563,27 @@ TEST(GridFormat, RejectsOutOfRangeValues) {
   EXPECT_EQ(edges.jitters, (std::vector<double>{0.0}));
   EXPECT_EQ(edges.ipp_amplitude, 1.0);
   EXPECT_EQ(parse_grid("ipp_amplitude = 0\n").ipp_amplitude, 0.0);
+}
+
+TEST(GridFormat, GeneratorRangesMustBeOrderedOnceTheGridIsRead) {
+  // uniform(lo, hi) is undefined for lo > hi, and either end may be set on
+  // a later line than the other (or be left at its default).
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"comm_lo = 5\ncomm_hi = 1\n", "comm_hi = 1"},
+      {"comp_hi = 0.05\n", "comp_hi = 0.05"},
+      {"comm_hi = 0.5\nname = x\ncomm_lo = 0.6\n", "comm_hi = 0.5"}};
+  for (const auto& [text, line] : cases) {
+    try {
+      parse_grid(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("grid: ", 0), 0u) << what;
+      EXPECT_NE(what.find("in: " + line), std::string::npos) << what;
+    }
+  }
+  const ScenarioGrid equal = parse_grid("comm_lo = 0.5\ncomm_hi = 0.5\n");
+  EXPECT_EQ(equal.ranges.comm_lo, equal.ranges.comm_hi);
 }
 
 TEST(GridFormat, AvailabilityAxesDoNotShiftExistingCellSeeds) {

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/cli.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -264,6 +273,19 @@ TEST(Cli, GetDoubleRejectsTrailingJunkAndNonFiniteValues) {
   EXPECT_THROW(cli.get_double("empty", 0.0), std::invalid_argument);
 }
 
+TEST(Cli, GetIntRejectsTrailingJunkAndFractions) {
+  // "--threads 4x" ran on 4 threads and "--platforms=2.9" on 2 platforms.
+  const char* argv[] = {"prog", "--threads=4x", "--platforms=2.9",
+                        "--tasks=1e3", "--big=9223372036854775808",
+                        "--ok=-12"};
+  Cli cli(6, argv);
+  EXPECT_EQ(cli.get_int("ok", 0), -12);
+  EXPECT_THROW(cli.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("platforms", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("big", 0), std::invalid_argument);
+}
+
 TEST(Cli, GetUint64CoversFullRangeAndRejectsNegatives) {
   const char* argv[] = {"prog", "--seed=18446744073709551615", "--bad=-1",
                         "--junk=12x", "--shards=4"};
@@ -274,6 +296,85 @@ TEST(Cli, GetUint64CoversFullRangeAndRejectsNegatives) {
   // stoull would happily wrap "-1" to 2^64-1; get_uint64 must not.
   EXPECT_THROW(cli.get_uint64("bad", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_uint64("junk", 0), std::invalid_argument);
+}
+
+// -------------------------------------------------------------- parse ------
+
+TEST(Parse, TrimAndSplitKeepEveryField) {
+  EXPECT_EQ(trim(" \tx y\r "), "x y");
+  EXPECT_EQ(trim(" \t"), "");
+  EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(split("a,", ','), (std::vector<std::string>{"a", ""}));
+  EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
+}
+
+TEST(Parse, IntegersAreWholeTokensInRange) {
+  EXPECT_EQ(parse_int64("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse_int64("+7"), 7);
+  EXPECT_EQ(parse_int("-2147483648"), std::numeric_limits<int>::min());
+  EXPECT_EQ(parse_uint64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", " 1", "1 ", "1x", "2.9", "1e3", "0x10", "--1"}) {
+    EXPECT_FALSE(parse_int64(bad)) << bad;
+    EXPECT_FALSE(parse_int(bad)) << bad;
+    EXPECT_FALSE(parse_uint64(bad)) << bad;
+  }
+  EXPECT_FALSE(parse_int64("9223372036854775808"));
+  EXPECT_FALSE(parse_int("2147483648"));
+  EXPECT_FALSE(parse_int("-2147483649"));
+  // Any sign is rejected: strtoull wraps "-1" to 2^64 - 1.
+  for (const char* bad : {"-1", "+1", "-0", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_uint64(bad)) << bad;
+  }
+}
+
+TEST(Parse, DoublesAreFiniteWholeTokens) {
+  for (const char* bad : {"", " 1", "1 ", "0.5x", "x", "nan", "inf", "-inf",
+                          "infinity", "1e999", "-1e999", "1,5"}) {
+    EXPECT_FALSE(parse_double(bad)) << bad;
+  }
+  EXPECT_EQ(parse_double("-2.5e3"), -2500.0);
+  // std::stod throws on a subnormal; a serialized subnormal must read back.
+  EXPECT_EQ(parse_double("4.9406564584124654e-324"),
+            std::numeric_limits<double>::denorm_min());
+}
+
+TEST(Parse, DoublesReadBitIdenticallyToStodAndStreamExtraction) {
+  for (const char* token :
+       {"0.1", "-0", "1e-5", "3.14159265358979323846", "0.30000000000000004",
+        "2.2250738585072014e-308", "123456789012345678901234567890",
+        "0.19534897517510916", "7.25", "1e300"}) {
+    const double expected = std::stod(token);
+    double streamed = 0.0;
+    std::istringstream(token) >> streamed;
+    const std::optional<double> parsed = parse_double(token);
+    ASSERT_TRUE(parsed) << token;
+    EXPECT_EQ(std::memcmp(&*parsed, &expected, sizeof(double)), 0) << token;
+    EXPECT_EQ(std::memcmp(&*parsed, &streamed, sizeof(double)), 0) << token;
+  }
+}
+
+TEST(Parse, NumberRowsSkipCommentsAndNameTheirLocation) {
+  std::istringstream in("# header\n 1\t2.5  3 # note\n\n4\n");
+  std::vector<std::pair<std::vector<double>, std::string>> rows;
+  read_number_rows(in, "platform",
+                   [&rows](const std::vector<double>& row,
+                           const std::string& where) {
+                     rows.emplace_back(row, where);
+                   });
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].first, (std::vector<double>{1.0, 2.5, 3.0}));
+  EXPECT_EQ(rows[0].second, "platform line 2");
+  EXPECT_EQ(rows[1].second, "platform line 4");
+
+  std::istringstream bad("1 2\n1 abc\n");
+  try {
+    read_number_rows(bad, "platform", [](const auto&, const auto&) {});
+    ADD_FAILURE() << "accepted a non-number";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "platform line 2: bad number 'abc'");
+  }
 }
 
 }  // namespace

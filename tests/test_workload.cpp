@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/workload.hpp"
+#include "core/workload_io.hpp"
 #include "util/rng.hpp"
 
 namespace msol::core {
@@ -234,6 +235,22 @@ TEST(Workload, AtRejectsOutOfRange) {
   const Workload w = Workload::all_at_zero(2);
   EXPECT_THROW(w.at(-1), std::out_of_range);
   EXPECT_THROW(w.at(2), std::out_of_range);
+}
+
+TEST(WorkloadIo, RejectsNonNumbersWithTheLineNumber) {
+  // "abc 1 1" was skipped as if blank, "1 abc" read as a release of 1.
+  for (const char* text : {"0\nabc 1 1\n", "0\n1 abc\n", "0\nnan\n",
+                           "0\n1 inf 1\n", "0\n0.5x\n", "0\n1e999\n"}) {
+    try {
+      parse_workload(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("workload line 2"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_THROW(parse_workload("0 1 1 1\n"), std::invalid_argument);
 }
 
 }  // namespace
