@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -787,6 +788,49 @@ TEST(Sinks, EmptyGridStillWritesCsvHeader) {
   const RunReport report = runner.run_cells({}, {&csv});
   EXPECT_EQ(report.cells, 0u);
   EXPECT_EQ(out.str(), CsvSink::header() + "\n");
+}
+
+/// Every committed grid's manifest config hash, pinned: a manifest written
+/// by an earlier build names one of these, and --resume refuses a manifest
+/// whose hash differs, so a change to the grid parser or serializer that
+/// moves any of them would strand every run in progress.
+TEST(Checkpoint, CommittedGridConfigHashesArePinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"bench/suite/workloads/fleet_sharded.grid", 6436290469026585056ULL},
+      {"bench/suite/workloads/fleet_single.grid", 1475229506311261275ULL},
+      {"bench/suite/workloads/meta_portfolio.grid", 9627404231300801785ULL},
+      {"bench/suite/workloads/paper_sweep.grid", 5769858475479096446ULL},
+      {"examples/bursty_regimes.grid", 4291294504304598677ULL},
+      {"examples/churn.grid", 9522382221049159593ULL},
+      {"examples/fig1_sweep.grid", 12957045097037394558ULL},
+      {"examples/meta_policies.grid", 16029376005744212565ULL},
+      {"examples/paper/arrival.grid", 6650147348152257280ULL},
+      {"examples/paper/extended.grid", 574254966437538913ULL},
+      {"examples/paper/fig1.grid", 2743830081732073389ULL},
+      {"examples/paper/lookahead.grid", 5712867357904672553ULL},
+      {"examples/paper/port.grid", 6583281236776099832ULL},
+      {"examples/paper/scaleup.grid", 7041528547129511953ULL},
+      {"examples/paper/throttle.grid", 12762775621738477160ULL},
+      {"examples/policy_zoo.grid", 12415834871338266562ULL},
+      {"examples/robustness.grid", 16983357679257121938ULL},
+  };
+  const std::filesystem::path root(MSOL_SOURCE_DIR);
+  std::set<std::string> listed;
+  for (const auto& [file, hash] : pinned) {
+    listed.insert(file);
+    EXPECT_EQ(grid_config_hash(load_grid((root / file).string())), hash)
+        << file;
+  }
+  // A grid committed later must join the table.
+  for (const char* dir :
+       {"examples", "examples/paper", "bench/suite/workloads"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
+      if (entry.path().extension() != ".grid") continue;
+      const std::string file =
+          std::filesystem::relative(entry.path(), root).generic_string();
+      EXPECT_EQ(listed.count(file), 1u) << file << " has no pinned hash";
+    }
+  }
 }
 
 }  // namespace
