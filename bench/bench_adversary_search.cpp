@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   config.iterations = static_cast<int>(cli.get_int("iterations", 800));
   config.restarts = static_cast<int>(cli.get_int("restarts", 3));
   config.num_tasks = static_cast<int>(cli.get_int("tasks", 4));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2006));
+  config.seed = cli.get_uint64("seed", 2006);
 
   std::cout << "=== Hill-climbed adversarial instances (n=" << config.num_tasks
             << " tasks, " << config.restarts << "x" << config.iterations

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const int platforms = static_cast<int>(cli.get_int("platforms", 5));
   const int tasks = static_cast<int>(cli.get_int("tasks", 400));
   const double factor = cli.get_double("factor", 3.0);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2006)));
+  util::Rng rng(cli.get_uint64("seed", 2006));
 
   std::cout << "=== Background-load robustness: the fastest slave runs " << factor
             << "x slower during the middle half of the nominal horizon ===\n"

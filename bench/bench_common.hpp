@@ -5,6 +5,7 @@
 // before its table.
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "experiments/campaign.hpp"
@@ -20,14 +21,21 @@ inline experiments::CampaignConfig config_from_cli(const util::Cli& cli,
       static_cast<int>(cli.get_int("platforms", config.num_platforms));
   config.num_slaves = static_cast<int>(cli.get_int("slaves", config.num_slaves));
   config.num_tasks = static_cast<int>(cli.get_int("tasks", config.num_tasks));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2006));
+  config.seed = cli.get_uint64("seed", 2006);
   config.load = cli.get_double("load", config.load);
   config.lookahead =
       static_cast<int>(cli.get_int("lookahead", config.num_tasks));
   const std::string arrival = cli.get("arrival", "poisson");
-  if (arrival == "zero") config.arrival = experiments::ArrivalProcess::kAllAtZero;
-  else if (arrival == "bursty") config.arrival = experiments::ArrivalProcess::kBursty;
-  else config.arrival = experiments::ArrivalProcess::kPoisson;
+  if (arrival == "zero") {
+    config.arrival = experiments::ArrivalProcess::kAllAtZero;
+  } else if (arrival == "poisson") {
+    config.arrival = experiments::ArrivalProcess::kPoisson;
+  } else if (arrival == "bursty") {
+    config.arrival = experiments::ArrivalProcess::kBursty;
+  } else {
+    throw std::invalid_argument(
+        "--arrival must be zero, poisson or bursty, not '" + arrival + "'");
+  }
   return config;
 }
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const int instances = static_cast<int>(cli.get_int("instances", 200));
   const int tasks = static_cast<int>(cli.get_int("tasks", 6));
   const int slaves = static_cast<int>(cli.get_int("slaves", 3));
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2006)));
+  util::Rng rng(cli.get_uint64("seed", 2006));
 
   std::cout << "=== Empirical competitive ratios: worst observed "
                "heuristic/optimum over " << instances

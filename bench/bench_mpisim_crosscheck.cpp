@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int tasks = static_cast<int>(cli.get_int("tasks", 20));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2006)));
+  util::Rng rng(cli.get_uint64("seed", 2006));
 
   // The paper ran on five dedicated machines; here slave threads share this
   // host's cores. Faithful timing needs one core per slave plus one for the

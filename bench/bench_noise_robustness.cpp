@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int platforms = static_cast<int>(cli.get_int("platforms", 5));
   const int tasks = static_cast<int>(cli.get_int("tasks", 400));
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2006)));
+  util::Rng rng(cli.get_uint64("seed", 2006));
 
   std::cout << "=== Noise decomposition: coupled size jitter (Fig 2) vs "
                "independent comm/comp lognormal noise ===\n"

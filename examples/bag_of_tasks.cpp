@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
     const int n = static_cast<int>(cli.get_int("tasks", 500));
     const double load = cli.get_double("load", 0.9);
-    util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+    util::Rng rng(cli.get_uint64("seed", 1));
 
     const platform::Platform cluster = load_platform(cli);
     std::cout << "cluster: " << cluster.describe() << "\n"
@@ -71,9 +72,11 @@ int main(int argc, char** argv) {
                 << trace_path << "\n";
     } else if (cli.get("arrival", "poisson") == "zero") {
       campaign = core::Workload::all_at_zero(n);
-    } else {
+    } else if (cli.get("arrival", "poisson") == "poisson") {
       campaign = core::Workload::poisson(
           n, load * experiments::max_throughput(cluster), rng);
+    } else {
+      throw std::invalid_argument("--arrival must be zero or poisson");
     }
 
     const offline::LowerBounds lb = offline::lower_bounds(cluster, campaign);

@@ -20,6 +20,11 @@
 // outputs back into canonical order. Killed+resumed and sharded+merged
 // runs are byte-identical to an uninterrupted single-process run (see
 // src/runner/checkpoint.hpp).
+//
+// `--shards` splits the grid's cells across runs; it is not engine
+// sharding. How each cell simulates its fleet (`engine_shards`,
+// `shard_routing`, `shard_threads`) is set only by the grid file's keys of
+// those names, so `--print-grid` and the manifest's config hash record it.
 
 #include <fstream>
 #include <iostream>
@@ -30,7 +35,6 @@
 #include <vector>
 
 #include "algorithms/registry.hpp"
-#include "core/sharded_engine.hpp"
 #include "experiments/spec_fit.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/parallel_runner.hpp"
@@ -57,14 +61,8 @@ constexpr const char* kUsage =
     "  --jsonl FILE      write one JSON object per line; '-' = stdout\n"
     "  --shards K        split the grid across K independent runs\n"
     "  --shard-index I   which 1/K slice this run executes (0-based)\n"
-    "  --engine-shards K simulate each cell's fleet as K one-port clusters\n"
-    "                    (overrides the grid's engine_shards; 1 = the\n"
-    "                    single-engine legacy path, byte-identical)\n"
-    "  --shard-routing R task routing across clusters: hash, round-robin,\n"
-    "                    least-loaded (overrides the grid's shard_routing)\n"
-    "  --shard-threads N threads advancing each sharded cell's clusters\n"
-    "                    (overrides the grid's shard_threads; 0 = all\n"
-    "                    hardware threads; output byte-identical at any N)\n"
+    "                    (engine sharding is set by the grid's\n"
+    "                    engine_shards, shard_routing, shard_threads keys)\n"
     "  --resume          skip cells committed in the manifest, append output\n"
     "  --manifest FILE   completion manifest path (default: first file\n"
     "                    output + '.manifest')\n"
@@ -87,14 +85,13 @@ constexpr const char* kUsage =
 const std::set<std::string> kValueKeys = {
     "threads", "csv",     "jsonl",      "shards",   "shard-index", "manifest",
     "classes", "slaves",  "tasks",      "iterations", "restarts",  "seed",
-    "window",  "engine-shards", "shard-routing", "shard-threads"};
+    "window"};
 const std::set<std::string> kKnownKeys = {
     "threads", "csv",        "jsonl",      "shards", "shard-index",
     "manifest", "resume",    "dry-run",    "print-grid", "quiet",
     "help",    "list-algorithms",
     "search",  "classes",    "slaves",     "tasks",  "iterations",
-    "restarts", "seed",      "window",
-    "engine-shards", "shard-routing", "shard-threads"};
+    "restarts", "seed",      "window"};
 
 int run_merge(const msol::util::Cli& cli) {
   using namespace msol;
@@ -247,24 +244,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    runner::ScenarioGrid grid = runner::load_grid(cli.positional()[0]);
-    if (cli.has("engine-shards")) {
-      const long long k = cli.get_int("engine-shards", 1);
-      if (k < 1) throw std::runtime_error("--engine-shards must be >= 1");
-      grid.engine_shards = static_cast<int>(k);
-    }
-    if (cli.has("shard-routing")) {
-      grid.shard_routing = cli.get("shard-routing", "hash");
-      core::parse_shard_routing(grid.shard_routing);  // validate early
-    }
-    if (cli.has("shard-threads")) {
-      const long long st = cli.get_int("shard-threads", 1);
-      if (st < 0) {
-        throw std::runtime_error(
-            "--shard-threads must be >= 0 (0 = hardware concurrency)");
-      }
-      grid.shard_threads = static_cast<int>(st);
-    }
+    const runner::ScenarioGrid grid = runner::load_grid(cli.positional()[0]);
     const bool quiet = cli.has("quiet");
     const std::size_t shards = cli.get_uint64("shards", 1);
     const std::size_t shard_index = cli.get_uint64("shard-index", 0);

@@ -15,32 +15,6 @@
 
 namespace msol::runner {
 
-namespace {
-
-ResultRecord make_record(const ScenarioSpec& cell,
-                         const experiments::AlgorithmResult& algorithm) {
-  ResultRecord record;
-  record.cell_index = cell.index;
-  record.cell_id = cell.id;
-  record.cell_seed = cell.config.seed;
-  record.platform_class = cell.config.platform_class;
-  record.num_slaves = cell.config.num_slaves;
-  record.arrival = cell.config.arrival;
-  record.load = cell.config.load;
-  record.size_jitter = cell.config.size_jitter;
-  record.port_capacity = cell.config.port_capacity;
-  record.size_mix = cell.config.size_mix;
-  record.avail = cell.config.avail;
-  record.mtbf_tasks = cell.config.mtbf_tasks;
-  record.outage_frac = cell.config.outage_frac;
-  record.engine_shards = cell.config.engine_shards;
-  record.shard_threads = cell.config.shard_threads;
-  record.result = algorithm;
-  return record;
-}
-
-}  // namespace
-
 ParallelRunner::ParallelRunner(RunnerOptions options)
     : options_(std::move(options)) {}
 
@@ -95,7 +69,7 @@ RunReport ParallelRunner::run_cells(const std::vector<ScenarioSpec>& cells,
         std::size_t cell_records = 0;
         for (const experiments::AlgorithmResult& algorithm :
              pending[next_emit]->algorithms) {
-          const ResultRecord record = make_record(cells[next_emit], algorithm);
+          const ResultRecord record{cells[next_emit], algorithm};
           for (ResultSink* sink : sinks) sink->consume(record);
           ++records;
           ++cell_records;

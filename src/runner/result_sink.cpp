@@ -1,9 +1,14 @@
 #include "runner/result_sink.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <variant>
 
 #include "util/table.hpp"
 
@@ -57,28 +62,88 @@ std::string json_number(double value) {
   return std::isfinite(value) ? util::fmt_exact(value) : "null";
 }
 
+/// A row's identity columns: the cell's index, id and swept config values,
+/// the algorithm, and its platform count. Integers print alike in every
+/// format; strings and doubles follow each format's own rules.
+using Value = std::variant<std::int64_t, std::uint64_t, double, std::string>;
+struct Column {
+  const char* name;
+  Value value;
+};
+
+/// The first kLeadingColumns identity columns precede the metrics; the last
+/// two were appended after them (in JSONL, after the raw arrays too) so
+/// older outputs stay a column prefix of newer ones.
+constexpr std::size_t kLeadingColumns = 16;
+
+std::array<Column, kLeadingColumns + 2> identity_columns(
+    const ResultRecord& record) {
+  const experiments::CampaignConfig& config = record.cell.config;
+  const experiments::AlgorithmResult& result = record.result;
+  return {{
+      {"cell_index", std::uint64_t{record.cell.index}},
+      {"cell_id", record.cell.id},
+      {"cell_seed", config.seed},
+      {"platform_class", platform::to_string(config.platform_class)},
+      {"slaves", std::int64_t{config.num_slaves}},
+      {"arrival", experiments::to_string(config.arrival)},
+      {"load", config.load},
+      {"jitter", config.size_jitter},
+      {"port", std::int64_t{config.port_capacity}},
+      {"sizes", experiments::to_string(config.size_mix)},
+      {"avail", platform::to_string(config.avail)},
+      {"mtbf_tasks", config.mtbf_tasks},
+      {"outage_frac", config.outage_frac},
+      {"algorithm", result.name},
+      {"spec", result.spec},
+      {"platforms", std::uint64_t{result.makespan.count}},
+      {"engine_shards", std::int64_t{config.engine_shards}},
+      {"shard_threads", std::int64_t{config.shard_threads}},
+  }};
+}
+
+/// Renders a value with one format's string and double rules.
+template <typename TextRule, typename NumberRule>
+std::string render(const Value& value, TextRule text, NumberRule number) {
+  return std::visit(
+      [&](const auto& v) -> std::string {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return text(v);
+        } else if constexpr (std::is_same_v<T, double>) {
+          return number(v);
+        } else {
+          return std::to_string(v);
+        }
+      },
+      value);
+}
+
+std::string json_string(const std::string& s) {
+  return '"' + json_escape(s) + '"';
+}
+
 // "switches" (meta-policy member changes; all-zero for plain policies) is
 // appended last so the pre-meta column prefix is unchanged.
-constexpr const char* kMetricNames[] = {
-    "makespan",      "sum_flow",      "max_flow",     "norm_makespan",
-    "norm_sum_flow", "norm_max_flow", "redispatches", "lost_work",
-    "switches"};
-constexpr int kMetricCount = 9;
+std::array<std::pair<const char*, const util::Summary*>, 9> metrics(
+    const experiments::AlgorithmResult& r) {
+  return {{{"makespan", &r.makespan},
+           {"sum_flow", &r.sum_flow},
+           {"max_flow", &r.max_flow},
+           {"norm_makespan", &r.norm_makespan},
+           {"norm_sum_flow", &r.norm_sum_flow},
+           {"norm_max_flow", &r.norm_max_flow},
+           {"redispatches", &r.redispatches},
+           {"lost_work", &r.lost_work},
+           {"switches", &r.switches}}};
+}
 
-/// The summaries of an AlgorithmResult in the sinks' column order.
-const util::Summary* metric_summaries(
-    const experiments::AlgorithmResult& r,
-    const util::Summary* out[kMetricCount]) {
-  out[0] = &r.makespan;
-  out[1] = &r.sum_flow;
-  out[2] = &r.max_flow;
-  out[3] = &r.norm_makespan;
-  out[4] = &r.norm_sum_flow;
-  out[5] = &r.norm_max_flow;
-  out[6] = &r.redispatches;
-  out[7] = &r.lost_work;
-  out[8] = &r.switches;
-  return out[0];
+/// A summary's statistics in column order, and their names.
+constexpr const char* kStatNames[] = {"mean", "stddev", "min",
+                                      "max",  "median", "ci95"};
+
+std::array<double, 6> stats(const util::Summary& s) {
+  return {s.mean, s.stddev, s.min, s.max, s.median, s.ci95_half_width};
 }
 
 /// Durable-commit flush: a silent badbit here (disk full, I/O error) would
@@ -109,54 +174,37 @@ CsvSink::CsvSink(std::ostream& out, bool header_written)
     : out_(out), wrote_header_(header_written) {}
 
 std::string CsvSink::header() {
-  std::string h =
-      "cell_index,cell_id,cell_seed,platform_class,slaves,arrival,load,"
-      "jitter,port,sizes,avail,mtbf_tasks,outage_frac,algorithm,spec,"
-      "platforms";
-  for (const char* metric : kMetricNames) {
-    for (const char* stat :
-         {"mean", "stddev", "min", "max", "median", "ci95"}) {
-      h += ',';
-      h += metric;
-      h += '_';
-      h += stat;
+  const ResultRecord blank;
+  const auto columns = identity_columns(blank);
+  std::string h;
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i == kLeadingColumns) {
+      for (const auto& [metric, summary] : metrics(blank.result)) {
+        for (const char* stat : kStatNames) {
+          h += ',' + std::string(metric) + '_' + stat;
+        }
+      }
     }
+    if (i > 0) h += ',';
+    h += columns[i].name;
   }
-  h += ",engine_shards";  // appended last: legacy rows stay a column prefix
-  h += ",shard_threads";
   return h;
 }
 
 std::string CsvSink::to_csv_row(const ResultRecord& record) {
+  const auto columns = identity_columns(record);
   std::string row;
-  row += std::to_string(record.cell_index);
-  row += ',' + csv_escape(record.cell_id);
-  row += ',' + std::to_string(record.cell_seed);
-  row += ',' + platform::to_string(record.platform_class);
-  row += ',' + std::to_string(record.num_slaves);
-  row += ',' + experiments::to_string(record.arrival);
-  row += ',' + util::fmt_exact(record.load);
-  row += ',' + util::fmt_exact(record.size_jitter);
-  row += ',' + std::to_string(record.port_capacity);
-  row += ',' + experiments::to_string(record.size_mix);
-  row += ',' + platform::to_string(record.avail);
-  row += ',' + util::fmt_exact(record.mtbf_tasks);
-  row += ',' + util::fmt_exact(record.outage_frac);
-  row += ',' + csv_escape(record.result.name);
-  row += ',' + csv_escape(record.result.spec);
-  row += ',' + std::to_string(record.result.makespan.count);
-  const util::Summary* summaries[kMetricCount];
-  metric_summaries(record.result, summaries);
-  for (const util::Summary* s : summaries) {
-    row += ',' + util::fmt_exact(s->mean);
-    row += ',' + util::fmt_exact(s->stddev);
-    row += ',' + util::fmt_exact(s->min);
-    row += ',' + util::fmt_exact(s->max);
-    row += ',' + util::fmt_exact(s->median);
-    row += ',' + util::fmt_exact(s->ci95_half_width);
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i == kLeadingColumns) {
+      for (const auto& [metric, summary] : metrics(record.result)) {
+        for (double value : stats(*summary)) {
+          row += ',' + util::fmt_exact(value);
+        }
+      }
+    }
+    if (i > 0) row += ',';
+    row += render(columns[i].value, csv_escape, util::fmt_exact);
   }
-  row += ',' + std::to_string(record.engine_shards);
-  row += ',' + std::to_string(record.shard_threads);
   return row;
 }
 
@@ -185,52 +233,32 @@ void CsvSink::close() {
 JsonLinesSink::JsonLinesSink(std::ostream& out) : out_(out) {}
 
 std::string JsonLinesSink::to_json(const ResultRecord& record) {
+  const auto columns = identity_columns(record);
+  const experiments::AlgorithmResult& result = record.result;
   std::string json = "{";
-  json += "\"cell_index\":" + std::to_string(record.cell_index);
-  json += ",\"cell_id\":\"" + json_escape(record.cell_id) + "\"";
-  json += ",\"cell_seed\":" + std::to_string(record.cell_seed);
-  json += ",\"platform_class\":\"" +
-          json_escape(platform::to_string(record.platform_class)) + "\"";
-  json += ",\"slaves\":" + std::to_string(record.num_slaves);
-  json += ",\"arrival\":\"" +
-          json_escape(experiments::to_string(record.arrival)) + "\"";
-  json += ",\"load\":" + json_number(record.load);
-  json += ",\"jitter\":" + json_number(record.size_jitter);
-  json += ",\"port\":" + std::to_string(record.port_capacity);
-  json += ",\"sizes\":\"" +
-          json_escape(experiments::to_string(record.size_mix)) + "\"";
-  json += ",\"avail\":\"" +
-          json_escape(platform::to_string(record.avail)) + "\"";
-  json += ",\"mtbf_tasks\":" + json_number(record.mtbf_tasks);
-  json += ",\"outage_frac\":" + json_number(record.outage_frac);
-  json += ",\"algorithm\":\"" + json_escape(record.result.name) + "\"";
-  json += ",\"spec\":\"" + json_escape(record.result.spec) + "\"";
-  json += ",\"platforms\":" + std::to_string(record.result.makespan.count);
-
-  const util::Summary* summaries[kMetricCount];
-  metric_summaries(record.result, summaries);
-  for (int m = 0; m < kMetricCount; ++m) {
-    const util::Summary& s = *summaries[m];
-    json += ",\"";
-    json += kMetricNames[m];
-    json += "\":{\"mean\":" + json_number(s.mean);
-    json += ",\"stddev\":" + json_number(s.stddev);
-    json += ",\"min\":" + json_number(s.min);
-    json += ",\"max\":" + json_number(s.max);
-    json += ",\"median\":" + json_number(s.median);
-    json += ",\"ci95\":" + json_number(s.ci95_half_width);
-    json += "}";
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (i == kLeadingColumns) {
+      for (const auto& [metric, summary] : metrics(result)) {
+        json += ",\"" + std::string(metric) + "\":{";
+        const std::array<double, 6> values = stats(*summary);
+        for (std::size_t k = 0; k < values.size(); ++k) {
+          if (k > 0) json += ',';
+          json += json_string(kStatNames[k]) + ':' + json_number(values[k]);
+        }
+        json += '}';
+      }
+      json += ",\"makespan_raw\":";
+      append_json_array(json, result.makespan_raw);
+      json += ",\"sum_flow_raw\":";
+      append_json_array(json, result.sum_flow_raw);
+      json += ",\"max_flow_raw\":";
+      append_json_array(json, result.max_flow_raw);
+    }
+    if (i > 0) json += ',';
+    json += json_string(columns[i].name) + ':' +
+            render(columns[i].value, json_string, json_number);
   }
-
-  json += ",\"makespan_raw\":";
-  append_json_array(json, record.result.makespan_raw);
-  json += ",\"sum_flow_raw\":";
-  append_json_array(json, record.result.sum_flow_raw);
-  json += ",\"max_flow_raw\":";
-  append_json_array(json, record.result.max_flow_raw);
-  json += ",\"engine_shards\":" + std::to_string(record.engine_shards);
-  json += ",\"shard_threads\":" + std::to_string(record.shard_threads);
-  json += "}";
+  json += '}';
   return json;
 }
 

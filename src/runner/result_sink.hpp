@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -11,32 +10,13 @@
 
 namespace msol::runner {
 
-/// One output row: a (cell, algorithm) pair with the cell's identity, the
-/// swept axis values that produced it, and the algorithm's full summaries.
+/// One output row: a (cell, algorithm) pair — the cell exactly as expand()
+/// produced it (index, id, and the resolved CampaignConfig with its
+/// counter-derived seed) and that algorithm's full summaries. The sinks
+/// print a fixed subset of the cell's config as identity columns; see
+/// result_sink.cpp for the one list that names them.
 struct ResultRecord {
-  std::size_t cell_index = 0;
-  std::string cell_id;
-  std::uint64_t cell_seed = 0;
-  platform::PlatformClass platform_class =
-      platform::PlatformClass::kFullyHeterogeneous;
-  int num_slaves = 0;
-  experiments::ArrivalProcess arrival = experiments::ArrivalProcess::kPoisson;
-  double load = 0.0;
-  double size_jitter = 0.0;
-  int port_capacity = 0;
-  experiments::TaskSizeMix size_mix = experiments::TaskSizeMix::kUnit;
-  platform::AvailabilityModel avail = platform::AvailabilityModel::kAlways;
-  double mtbf_tasks = 0.0;
-  double outage_frac = 0.0;
-  /// Engine shard count the cell ran with (1 = single engine). Appended as
-  /// the *last* CSV/JSONL column so legacy outputs stay a column-prefix of
-  /// new ones (same convention as the meta "switches" metric).
-  int engine_shards = 1;
-  /// Shard-advancement thread count the cell ran with (echo of the grid's
-  /// shard_threads; purely informational — cell results are byte-identical
-  /// at any value). Appended after engine_shards, keeping the column-prefix
-  /// convention.
-  int shard_threads = 1;
+  ScenarioSpec cell;
   experiments::AlgorithmResult result;
 };
 

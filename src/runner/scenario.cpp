@@ -143,7 +143,7 @@ std::vector<ScenarioSpec> expand(const ScenarioGrid& grid) {
     }
   }
   // Every engine shard needs a slave (PlatformPartition); caught here, before
-  // a run opens any output, whether K came from the grid or --engine-shards.
+  // a run opens any output.
   for (int slaves : grid.slave_counts) {
     if (grid.engine_shards > slaves) {
       throw std::invalid_argument(

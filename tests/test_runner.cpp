@@ -284,7 +284,7 @@ TEST(ParallelRunner, OneRecordPerCellAndAlgorithmInOrder) {
   ASSERT_EQ(memory.records().size(), 16u);
   for (std::size_t i = 0; i < memory.records().size(); ++i) {
     const ResultRecord& record = memory.records()[i];
-    EXPECT_EQ(record.cell_index, i / 2);
+    EXPECT_EQ(record.cell.index, i / 2);
     EXPECT_EQ(record.result.name, i % 2 == 0 ? "SRPT" : "LS");
     EXPECT_EQ(record.result.makespan.count, 2u);  // num_platforms
     ASSERT_EQ(record.result.makespan_raw.size(), 2u);
@@ -364,9 +364,9 @@ TEST(Sinks, JsonLinesLookLikeObjects) {
 /// separators, quotes, newlines, raw control characters, non-finite metrics.
 ResultRecord hostile_record() {
   ResultRecord record;
-  record.cell_index = 3;
-  record.cell_id = "id,with \"quotes\"\nthen\rbreaks\x01\x1f";
-  record.cell_seed = 42;
+  record.cell.index = 3;
+  record.cell.id = "id,with \"quotes\"\nthen\rbreaks\x01\x1f";
+  record.cell.config.seed = 42;
   record.result.name = "alg,\"\t\x02";
   record.result.makespan.mean = std::nan("");
   record.result.makespan.stddev = std::numeric_limits<double>::infinity();
@@ -420,7 +420,7 @@ TEST(Sinks, JsonEscapesControlCharactersAndRoundTrips) {
   const std::size_t begin = json.find(key) + key.size();
   std::size_t end = begin;
   while (json[end] != '"' || json[end - 1] == '\\') ++end;
-  EXPECT_EQ(json_unescape(json.substr(begin, end - begin)), record.cell_id);
+  EXPECT_EQ(json_unescape(json.substr(begin, end - begin)), record.cell.id);
 }
 
 TEST(Sinks, JsonEmitsNullForNonFiniteMetrics) {
@@ -467,8 +467,8 @@ TEST(ParallelRunner, SkipSetBypassesCellsButKeepsEmissionOrder) {
   EXPECT_EQ(report.records, 10u);  // 5 remaining cells x 2 algorithms
   std::vector<std::size_t> emitted;
   for (const ResultRecord& record : memory.records()) {
-    if (emitted.empty() || emitted.back() != record.cell_index) {
-      emitted.push_back(record.cell_index);
+    if (emitted.empty() || emitted.back() != record.cell.index) {
+      emitted.push_back(record.cell.index);
     }
   }
   EXPECT_EQ(emitted, (std::vector<std::size_t>{1, 2, 4, 5, 6}));
@@ -615,7 +615,7 @@ TEST(ParallelRunner, ChurnGridBitIdenticalAcrossThreadCounts) {
   double redispatches = 0.0;
   for (const ResultRecord& record : memory.records()) {
     redispatches += record.result.redispatches.mean;
-    if (record.avail == platform::AvailabilityModel::kAlways) {
+    if (record.cell.config.avail == platform::AvailabilityModel::kAlways) {
       EXPECT_EQ(record.result.redispatches.mean, 0.0);
       EXPECT_EQ(record.result.lost_work.mean, 0.0);
     }

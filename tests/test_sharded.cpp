@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/registry.hpp"
@@ -25,6 +26,7 @@
 #include "runner/checkpoint.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/scenario.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace msol::core {
@@ -424,6 +426,43 @@ std::string read_all(const std::filesystem::path& path) {
   return out.str();
 }
 
+/// The top-level members of one JSON object, in order, as (key, raw value
+/// text). Enough for what JsonLinesSink emits: keys carry no escapes.
+std::vector<std::pair<std::string, std::string>> json_members(
+    const std::string& json) {
+  std::vector<std::pair<std::string, std::string>> members;
+  std::size_t i = 1;  // past '{'
+  while (i < json.size() && json[i] == '"') {
+    const std::size_t key_end = json.find('"', i + 1);
+    const std::string key = json.substr(i + 1, key_end - i - 1);
+    i = key_end + 2;  // past '":'
+    const std::size_t value_begin = i;
+    int depth = 0;
+    bool in_string = false;
+    for (; i < json.size(); ++i) {
+      const char c = json[i];
+      if (in_string) {
+        if (c == '\\') {
+          ++i;
+        } else if (c == '"') {
+          in_string = false;
+        }
+      } else if (c == '"') {
+        in_string = true;
+      } else if (c == '{' || c == '[') {
+        ++depth;
+      } else if ((c == '}' || c == ']') && depth > 0) {
+        --depth;
+      } else if ((c == ',' || c == '}') && depth == 0) {
+        break;
+      }
+    }
+    members.emplace_back(key, json.substr(value_begin, i - value_begin));
+    ++i;  // past ',' or the closing '}'
+  }
+  return members;
+}
+
 /// Small grid whose every cell simulates its fleet as 2 one-port clusters.
 ScenarioGrid sharded_grid() {
   ScenarioGrid grid;
@@ -516,6 +555,57 @@ TEST_F(ShardedRunnerTest, OutputIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(line.rfind(",2,2"), line.size() - 4) << line;
     ++rows;
   }
+  EXPECT_GT(rows, 0u);
+}
+
+TEST_F(ShardedRunnerTest, JsonlObjectAndCsvRowCarryTheSameColumns) {
+  // The whole-row form of the header-tail check above: with its nine metric
+  // objects flattened to <metric>_<stat> and its three raw arrays dropped,
+  // each JSONL object lists the CSV header's columns, in order, with the
+  // same values as the matching CSV row.
+  const auto [csv, jsonl] = checkpointed_run(sharded_grid(), "cols", 1);
+  std::istringstream csv_lines(csv);
+  std::istringstream json_lines(jsonl);
+  std::string header;
+  ASSERT_TRUE(std::getline(csv_lines, header));
+  const std::vector<std::string> names = util::split(header, ',');
+  std::string json;
+  std::string row;
+  std::size_t rows = 0;
+  while (std::getline(json_lines, json)) {
+    ASSERT_TRUE(std::getline(csv_lines, row));
+    const std::vector<std::string> values = util::split(row, ',');
+    ASSERT_EQ(values.size(), names.size()) << row;
+    std::vector<std::string> json_names;
+    std::vector<std::string> json_values;
+    std::vector<std::string> identity;
+    std::size_t objects = 0;
+    std::size_t arrays = 0;
+    for (const auto& [key, value] : json_members(json)) {
+      if (value.front() == '{') {
+        ++objects;
+        for (const auto& [stat, number] : json_members(value)) {
+          json_names.push_back(key + "_" + stat);
+          json_values.push_back(number);
+        }
+      } else if (value.front() == '[') {
+        ++arrays;
+      } else {
+        identity.push_back(key);
+        json_names.push_back(key);
+        json_values.push_back(value.front() == '"'
+                                  ? value.substr(1, value.size() - 2)
+                                  : value);
+      }
+    }
+    EXPECT_EQ(objects, 9u);
+    EXPECT_EQ(arrays, 3u);
+    EXPECT_EQ(identity.size(), 18u);
+    EXPECT_EQ(json_names, names);
+    EXPECT_EQ(json_values, values);
+    ++rows;
+  }
+  EXPECT_FALSE(std::getline(csv_lines, row)) << "CSV has more rows";
   EXPECT_GT(rows, 0u);
 }
 
