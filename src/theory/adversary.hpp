@@ -66,8 +66,7 @@ std::unique_ptr<TheoremAdversary> make_theorem_adversary(int number,
                                                          double eps = 1e-3,
                                                          double scale = 1e4);
 
-/// All nine, in paper order.
-std::vector<std::unique_ptr<TheoremAdversary>> all_theorem_adversaries(
-    double eps = 1e-3, double scale = 1e4);
+/// All nine, in paper order, at the factory's default eps and scale.
+std::vector<std::unique_ptr<TheoremAdversary>> all_theorem_adversaries();
 
 }  // namespace msol::theory

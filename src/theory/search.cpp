@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/engine.hpp"
+#include "core/validator.hpp"
 #include "offline/exhaustive.hpp"
 #include "util/rng.hpp"
 
@@ -107,16 +109,14 @@ void mutate(State& state, const SearchConfig& config, util::Rng& rng) {
 }
 
 double evaluate(core::OnlineScheduler& scheduler, const SearchConfig& config,
-                const State& state, double* alg_out, double* opt_out) {
+                const State& state, double& alg, double& opt) {
   const platform::Platform plat{std::vector<platform::SlaveSpec>(
       state.slaves.begin(), state.slaves.end())};
   const core::Workload work = core::Workload::from_releases(state.releases);
   const core::Schedule schedule = core::simulate(plat, work, scheduler);
-  const double alg = schedule.objective(config.objective);
-  const double opt =
-      offline::solve_optimal(plat, work, config.objective).objective;
-  if (alg_out != nullptr) *alg_out = alg;
-  if (opt_out != nullptr) *opt_out = opt;
+  core::validate_or_throw(plat, work, schedule);
+  alg = schedule.objective(config.objective);
+  opt = offline::solve_optimal(plat, work, config.objective).objective;
   return opt > 0.0 ? alg / opt : 1.0;
 }
 
@@ -124,27 +124,35 @@ double evaluate(core::OnlineScheduler& scheduler, const SearchConfig& config,
 
 SearchResult adversarial_search(core::OnlineScheduler& scheduler,
                                 const SearchConfig& config) {
+  if (config.num_tasks < 1 || config.iterations < 0 || config.restarts < 1) {
+    throw std::invalid_argument(
+        "adversarial search needs tasks >= 1, iterations >= 0 and "
+        "restarts >= 1");
+  }
   util::Rng rng(config.seed);
   SearchResult best;
+  const auto record = [&best](const State& state, double ratio, double alg,
+                              double opt) {
+    if (!best.platform.empty() && ratio <= best.ratio) return;
+    best.ratio = ratio;
+    best.platform = state.slaves;
+    best.releases = state.releases;
+    best.alg_value = alg;
+    best.opt_value = opt;
+  };
   for (int restart = 0; restart < config.restarts; ++restart) {
     State current = random_state(config, rng);
-    double current_ratio = evaluate(scheduler, config, current, nullptr,
-                                    nullptr);
+    double alg = 0.0, opt = 0.0;
+    double current_ratio = evaluate(scheduler, config, current, alg, opt);
+    record(current, current_ratio, alg, opt);
     for (int iter = 0; iter < config.iterations; ++iter) {
       State candidate = current;
       mutate(candidate, config, rng);
-      double alg = 0.0, opt = 0.0;
-      const double ratio = evaluate(scheduler, config, candidate, &alg, &opt);
+      const double ratio = evaluate(scheduler, config, candidate, alg, opt);
       if (ratio >= current_ratio) {  // plateau moves allowed
         current = std::move(candidate);
         current_ratio = ratio;
-        if (ratio > best.ratio) {
-          best.ratio = ratio;
-          best.platform = current.slaves;
-          best.releases = current.releases;
-          best.alg_value = alg;
-          best.opt_value = opt;
-        }
+        record(current, ratio, alg, opt);
       }
     }
   }

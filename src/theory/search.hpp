@@ -44,7 +44,10 @@ struct SearchResult {
 };
 
 /// Runs the search; the scheduler is reset before every candidate
-/// evaluation. Deterministic in config.seed.
+/// evaluation, and every candidate's schedule is validated. Each restart's
+/// random start counts as a candidate, so the result always carries an
+/// instance. Deterministic in config.seed. Throws std::invalid_argument
+/// unless num_tasks >= 1, iterations >= 0 and restarts >= 1.
 SearchResult adversarial_search(core::OnlineScheduler& scheduler,
                                 const SearchConfig& config);
 

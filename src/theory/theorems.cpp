@@ -317,11 +317,10 @@ std::unique_ptr<TheoremAdversary> make_theorem_adversary(int number, double eps,
   }
 }
 
-std::vector<std::unique_ptr<TheoremAdversary>> all_theorem_adversaries(
-    double eps, double scale) {
+std::vector<std::unique_ptr<TheoremAdversary>> all_theorem_adversaries() {
   std::vector<std::unique_ptr<TheoremAdversary>> out;
   out.reserve(9);
-  for (int k = 1; k <= 9; ++k) out.push_back(make_theorem_adversary(k, eps, scale));
+  for (int k = 1; k <= 9; ++k) out.push_back(make_theorem_adversary(k));
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "core/validator.hpp"
+#include "offline/exhaustive.hpp"
 #include "platform/generator.hpp"
 #include "theory/bounds.hpp"
 #include "theory/search.hpp"
@@ -303,6 +304,48 @@ TEST(AdversarialSearch, RatioNeverBelowOne) {
   config.restarts = 1;
   const auto ls = algorithms::make_scheduler("LS");
   EXPECT_GE(theory::adversarial_search(*ls, config).ratio, 1.0 - 1e-9);
+}
+
+TEST(AdversarialSearch, RejectsEmptyInstancesAndNegativeBudgets) {
+  // With no task, a release mutation would draw uniform_int(0, -1).
+  const auto ls = algorithms::make_scheduler("LS");
+  for (const int tasks : {0, -3}) {
+    theory::SearchConfig config;
+    config.num_tasks = tasks;
+    EXPECT_THROW(theory::adversarial_search(*ls, config),
+                 std::invalid_argument)
+        << "tasks = " << tasks;
+  }
+  theory::SearchConfig negative_iterations;
+  negative_iterations.iterations = -1;
+  EXPECT_THROW(theory::adversarial_search(*ls, negative_iterations),
+               std::invalid_argument);
+  theory::SearchConfig no_restarts;
+  no_restarts.restarts = 0;
+  EXPECT_THROW(theory::adversarial_search(*ls, no_restarts),
+               std::invalid_argument);
+}
+
+TEST(AdversarialSearch, RecordsTheStartInstanceWithoutIterations) {
+  theory::SearchConfig config;
+  config.platform_class = platform::PlatformClass::kFullyHeterogeneous;
+  config.num_slaves = 3;
+  config.iterations = 0;
+  config.restarts = 1;
+  const auto ls = algorithms::make_scheduler("LS");
+  const theory::SearchResult result = theory::adversarial_search(*ls, config);
+  ASSERT_EQ(result.platform.size(), 3u);
+  ASSERT_EQ(result.releases.size(), 4u);
+
+  // The recorded ratio is the start instance's, re-evaluated from scratch.
+  const Platform plat(result.platform);
+  const Workload work = Workload::from_releases(result.releases);
+  const double alg = core::simulate(plat, work, *ls).makespan();
+  const double opt =
+      offline::solve_optimal(plat, work, core::Objective::kMakespan).objective;
+  EXPECT_DOUBLE_EQ(result.alg_value, alg);
+  EXPECT_DOUBLE_EQ(result.opt_value, opt);
+  EXPECT_DOUBLE_EQ(result.ratio, alg / opt);
 }
 
 }  // namespace
