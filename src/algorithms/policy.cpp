@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <variant>
@@ -62,53 +63,95 @@ core::SlaveId best_completion_in(const core::EngineView& engine,
 
 // ---------------------------------------------------------------- filters --
 
-class AllFilter : public CandidateFilter {
+/// The first slave of order[start..], then order[..start), that `admits`;
+/// -1 when it admits none.
+template <typename Admits>
+core::SlaveId first_in_cycle(const std::vector<core::SlaveId>& order,
+                             std::size_t start, Admits admits) {
+  for (std::size_t k = start; k < order.size(); ++k) {
+    if (admits(order[k])) return order[k];
+  }
+  for (std::size_t k = 0; k < start; ++k) {
+    if (admits(order[k])) return order[k];
+  }
+  return -1;
+}
+
+/// Base of the filters that test each slave on its own (all, free):
+/// Derived::admission(engine, f) calls f with the test, read from the dense
+/// arrays when the view has them and through the virtual probes when not,
+/// so collect() and the fixed-order walk admit the same slaves.
+template <typename Derived>
+class PerSlaveFilter : public CandidateFilter {
  public:
   void collect(const core::EngineView& engine, core::TaskId,
                std::vector<core::SlaveId>& out) override {
-    const core::SlaveStateView s = engine.slave_state();
-    if (!s.empty()) {
-      if (s.online == nullptr) {
-        // Everything online: bulk-fill 0..m-1 instead of m capacity-checked
-        // push_backs.
-        const std::size_t base = out.size();
-        out.resize(base + static_cast<std::size_t>(s.m));
-        std::iota(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-                  0);
-        return;
+    Derived::admission(engine, [&](auto admits) {
+      const core::SlaveId m = engine.platform().size();
+      for (core::SlaveId j = 0; j < m; ++j) {
+        if (admits(j)) out.push_back(j);
       }
-      // Dense sweep over the online byte array instead of m virtual probes.
-      for (core::SlaveId j = 0; j < s.m; ++j) {
-        if (s.online[j] != 0) out.push_back(j);
-      }
-      return;
-    }
-    for (core::SlaveId j = 0; j < engine.platform().size(); ++j) {
-      if (engine.is_available(j)) out.push_back(j);
-    }
+    });
   }
-  bool pass_through() const override { return true; }
+  bool first_admitted(const core::EngineView& engine,
+                      const std::vector<core::SlaveId>& order,
+                      std::size_t start, core::SlaveId& out) override {
+    Derived::admission(engine, [&](auto admits) {
+      out = first_in_cycle(order, start, admits);
+    });
+    return true;
+  }
 };
 
-class FreeFilter : public CandidateFilter {
+class AllFilter : public PerSlaveFilter<AllFilter> {
  public:
-  void collect(const core::EngineView& engine, core::TaskId,
+  void collect(const core::EngineView& engine, core::TaskId task,
                std::vector<core::SlaveId>& out) override {
+    const core::SlaveStateView s = engine.slave_state();
+    if (!s.empty() && s.online == nullptr) {
+      // Everything online: bulk-fill 0..m-1 instead of m capacity-checked
+      // push_backs.
+      const std::size_t base = out.size();
+      out.resize(base + static_cast<std::size_t>(s.m));
+      std::iota(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(), 0);
+      return;
+    }
+    PerSlaveFilter::collect(engine, task, out);
+  }
+  bool pass_through() const override { return true; }
+
+  template <typename F>
+  static void admission(const core::EngineView& engine, F&& f) {
+    const core::SlaveStateView s = engine.slave_state();
+    if (!s.empty()) {
+      // Dense test on the online byte array instead of virtual probes.
+      f([&](core::SlaveId j) {
+        return s.online == nullptr || s.online[j] != 0;
+      });
+    } else {
+      f([&](core::SlaveId j) { return engine.is_available(j); });
+    }
+  }
+};
+
+class FreeFilter : public PerSlaveFilter<FreeFilter> {
+ public:
+  template <typename F>
+  static void admission(const core::EngineView& engine, F&& f) {
     const core::SlaveStateView s = engine.slave_state();
     if (!s.empty()) {
       // slave_free_now(j) is slave_ready_at(j) <= now + eps, and
       // slave_ready_at clamps ready to now — so on the raw array the test
       // reduces to ready[j] <= now + eps, bit-identical to the probe.
       const core::Time cutoff = engine.now() + core::kTimeEps;
-      for (core::SlaveId j = 0; j < s.m; ++j) {
-        if ((s.online == nullptr || s.online[j] != 0) && s.ready[j] <= cutoff) {
-          out.push_back(j);
-        }
-      }
-      return;
-    }
-    for (core::SlaveId j = 0; j < engine.platform().size(); ++j) {
-      if (engine.is_available(j) && engine.slave_free_now(j)) out.push_back(j);
+      f([&](core::SlaveId j) {
+        return (s.online == nullptr || s.online[j] != 0) &&
+               s.ready[j] <= cutoff;
+      });
+    } else {
+      f([&](core::SlaveId j) {
+        return engine.is_available(j) && engine.slave_free_now(j);
+      });
     }
   }
 };
@@ -197,19 +240,51 @@ class ReadyRanker : public Ranker {
 };
 
 /// comp / comm / comm+comp static costs (exact comparisons, like SRPT's
-/// "fastest free slave" scan).
+/// "fastest free slave" scan). The exact scan's winner is the admitted
+/// slave minimizing (key, index), or (key, c_j, index) under tie:fastlink,
+/// so the fixed order is the stable sort on that key.
 class StaticRanker : public Ranker {
  public:
   enum class Key { kComp, kComm, kCommComp };
-  explicit StaticRanker(Key key) : key_(key) {}
+  StaticRanker(Key key, bool fastlink) : key_(key), fastlink_(fastlink) {}
   void score(const core::EngineView& engine, core::TaskId,
              const std::vector<core::SlaveId>& candidates,
              std::vector<double>& scores) override {
+    keys(engine.platform(), candidates, scores);
+  }
+
+  const std::vector<core::SlaveId>* fixed_order(
+      const platform::Platform& platform, std::size_t& start) override {
+    if (order_uid_ != platform.uid()) {
+      const auto m = static_cast<std::size_t>(platform.size());
+      std::vector<core::SlaveId> ids(m);
+      std::iota(ids.begin(), ids.end(), 0);
+      std::vector<double> key(m);
+      keys(platform, ids, key);
+      const core::Time* comm = platform.comm_data();
+      std::stable_sort(ids.begin(), ids.end(),
+                       [&](core::SlaveId a, core::SlaveId b) {
+                         const auto ia = static_cast<std::size_t>(a);
+                         const auto ib = static_cast<std::size_t>(b);
+                         if (key[ia] != key[ib]) return key[ia] < key[ib];
+                         return fastlink_ && comm[a] < comm[b];
+                       });
+      order_ = std::move(ids);
+      order_uid_ = platform.uid();
+    }
+    start = 0;
+    return &order_;
+  }
+
+ private:
+  void keys(const platform::Platform& platform,
+            const std::vector<core::SlaveId>& candidates,
+            std::vector<double>& scores) const {
     // Gather from the platform's SoA mirrors (exact copies of the SlaveSpec
     // fields) with the key switch hoisted: no bounds-checked at() call per
     // candidate.
-    const core::Time* comm = engine.platform().comm_data();
-    const core::Time* comp = engine.platform().comp_data();
+    const core::Time* comm = platform.comm_data();
+    const core::Time* comp = platform.comp_data();
     const std::size_t n = candidates.size();
     switch (key_) {
       case Key::kComp:
@@ -226,8 +301,10 @@ class StaticRanker : public Ranker {
     }
   }
 
- private:
   Key key_;
+  bool fastlink_;
+  std::vector<core::SlaveId> order_;  ///< fixed_order() of platform order_uid_
+  std::uint64_t order_uid_ = 0;
 };
 
 class QueueRanker : public Ranker {
@@ -334,39 +411,49 @@ class CyclicRanker : public Ranker {
   void score(const core::EngineView& engine, core::TaskId,
              const std::vector<core::SlaveId>& candidates,
              std::vector<double>& scores) override {
-    if (cycle_.empty()) {
-      switch (order_) {
-        case Order::kCommPlusComp:
-          cycle_ = engine.platform().order_by_comm_plus_comp();
-          break;
-        case Order::kComm: cycle_ = engine.platform().order_by_comm(); break;
-        case Order::kComp: cycle_ = engine.platform().order_by_comp(); break;
-      }
-      pos_.assign(cycle_.size(), 0);
-      for (std::size_t i = 0; i < cycle_.size(); ++i) {
-        pos_[static_cast<std::size_t>(cycle_[i])] = i;
-      }
-      cursor_ = 0;
-    }
+    build_cycle(engine.platform());
     const std::size_t size = cycle_.size();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const std::size_t pos = pos_[static_cast<std::size_t>(candidates[i])];
       scores[i] = static_cast<double>((pos + size - cursor_) % size);
     }
   }
+  /// Distances ahead of the cursor are distinct, so the scan's winner is
+  /// the first admitted slave of the cycle walked from the cursor.
+  const std::vector<core::SlaveId>* fixed_order(
+      const platform::Platform& platform, std::size_t& start) override {
+    build_cycle(platform);
+    start = cursor_;
+    return &cycle_;
+  }
   void on_commit(core::SlaveId slave) override {
     cursor_ = (pos_[static_cast<std::size_t>(slave)] + 1) % cycle_.size();
   }
-  void reset() override {
-    cycle_.clear();
-    pos_.clear();
+  /// The cycle depends on the platform only and survives the reset.
+  void reset() override { cursor_ = 0; }
+
+ private:
+  void build_cycle(const platform::Platform& platform) {
+    if (cycle_uid_ == platform.uid()) return;
+    switch (order_) {
+      case Order::kCommPlusComp:
+        cycle_ = platform.order_by_comm_plus_comp();
+        break;
+      case Order::kComm: cycle_ = platform.order_by_comm(); break;
+      case Order::kComp: cycle_ = platform.order_by_comp(); break;
+    }
+    pos_.assign(cycle_.size(), 0);
+    for (std::size_t i = 0; i < cycle_.size(); ++i) {
+      pos_[static_cast<std::size_t>(cycle_[i])] = i;
+    }
+    cycle_uid_ = platform.uid();
     cursor_ = 0;
   }
 
- private:
   Order order_;
   std::vector<core::SlaveId> cycle_;
   std::vector<std::size_t> pos_;  ///< slave id -> position in cycle_
+  std::uint64_t cycle_uid_ = 0;   ///< Platform::uid() cycle_ was built for
   std::size_t cursor_ = 0;
 };
 
@@ -502,15 +589,17 @@ std::unique_ptr<CandidateFilter> make_filter(const PolicySpec& spec) {
 }
 
 std::unique_ptr<Ranker> make_ranker(const PolicySpec& spec) {
+  const bool fastlink = spec.tie == TieKind::kFastLink;
   switch (spec.ranker) {
     case RankerKind::kCompletion: return std::make_unique<CompletionRanker>();
     case RankerKind::kReady: return std::make_unique<ReadyRanker>();
     case RankerKind::kComp:
-      return std::make_unique<StaticRanker>(StaticRanker::Key::kComp);
+      return std::make_unique<StaticRanker>(StaticRanker::Key::kComp, fastlink);
     case RankerKind::kComm:
-      return std::make_unique<StaticRanker>(StaticRanker::Key::kComm);
+      return std::make_unique<StaticRanker>(StaticRanker::Key::kComm, fastlink);
     case RankerKind::kCommComp:
-      return std::make_unique<StaticRanker>(StaticRanker::Key::kCommComp);
+      return std::make_unique<StaticRanker>(StaticRanker::Key::kCommComp,
+                                            fastlink);
     case RankerKind::kQueue: return std::make_unique<QueueRanker>();
     case RankerKind::kConst: return std::make_unique<ConstRanker>();
     case RankerKind::kWrr: return std::make_unique<WrrRanker>();
@@ -549,14 +638,15 @@ ComposedPolicy::ComposedPolicy(const PolicySpec& spec)
       ranker_(make_ranker(spec)),
       gate_(make_gate(spec)),
       tie_rng_(spec.seed) {
-  if (spec_.eps < 0.0) {
+  if (!(spec_.eps >= 0.0)) {  // NaN too: it would leave the band empty
     throw std::invalid_argument("ComposedPolicy: eps must be >= 0");
   }
   const std::string legacy = canonical_name(spec_);
   name_ = legacy.empty() ? to_string(spec_) : legacy;
+  exact_scan_ = spec_.tie != TieKind::kRng && spec_.eps == 0.0;
   bulk_completion_path_ = spec_.filter == FilterKind::kAll &&
                           spec_.ranker == RankerKind::kCompletion &&
-                          spec_.tie == TieKind::kIndex && spec_.eps == 0.0;
+                          spec_.tie == TieKind::kIndex && exact_scan_;
 }
 
 ComposedPolicy::~ComposedPolicy() = default;
@@ -570,8 +660,7 @@ void ComposedPolicy::reset() {
 
 core::SlaveId ComposedPolicy::select(const core::EngineView& engine) {
   const std::size_t n = candidates_.size();
-  const bool banded = spec_.tie == TieKind::kRng || spec_.eps > 0.0;
-  if (!banded) {
+  if (exact_scan_) {
     // Legacy scan: a later candidate wins only by beating the incumbent by
     // more than the ranker's tolerance — or, under tie:fastlink, by a
     // cheaper link within it (SRPT's comp-then-comm rule at eps 0).
@@ -626,12 +715,22 @@ core::SlaveId ComposedPolicy::select(const core::EngineView& engine) {
   throw std::logic_error("ComposedPolicy: unknown tie kind");
 }
 
+bool ComposedPolicy::walk_fixed_order(const core::EngineView& engine,
+                                      core::SlaveId& chosen) {
+  if (!exact_scan_) return false;
+  std::size_t start = 0;
+  const std::vector<core::SlaveId>* order =
+      ranker_->fixed_order(engine.platform(), start);
+  return order != nullptr &&
+         filter_->first_admitted(engine, *order, start, chosen);
+}
+
 core::Decision ComposedPolicy::decide(const core::EngineView& engine) {
   const core::TaskId task = engine.pending_front();
   core::SlaveId chosen = -1;
   if (bulk_completion_path_) {
     chosen = engine.best_completion_slave(task);
-  } else {
+  } else if (!walk_fixed_order(engine, chosen)) {
     candidates_.clear();
     filter_->collect(engine, task, candidates_);
     if (candidates_.empty()) return core::Defer{};

@@ -37,10 +37,24 @@ class CandidateFilter {
   virtual ~CandidateFilter() = default;
   virtual void collect(const core::EngineView& engine, core::TaskId task,
                        std::vector<core::SlaveId>& out) = 0;
-  /// True when collect() passes exactly the available set — lets rankers
-  /// use the engine's bulk best_completion_slave() probe instead of m
-  /// virtual per-slave probes.
+  /// True when collect() passes exactly the available set. The SLJF plan
+  /// ranker's list-scheduling fallback then takes the engine's bulk
+  /// best_completion_slave() probe instead of probing the collected set.
+  /// (The fixed-order walk does not read this: it asks first_admitted().)
   virtual bool pass_through() const { return false; }
+  /// Filters that test each slave on its own (all, free) can admit one
+  /// slave at a time: they set `out` to the first slave they admit in
+  /// order[start..] then order[..start) (-1 when none) and return true. The
+  /// default declines, and the policy collects the whole set instead.
+  virtual bool first_admitted(const core::EngineView& engine,
+                              const std::vector<core::SlaveId>& order,
+                              std::size_t start, core::SlaveId& out) {
+    (void)engine;
+    (void)order;
+    (void)start;
+    (void)out;
+    return false;
+  }
   virtual void on_commit(core::SlaveId slave) { (void)slave; }
   virtual void reset() {}
 };
@@ -69,6 +83,17 @@ class Ranker {
     (void)pass_through;
     (void)out;
     return false;
+  }
+  /// Rankers whose exact scan always picks the first candidate in a fixed
+  /// order of the platform's slaves (a static key; the cycle from the
+  /// cursor) return that order and set `start` to the walk's first position
+  /// (the walk wraps). The order is kept across reset(): it depends on the
+  /// platform only. The default returns null: selection scores and scans.
+  virtual const std::vector<core::SlaveId>* fixed_order(
+      const platform::Platform& platform, std::size_t& start) {
+    (void)platform;
+    (void)start;
+    return nullptr;
   }
   virtual void on_commit(core::SlaveId slave) { (void)slave; }
   virtual void reset() {}
@@ -101,7 +126,12 @@ class CommitGate {
 ///      within the ranker's tolerance), with eps > 0 or tie:rng a banded
 ///      mode — every candidate within a (1 + eps) factor of the best is
 ///      tied, and tie:index takes the first, tie:fastlink the cheapest
-///      link, tie:rng a uniform seeded draw,
+///      link, tie:rng a uniform seeded draw. Under the exact scan, a ranker
+///      with a fixed_order() (RR/RRC/RRP's cycle, SRPT's and the other
+///      static keys' sort) and a per-slave filter (all, free) skip steps 1-3:
+///      the policy walks the order and takes the first slave the filter
+///      admits (none -> Defer), the same slave the scan would pick, in
+///      O(walk) instead of O(m),
 ///   4. the gate commits, defers, or paces; stateful components observe
 ///      the commit only if the gate lets it through.
 class ComposedPolicy : public core::OnlineScheduler {
@@ -133,6 +163,8 @@ class ComposedPolicy : public core::OnlineScheduler {
 
  private:
   core::SlaveId select(const core::EngineView& engine);
+  /// Step 3's fixed-order walk; false when the ranker or filter declines.
+  bool walk_fixed_order(const core::EngineView& engine, core::SlaveId& chosen);
 
   PolicySpec spec_;
   std::string name_;
@@ -144,6 +176,8 @@ class ComposedPolicy : public core::OnlineScheduler {
   /// tie, exact scan): one bulk best_completion_slave() probe instead of
   /// m virtual probes — the optimization the monolithic LS had.
   bool bulk_completion_path_ = false;
+  /// eps == 0 and no tie:rng: selection is the legacy exact scan.
+  bool exact_scan_ = false;
 
   // Per-decision scratch, reused across calls.
   std::vector<core::SlaveId> candidates_;

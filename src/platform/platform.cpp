@@ -1,6 +1,7 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <sstream>
@@ -19,6 +20,8 @@ std::string to_string(PlatformClass cls) {
 }
 
 Platform::Platform(std::vector<SlaveSpec> slaves) : slaves_(std::move(slaves)) {
+  static std::atomic<std::uint64_t> next_uid{0};
+  uid_ = ++next_uid;
   if (slaves_.empty()) {
     throw std::invalid_argument("Platform: needs at least one slave");
   }

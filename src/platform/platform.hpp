@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,12 @@ class Platform {
   core::Time comp(core::SlaveId j) const { return at(j).comp; }
   const SlaveSpec& at(core::SlaveId j) const;
   const std::vector<SlaveSpec>& slaves() const { return slaves_; }
+
+  /// Identity of this slave list: copies share it, separate constructions
+  /// never do (a process-wide counter). Caches derived from the slave list
+  /// (the static and cyclic rankers' fixed slave orders) key on it rather
+  /// than on the object's address, which an engine reuses across loads.
+  std::uint64_t uid() const { return uid_; }
 
   /// Contiguous per-field mirrors of the slave list (structure-of-arrays),
   /// for the batched ranking kernel (core/rank_kernel.hpp): probing m slaves
@@ -87,6 +94,7 @@ class Platform {
   std::vector<SlaveSpec> slaves_;
   std::vector<core::Time> comm_;  ///< SoA mirror of slaves_[j].comm
   std::vector<core::Time> comp_;  ///< SoA mirror of slaves_[j].comp
+  std::uint64_t uid_ = 0;
 };
 
 }  // namespace msol::platform

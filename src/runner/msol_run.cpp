@@ -26,8 +26,10 @@
 // `shard_routing`, `shard_threads`) is set only by the grid file's keys of
 // those names, so `--print-grid` and the manifest's config hash record it.
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -92,6 +94,19 @@ const std::set<std::string> kKnownKeys = {
     "help",    "list-algorithms",
     "search",  "classes",    "slaves",     "tasks",  "iterations",
     "restarts", "seed",      "window"};
+
+/// --key as an int: a value outside int range is an error, not a
+/// wrap-around (--tasks 4294967297 would otherwise run a 1-task search).
+int int_option(const msol::util::Cli& cli, const std::string& key,
+               int fallback) {
+  const std::int64_t value = cli.get_int(key, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("--" + key + " is out of range: " +
+                             std::to_string(value));
+  }
+  return static_cast<int>(value);
+}
 
 int run_merge(const msol::util::Cli& cli) {
   using namespace msol;
@@ -175,12 +190,15 @@ int run_fit(const msol::util::Cli& cli) {
       const std::string token = util::trim(item);
       if (!token.empty()) classes.push_back(runner::parse_platform_class(token));
     }
+    if (classes.empty()) {
+      throw std::runtime_error("--classes names no platform class");
+    }
   }
   theory::SearchConfig config;
-  config.num_slaves = static_cast<int>(cli.get_int("slaves", 2));
-  config.num_tasks = static_cast<int>(cli.get_int("tasks", 4));
-  config.iterations = static_cast<int>(cli.get_int("iterations", 400));
-  config.restarts = static_cast<int>(cli.get_int("restarts", 3));
+  config.num_slaves = int_option(cli, "slaves", 2);
+  config.num_tasks = int_option(cli, "tasks", 4);
+  config.iterations = int_option(cli, "iterations", 400);
+  config.restarts = int_option(cli, "restarts", 3);
   config.seed = cli.get_uint64("seed", 2006);
 
   const std::vector<experiments::RobustSpecResult> report =
@@ -294,12 +312,12 @@ int main(int argc, char** argv) {
     }
 
     runner::RunnerOptions runner_options;
-    const long long threads = cli.get_int("threads", 1);
+    const int threads = int_option(cli, "threads", 1);
     if (threads < 0) {
       throw std::runtime_error(
           "--threads must be >= 0 (0 = all hardware threads)");
     }
-    runner_options.threads = static_cast<int>(threads);
+    runner_options.threads = threads;
     const long long window = cli.get_int("window", 0);
     if (window < 0) throw std::runtime_error("--window must be >= 0");
     runner_options.window = static_cast<std::size_t>(window);

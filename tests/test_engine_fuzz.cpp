@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -222,8 +224,13 @@ TEST_P(ShardedFuzz, RandomFederationsStayFeasible) {
         platform::AvailabilityModel::kChurn, m, mtbf, outage_frac, horizon,
         rng);
   }
-  const char* const policies[] = {"LS", "RR", "SRPT", "SLJF", "MINREADY"};
-  const std::string policy = policies[rng.uniform_int(0, 4)];
+  // RR/RRC/RRP, SRPT and the other fixed-order compositions decide by
+  // walking a cached slave order; the sanitizer build runs them here too.
+  const char* const policies[] = {"LS", "RR", "RRC", "RRP", "SRPT", "SLJF",
+                                  "MINREADY", "rank:comm+filter:free",
+                                  "rank:cyclic:comp+filter:free"};
+  const std::string policy = policies[rng.uniform_int(
+      0, static_cast<std::int64_t>(std::size(policies)) - 1)];
 
   ShardedEngine engine(
       plat, [&] { return algorithms::make_scheduler(policy); }, options);

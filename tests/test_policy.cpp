@@ -13,13 +13,16 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "algorithms/policy.hpp"
 #include "algorithms/policy_spec.hpp"
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/reference_engine.hpp"
 #include "core/validator.hpp"
+#include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
 
@@ -421,6 +424,171 @@ TEST(ComposedPolicy, SpecSeedsAreDeterministic) {
   const Schedule sb = core::simulate(plat, work, *b);
   for (int i = 0; i < work.size(); ++i) {
     EXPECT_EQ(sa.at(i).slave, sb.at(i).slave);
+  }
+}
+
+// ------------------------------------------------------ fixed-order walk ----
+
+/// Runs a fixed-order composition (static key or cyclic cursor, per-slave
+/// filter, exact scan) and checks every decision against a brute-force
+/// argmin of the legacy scan: admitted slaves in index order through the
+/// virtual probes, a later slave winning on a strictly smaller score (the
+/// rankers' eps is 0), or under tie:fastlink on an equal score and a
+/// strictly cheaper link. The cyclic cursor is tracked here from the
+/// committed slaves.
+class FixedOrderOracle : public core::OnlineScheduler {
+ public:
+  explicit FixedOrderOracle(const std::string& text)
+      : spec_(parse_policy_spec(text)), policy_(spec_) {}
+  std::string name() const override { return "oracle:" + policy_.name(); }
+
+  core::Decision decide(const core::EngineView& engine) override {
+    const core::SlaveId expected = argmin(engine);
+    const core::Decision decision = policy_.decide(engine);
+    const auto* assign = std::get_if<core::Assign>(&decision);
+    const core::SlaveId got = assign != nullptr ? assign->slave : -1;
+    ++decisions;
+    if (expected >= 0 && expected != lowest_admitted_) ++order_decided;
+    if (got != expected && mismatches++ == 0) {
+      first_mismatch = "t=" + std::to_string(engine.now()) + " walk " +
+                       std::to_string(got) + " scan " +
+                       std::to_string(expected);
+    }
+    if (assign != nullptr && cyclic()) {
+      cursor_ = (position(assign->slave) + 1) % cycle_.size();
+    }
+    return decision;
+  }
+  void reset() override {
+    policy_.reset();
+    cursor_ = 0;
+  }
+
+  int decisions = 0;
+  int order_decided = 0;  ///< the scan did not pick the lowest admitted id
+  int mismatches = 0;
+  std::string first_mismatch;
+
+ private:
+  bool cyclic() const {
+    return spec_.ranker == RankerKind::kCyclicCommComp ||
+           spec_.ranker == RankerKind::kCyclicComm ||
+           spec_.ranker == RankerKind::kCyclicComp;
+  }
+  std::size_t position(core::SlaveId j) const {
+    return static_cast<std::size_t>(
+        std::find(cycle_.begin(), cycle_.end(), j) - cycle_.begin());
+  }
+  double score(const Platform& plat, core::SlaveId j) const {
+    switch (spec_.ranker) {
+      case RankerKind::kComp: return plat.comp(j);
+      case RankerKind::kComm: return plat.comm(j);
+      case RankerKind::kCommComp: return plat.comm(j) + plat.comp(j);
+      default:
+        return static_cast<double>((position(j) + cycle_.size() - cursor_) %
+                                   cycle_.size());
+    }
+  }
+  core::SlaveId argmin(const core::EngineView& engine) {
+    const Platform& plat = engine.platform();
+    switch (spec_.ranker) {
+      case RankerKind::kCyclicCommComp:
+        cycle_ = plat.order_by_comm_plus_comp();
+        break;
+      case RankerKind::kCyclicComm: cycle_ = plat.order_by_comm(); break;
+      case RankerKind::kCyclicComp: cycle_ = plat.order_by_comp(); break;
+      default: break;
+    }
+    core::SlaveId best = -1;
+    lowest_admitted_ = -1;
+    for (core::SlaveId j = 0; j < plat.size(); ++j) {
+      if (!engine.is_available(j)) continue;
+      if (spec_.filter == FilterKind::kFree && !engine.slave_free_now(j)) {
+        continue;
+      }
+      if (best < 0) {
+        best = lowest_admitted_ = j;
+        continue;
+      }
+      const double s = score(plat, j);
+      const double s_best = score(plat, best);
+      if (s < s_best ||
+          (spec_.tie == TieKind::kFastLink && s <= s_best &&
+           plat.comm(j) < plat.comm(best))) {
+        best = j;
+      }
+    }
+    return best;
+  }
+
+  PolicySpec spec_;
+  ComposedPolicy policy_;
+  std::vector<core::SlaveId> cycle_;
+  std::size_t cursor_ = 0;
+  core::SlaveId lowest_admitted_ = -1;
+};
+
+TEST(ComposedPolicy, FixedOrderWalkPicksTheLegacyScansSlave) {
+  util::Rng rng(409);
+  const platform::PlatformGenerator gen;
+  // Homogeneous classes leave every choice to the tie rules (index, then
+  // the cheaper link when only p_j ties); the two-valued platform mixes
+  // key ties with distinct links (c + p = 3 either way round).
+  std::vector<Platform> platforms;
+  for (int round = 0; round < 3; ++round) {
+    for (PlatformClass cls :
+         {PlatformClass::kFullyHomogeneous, PlatformClass::kCommHomogeneous,
+          PlatformClass::kCompHomogeneous}) {
+      platforms.push_back(
+          gen.generate(cls, static_cast<int>(rng.uniform_int(1, 12)), rng));
+    }
+    std::vector<SlaveSpec> coarse;
+    for (int j = 0; j < 10; ++j) {
+      coarse.push_back(SlaveSpec{rng.chance(0.5) ? 1.0 : 2.0,
+                                 rng.chance(0.5) ? 1.0 : 2.0});
+    }
+    platforms.emplace_back(std::move(coarse));
+  }
+
+  for (const std::string text :
+       {"RR", "RRC", "RRP", "SRPT", "rank:comp", "rank:comm+filter:free",
+        "rank:commcomp+tie:fastlink", "rank:cyclic:comp+filter:free"}) {
+    // One oracle (one policy object) across every platform and engine: the
+    // cached order must follow the platform, not the engine's address.
+    FixedOrderOracle oracle(text);
+    for (const Platform& plat : platforms) {
+      const Workload work = Workload::poisson(
+          60, 1.5 * plat.aggregate_compute_rate(), rng);
+      // Static and churning OnePortEngine (dense state; the walk skips
+      // offline slaves), then the ReferenceEngine (virtual probes only).
+      for (int view = 0; view < 3; ++view) {
+        core::EngineOptions options;
+        if (view == 1) {
+          options.availability = platform::generate_availability(
+              platform::AvailabilityModel::kChurn, plat.size(), 3.0, 0.3,
+              200.0, rng);
+        }
+        oracle.reset();
+        Schedule s;
+        if (view < 2) {
+          core::OnePortEngine engine(plat, oracle, options);
+          engine.load(work);
+          engine.run_to_completion();
+          s = engine.schedule();
+        } else {
+          core::ReferenceEngine engine(plat, oracle);
+          engine.load(work);
+          engine.run_to_completion();
+          s = engine.schedule();
+        }
+        EXPECT_TRUE(core::validate(plat, work, s, options).empty())
+            << text << " view " << view;
+      }
+    }
+    EXPECT_EQ(oracle.mismatches, 0) << text << ": " << oracle.first_mismatch;
+    EXPECT_GT(oracle.order_decided, oracle.decisions / 20)
+        << text << ": the order rarely mattered (" << oracle.order_decided
+        << " of " << oracle.decisions << ")";
   }
 }
 
