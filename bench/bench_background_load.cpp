@@ -5,7 +5,9 @@
 // becomes a defence. Reported: metric under load / metric on the pristine
 // platform, per algorithm.
 
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
@@ -17,12 +19,18 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace msol;
-  const util::Cli cli(argc, argv);
-  const int platforms = static_cast<int>(cli.get_int("platforms", 5));
-  const int tasks = static_cast<int>(cli.get_int("tasks", 400));
+namespace {
+
+using namespace msol;
+
+void run(const util::Cli& cli) {
+  const int platforms = cli.get_int("platforms", 5, 1);
+  const int tasks = cli.get_int("tasks", 400, 1);
   const double factor = cli.get_double("factor", 3.0);
+  if (factor <= 0.0) {
+    throw std::invalid_argument("--factor must be > 0, got " +
+                                cli.get("factor", ""));
+  }
   util::Rng rng(cli.get_uint64("seed", 2006));
 
   std::cout << "=== Background-load robustness: the fastest slave runs " << factor
@@ -41,7 +49,9 @@ int main(int argc, char** argv) {
 
     // Nominal horizon from LS, used to place the load window fairly.
     const auto probe = algorithms::make_scheduler("LS");
-    const double horizon = core::simulate(plat, work, *probe).makespan();
+    const core::Schedule probed = core::simulate(plat, work, *probe);
+    core::validate_or_throw(plat, work, probed);
+    const double horizon = probed.makespan();
 
     core::EngineOptions degraded;
     // Hit the most attractive slave: the one with the fastest CPU.
@@ -53,6 +63,7 @@ int main(int argc, char** argv) {
       if (name == "RANDOM") continue;
       const auto base_sched = algorithms::make_scheduler(name, tasks);
       const core::Schedule base = core::simulate(plat, work, *base_sched);
+      core::validate_or_throw(plat, work, base);
       const auto load_sched = algorithms::make_scheduler(name, tasks);
       const core::Schedule loaded =
           core::simulate(plat, work, *load_sched, degraded);
@@ -71,5 +82,16 @@ int main(int argc, char** argv) {
   std::cout << (cli.has("csv") ? table.to_csv() : table.to_string());
   std::cout << "\n(1.0 = unaffected; higher = more damage from the same "
                "background load)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    run(msol::util::Cli(argc, argv));
+    return 0;
+  } catch (const std::exception& error) {
+    std::cerr << "bench_background_load: " << error.what() << "\n";
+    return 1;
+  }
 }

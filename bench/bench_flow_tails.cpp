@@ -4,11 +4,13 @@
 // Figure-1(d) setting and shows that sum-flow winners are not automatically
 // tail winners.
 
+#include <exception>
 #include <iostream>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
+#include "core/validator.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/generator.hpp"
 #include "util/cli.hpp"
@@ -16,11 +18,13 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace msol;
-  const util::Cli cli(argc, argv);
-  const int platforms = static_cast<int>(cli.get_int("platforms", 5));
-  const int tasks = static_cast<int>(cli.get_int("tasks", 600));
+namespace {
+
+using namespace msol;
+
+void run(const util::Cli& cli) {
+  const int platforms = cli.get_int("platforms", 5, 1);
+  const int tasks = cli.get_int("tasks", 600, 1);
   util::Rng rng(cli.get_uint64("seed", 2006));
 
   std::cout << "=== Flow-time distribution: mean / p50 / p90 / p99 / max "
@@ -40,6 +44,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : algorithms::extended_algorithm_names()) {
       const auto scheduler = algorithms::make_scheduler(name, tasks);
       const core::Schedule s = core::simulate(plat, work, *scheduler);
+      core::validate_or_throw(plat, work, s);
       const core::FlowStats f = core::flow_stats(s);
       const core::Utilization u = core::utilization(plat, s);
       mean_v[name].push_back(f.mean);
@@ -66,5 +71,16 @@ int main(int argc, char** argv) {
   std::cout << (cli.has("csv") ? table.to_csv() : table.to_string());
   std::cout << "\n(flows in virtual seconds; jain = 1 means perfectly equal "
                "response times)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    run(msol::util::Cli(argc, argv));
+    return 0;
+  } catch (const std::exception& error) {
+    std::cerr << "bench_flow_tails: " << error.what() << "\n";
+    return 1;
+  }
 }

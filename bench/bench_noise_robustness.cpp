@@ -5,10 +5,12 @@
 // machine noise — explaining why the paper's Figure 2 bars are taller than
 // a pure size-jitter replay produces.
 
+#include <exception>
 #include <iostream>
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/validator.hpp"
 #include "experiments/campaign.hpp"
 #include "platform/generator.hpp"
 #include "util/cli.hpp"
@@ -16,11 +18,13 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace msol;
-  const util::Cli cli(argc, argv);
-  const int platforms = static_cast<int>(cli.get_int("platforms", 5));
-  const int tasks = static_cast<int>(cli.get_int("tasks", 400));
+namespace {
+
+using namespace msol;
+
+void run(const util::Cli& cli) {
+  const int platforms = cli.get_int("platforms", 5, 1);
+  const int tasks = cli.get_int("tasks", 400, 1);
   util::Rng rng(cli.get_uint64("seed", 2006));
 
   std::cout << "=== Noise decomposition: coupled size jitter (Fig 2) vs "
@@ -65,6 +69,8 @@ int main(int argc, char** argv) {
         const auto b = algorithms::make_scheduler(name, tasks);
         const core::Schedule base = core::simulate(plat, clean, *a);
         const core::Schedule pert = core::simulate(plat, noisy, *b);
+        core::validate_or_throw(plat, clean, base);
+        core::validate_or_throw(plat, noisy, pert);
         mk[name].push_back(pert.makespan() / base.makespan());
         sf[name].push_back(pert.sum_flow() / base.sum_flow());
         mf[name].push_back(pert.max_flow() / base.max_flow());
@@ -79,5 +85,16 @@ int main(int argc, char** argv) {
   std::cout << (cli.has("csv") ? table.to_csv() : table.to_string());
   std::cout << "\n(lognormal sigma in log-space: s=0.2 ~ +/-20% typical, "
                "s=0.5 ~ +/-65% typical)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    run(msol::util::Cli(argc, argv));
+    return 0;
+  } catch (const std::exception& error) {
+    std::cerr << "bench_noise_robustness: " << error.what() << "\n";
+    return 1;
+  }
 }

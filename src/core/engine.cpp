@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -30,6 +31,12 @@ void OnePortEngine::reset(platform::Platform platform,
                           OnlineScheduler& scheduler, EngineOptions options) {
   if (options.port_capacity < 0) {
     throw std::invalid_argument("OnePortEngine: negative port capacity");
+  }
+  for (const SlowdownWindow& window : options.slowdowns) {
+    if (!std::isfinite(window.factor) || window.factor <= 0.0) {
+      throw std::invalid_argument(
+          "OnePortEngine: slowdown factor must be finite and > 0");
+    }
   }
   platform_.emplace(std::move(platform));
   scheduler_ = &scheduler;

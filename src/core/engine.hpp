@@ -25,7 +25,9 @@ struct SlowdownWindow {
   SlaveId slave = 0;
   Time begin = 0.0;
   Time end = 0.0;
-  double factor = 1.0;  ///< > 1 slows the slave down
+  /// > 1 slows the slave down, < 1 speeds it up; OnePortEngine::reset
+  /// throws std::invalid_argument unless it is finite and > 0.
+  double factor = 1.0;
 };
 
 /// Multiplicative slowdown applying to a compute that starts at

@@ -123,19 +123,6 @@ struct CampaignResult {
 /// merged schedule against the whole fleet). Deterministic in `config.seed`.
 CampaignResult run_campaign(const CampaignConfig& config);
 
-/// Figure 2: per-algorithm ratio of each metric under +/-`size_jitter`
-/// task sizes versus identical tasks, on the same platforms and releases.
-struct RobustnessResult {
-  std::string name;
-  util::Summary makespan_ratio;
-  util::Summary max_flow_ratio;
-  util::Summary sum_flow_ratio;
-};
-
-/// Both schedules of every pair run and are validated as run_campaign's
-/// are. Throws std::invalid_argument when size_jitter <= 0.
-std::vector<RobustnessResult> run_robustness(const CampaignConfig& config);
-
 /// Maximum sustainable task throughput of a platform under the one-port
 /// model: maximize sum x_j subject to sum c_j x_j <= 1 (port) and
 /// x_j <= 1/p_j (slave speed). Greedy on ascending c_j solves this LP.

@@ -13,11 +13,12 @@ namespace msol::experiments {
 /// robustness search over candidate spec strings (the `msol_run fit`
 /// subcommand drives both).
 ///
-/// The data source is a bench_policy_compare / grid sweep CSV (CsvSink
-/// format): every row whose policy spec is expressible as a point in
-/// rank:linear weight space — rank:linear itself, or a pure single-feature
-/// ranker, which is a simplex vertex — becomes one (weights, norm_makespan)
-/// sample in its row's regime. A least-squares fit per regime then asks
+/// The data source is a grid sweep CSV (CsvSink format): every row whose
+/// policy spec is expressible as a point in rank:linear weight space —
+/// rank:linear itself, or a pure single-feature ranker, which is a simplex
+/// vertex — becomes one (weights, norm_makespan) sample in its row's
+/// regime. (tests/test_paper.cpp builds its samples from run_campaign
+/// results directly.) A least-squares fit per regime then asks
 /// which direction in weight space lowers normalized makespan, and the
 /// recommended weights are the simplex point minimizing the fitted cost
 /// under a quadratic blend regularizer (an unregularized linear fit would

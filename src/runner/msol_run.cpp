@@ -26,12 +26,11 @@
 // `shard_routing`, `shard_threads`) is set only by the grid file's keys of
 // those names, so `--print-grid` and the manifest's config hash record it.
 
-#include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -42,6 +41,7 @@
 #include "runner/parallel_runner.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/scenario.hpp"
+#include "theory/search.hpp"
 #include "util/cli.hpp"
 #include "util/parse.hpp"
 
@@ -95,19 +95,6 @@ const std::set<std::string> kKnownKeys = {
     "search",  "classes",    "slaves",     "tasks",  "iterations",
     "restarts", "seed",      "window"};
 
-/// --key as an int: a value outside int range is an error, not a
-/// wrap-around (--tasks 4294967297 would otherwise run a 1-task search).
-int int_option(const msol::util::Cli& cli, const std::string& key,
-               int fallback) {
-  const std::int64_t value = cli.get_int(key, fallback);
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    throw std::runtime_error("--" + key + " is out of range: " +
-                             std::to_string(value));
-  }
-  return static_cast<int>(value);
-}
-
 int run_merge(const msol::util::Cli& cli) {
   using namespace msol;
   const bool has_csv = cli.has("csv");
@@ -141,12 +128,51 @@ int run_merge(const msol::util::Cli& cli) {
   return 0;
 }
 
+/// What `fit --search` searches: the platform classes and the instance
+/// size, iteration budget and seed of each adversarial search.
+struct SearchOptions {
+  std::vector<msol::platform::PlatformClass> classes;
+  msol::theory::SearchConfig config;
+};
+
+SearchOptions parse_search_options(const msol::util::Cli& cli) {
+  using namespace msol;
+  SearchOptions search;
+  const std::string classes_arg = cli.get("classes", "");
+  if (classes_arg.empty()) {
+    search.classes = {platform::PlatformClass::kFullyHomogeneous,
+                      platform::PlatformClass::kCommHomogeneous,
+                      platform::PlatformClass::kCompHomogeneous,
+                      platform::PlatformClass::kFullyHeterogeneous};
+  } else {
+    for (const std::string& item : util::split(classes_arg, ',')) {
+      const std::string token = util::trim(item);
+      if (!token.empty()) {
+        search.classes.push_back(runner::parse_platform_class(token));
+      }
+    }
+    if (search.classes.empty()) {
+      throw std::runtime_error("--classes names no platform class");
+    }
+  }
+  search.config.num_slaves = cli.get_int("slaves", 2);
+  search.config.num_tasks = cli.get_int("tasks", 4);
+  search.config.iterations = cli.get_int("iterations", 400);
+  search.config.restarts = cli.get_int("restarts", 3);
+  search.config.seed = cli.get_uint64("seed", 2006);
+  theory::check_search_config(search.config);
+  return search;
+}
+
 int run_fit(const msol::util::Cli& cli) {
   using namespace msol;
   if (cli.positional().size() != 2) {
     std::cerr << "msol_run fit: exactly one sweep CSV expected\n" << kUsage;
     return 2;
   }
+  // A bad --search option fails here, before the fit prints anything.
+  std::optional<SearchOptions> search;
+  if (cli.has("search")) search = parse_search_options(cli);
   const std::vector<experiments::FitSample> samples =
       experiments::load_fit_samples_file(cli.positional()[1]);
   std::cout << samples.size() << " usable samples (rank:linear-expressible "
@@ -168,7 +194,7 @@ int run_fit(const msol::util::Cli& cli) {
     fitted_specs.push_back(fit.spec);
   }
 
-  if (!cli.has("search")) return 0;
+  if (!search) return 0;
 
   // Candidate pool: the fitted blends plus the five simplex vertices they
   // interpolate between.
@@ -178,31 +204,9 @@ int run_fit(const msol::util::Cli& cli) {
         "rank:ready"}) {
     candidates.emplace_back(vertex);
   }
-  std::vector<platform::PlatformClass> classes;
-  const std::string classes_arg = cli.get("classes", "");
-  if (classes_arg.empty()) {
-    classes = {platform::PlatformClass::kFullyHomogeneous,
-               platform::PlatformClass::kCommHomogeneous,
-               platform::PlatformClass::kCompHomogeneous,
-               platform::PlatformClass::kFullyHeterogeneous};
-  } else {
-    for (const std::string& item : util::split(classes_arg, ',')) {
-      const std::string token = util::trim(item);
-      if (!token.empty()) classes.push_back(runner::parse_platform_class(token));
-    }
-    if (classes.empty()) {
-      throw std::runtime_error("--classes names no platform class");
-    }
-  }
-  theory::SearchConfig config;
-  config.num_slaves = int_option(cli, "slaves", 2);
-  config.num_tasks = int_option(cli, "tasks", 4);
-  config.iterations = int_option(cli, "iterations", 400);
-  config.restarts = int_option(cli, "restarts", 3);
-  config.seed = cli.get_uint64("seed", 2006);
-
   const std::vector<experiments::RobustSpecResult> report =
-      experiments::robust_spec_search(candidates, classes, config);
+      experiments::robust_spec_search(candidates, search->classes,
+                                      search->config);
   std::map<std::string, const experiments::RobustSpecResult*> best;
   for (const experiments::RobustSpecResult& entry : report) {
     std::cout << platform::to_string(entry.platform_class) << "  "
@@ -312,15 +316,9 @@ int main(int argc, char** argv) {
     }
 
     runner::RunnerOptions runner_options;
-    const int threads = int_option(cli, "threads", 1);
-    if (threads < 0) {
-      throw std::runtime_error(
-          "--threads must be >= 0 (0 = all hardware threads)");
-    }
-    runner_options.threads = threads;
-    const long long window = cli.get_int("window", 0);
-    if (window < 0) throw std::runtime_error("--window must be >= 0");
-    runner_options.window = static_cast<std::size_t>(window);
+    runner_options.threads = cli.get_int("threads", 1, 0);
+    runner_options.window =
+        static_cast<std::size_t>(cli.get_int("window", 0, 0));
     if (!quiet) {
       runner_options.progress = [&](std::size_t done, std::size_t total) {
         std::cerr << "\r" << grid.name << ": " << done << "/" << total

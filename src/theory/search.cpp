@@ -122,13 +122,18 @@ double evaluate(core::OnlineScheduler& scheduler, const SearchConfig& config,
 
 }  // namespace
 
+void check_search_config(const SearchConfig& config) {
+  if (config.num_slaves < 1 || config.num_tasks < 1 || config.iterations < 0 ||
+      config.restarts < 1) {
+    throw std::invalid_argument(
+        "adversarial search needs slaves >= 1, tasks >= 1, iterations >= 0 "
+        "and restarts >= 1");
+  }
+}
+
 SearchResult adversarial_search(core::OnlineScheduler& scheduler,
                                 const SearchConfig& config) {
-  if (config.num_tasks < 1 || config.iterations < 0 || config.restarts < 1) {
-    throw std::invalid_argument(
-        "adversarial search needs tasks >= 1, iterations >= 0 and "
-        "restarts >= 1");
-  }
+  check_search_config(config);
   util::Rng rng(config.seed);
   SearchResult best;
   const auto record = [&best](const State& state, double ratio, double alg,

@@ -43,11 +43,14 @@ struct SearchResult {
   double opt_value = 0.0;
 };
 
+/// Throws std::invalid_argument unless num_slaves >= 1, num_tasks >= 1,
+/// iterations >= 0 and restarts >= 1: the instances a search can run.
+void check_search_config(const SearchConfig& config);
+
 /// Runs the search; the scheduler is reset before every candidate
 /// evaluation, and every candidate's schedule is validated. Each restart's
 /// random start counts as a candidate, so the result always carries an
-/// instance. Deterministic in config.seed. Throws std::invalid_argument
-/// unless num_tasks >= 1, iterations >= 0 and restarts >= 1.
+/// instance. Deterministic in config.seed. Calls check_search_config first.
 SearchResult adversarial_search(core::OnlineScheduler& scheduler,
                                 const SearchConfig& config);
 

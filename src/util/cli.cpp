@@ -58,8 +58,21 @@ T get_number(const std::map<std::string, std::string>& values,
 
 }  // namespace
 
-std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
-  return get_number(values_, key, fallback, parse_int64, "an integer");
+int Cli::get_int(const std::string& key, int fallback, int min) const {
+  const std::int64_t value =
+      get_number<std::int64_t>(values_, key, fallback, parse_int64,
+                               "an integer");
+  if (value > std::numeric_limits<int>::max() ||
+      value < std::numeric_limits<int>::min()) {
+    throw std::invalid_argument("--" + key + " is out of range: " +
+                                std::to_string(value));
+  }
+  if (value < min) {
+    throw std::invalid_argument("--" + key + " must be >= " +
+                                std::to_string(min) + ", got " +
+                                std::to_string(value));
+  }
+  return static_cast<int>(value);
 }
 
 std::uint64_t Cli::get_uint64(const std::string& key,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -28,7 +29,10 @@ class Cli {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   /// Numeric getters follow util/parse.hpp ("4x", "2.9", "inf" throw).
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// get_int also throws when the value is outside int range or below
+  /// `min`, so "--tasks 4294967297" fails instead of wrapping to 1.
+  int get_int(const std::string& key, int fallback,
+              int min = std::numeric_limits<int>::min()) const;
   /// Full uint64 range; counts and indices (--shards, --shard-index) use
   /// this so "-1" fails loudly instead of wrapping.
   std::uint64_t get_uint64(const std::string& key,

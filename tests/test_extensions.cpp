@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "algorithms/policy.hpp"
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
@@ -219,6 +222,28 @@ TEST(Slowdown, EngineChargesDegradedDuration) {
   EXPECT_TRUE(core::validate(plat, work, s, options).empty());
   // The nominal validator must now reject it.
   EXPECT_FALSE(core::validate(plat, work, s).empty());
+}
+
+TEST(Slowdown, EngineRejectsNonPositiveOrNonFiniteFactors) {
+  // A factor <= 0 would end a compute before it starts, so the slave would
+  // appear to run two tasks at once; the engine refuses it up front.
+  util::Rng rng(31);
+  const Platform plat = platform::PlatformGenerator().generate(
+      platform::PlatformClass::kFullyHeterogeneous, 3, rng);
+  const Workload work = Workload::poisson(30, 3.0, rng);
+  for (const double factor : {-2.0, 0.0, std::nan("")}) {
+    core::EngineOptions options;
+    options.slowdowns.push_back(core::SlowdownWindow{1, 0.0, 1e9, factor});
+    const auto ls = algorithms::make_scheduler("LS");
+    EXPECT_THROW(core::simulate(plat, work, *ls, options),
+                 std::invalid_argument)
+        << factor;
+  }
+  core::EngineOptions faster;
+  faster.slowdowns.push_back(core::SlowdownWindow{1, 0.0, 1e9, 0.5});
+  const auto ls = algorithms::make_scheduler("LS");
+  const Schedule s = core::simulate(plat, work, *ls, faster);
+  EXPECT_TRUE(core::validate(plat, work, s, faster).empty());
 }
 
 TEST(Slowdown, SchedulerEstimatesStayNominal) {

@@ -1,21 +1,23 @@
 // The paper's claims, checked on the grids that reproduce its figures and
-// on Table 1's adversaries.
+// on Table 1's adversaries, plus one claim about the meta-policy layer.
 //
 // Each figure test loads one examples/paper/*.grid with the same load_grid +
 // expand path msol_run takes, runs every cell at the grid's own scale and
 // seed, and checks the claim stated in that grid's header comment. Figure 2
-// has no grid (it needs paired base/jittered runs), so its claim is checked
-// through run_robustness at bench_fig2_robustness's default scale. The
-// Table 1 claims play the theorem adversaries, the hill-climbing search and
-// the exhaustive optimum at fixed parameters and seeds; the bounds
-// themselves are checked in test_theorems.
+// has no grid (it needs paired base/jittered runs), so its claim runs
+// run_campaign twice at the campaign defaults, with and without jitter.
+// The meta-policy claim runs members, fit and meta specs through
+// run_campaign and experiments::fit_linear_weights. The Table 1 claims play
+// the theorem adversaries, the hill-climbing search and the exhaustive
+// optimum at fixed parameters and seeds; the bounds themselves are checked
+// in test_theorems.
 //
 // The margin rule, fixed before any claim was first run: every claim is a
 // set of orderings a <= b between two measured means (SRPT-normalized
 // metrics, jitter ratios, or spreads of them) or between a measured value
-// and a bound constant (Table 1's bounds, or 1.0 for SRPT), and an ordering
-// holds when a <= b + kMargin. A claim is reproduced when all its orderings
-// hold.
+// and a bound constant (Table 1's bounds, or 1.0 for SRPT or for a ratio
+// to the best meta member), and an ordering holds when a <= b + kMargin. A
+// claim is reproduced when all its orderings hold.
 //
 // A claim that does not reproduce stays in this file, recorded as
 // kNotReproduced; the test then asserts that it still does not, so a change
@@ -39,6 +41,7 @@
 #include "core/engine.hpp"
 #include "core/validator.hpp"
 #include "experiments/campaign.hpp"
+#include "experiments/spec_fit.hpp"
 #include "offline/exhaustive.hpp"
 #include "platform/generator.hpp"
 #include "runner/scenario.hpp"
@@ -282,25 +285,105 @@ TEST(Paper, ArrivalAblationKeepsTheFigure1dOrdering) {
   claim.expect(Status::kNotReproduced);
 }
 
+/// Mean over platforms of pert[r] / base[r].
+double mean_ratio(const std::vector<double>& pert,
+                  const std::vector<double>& base) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < pert.size(); ++r) {
+    ratios.push_back(pert[r] / base[r]);
+  }
+  return util::summarize(ratios).mean;
+}
+
 TEST(Paper, Figure2MakespanIsTheRobustMetric) {
-  // bench_fig2_robustness's defaults: ten fully heterogeneous platforms,
-  // five slaves, one thousand Poisson tasks at load 0.9, +/-10% jitter.
+  // The campaign defaults: ten fully heterogeneous platforms, five slaves,
+  // one thousand Poisson tasks at load 0.9, run with +/-10% jitter and with
+  // identical tasks. On a static platform both campaigns draw the same
+  // platforms and releases (see run_campaign's draw order), so entry r of
+  // each raw series is the same instance.
   experiments::CampaignConfig config;
   config.size_jitter = 0.10;
-  const std::vector<experiments::RobustnessResult> results =
-      experiments::run_robustness(config);
-  ASSERT_EQ(results.size(), 7u);
+  const CampaignResult jittered = experiments::run_campaign(config);
+  config.size_jitter = 0.0;
+  const CampaignResult identical = experiments::run_campaign(config);
+  ASSERT_EQ(jittered.algorithms.size(), 7u);
+  ASSERT_EQ(identical.algorithms.size(), 7u);
   Claim claim("Fig 2: makespan is robust to jitter, sum-flow and max-flow "
               "noticeably less so");
-  for (const experiments::RobustnessResult& r : results) {
-    const double makespan = std::abs(r.makespan_ratio.mean - 1.0);
-    claim.at_most(r.name + " |makespan ratio - 1|", makespan, 0.0);
-    claim.at_most(r.name + " |makespan ratio - 1| vs |sum-flow ratio - 1|",
-                  makespan, std::abs(r.sum_flow_ratio.mean - 1.0));
-    claim.at_most(r.name + " |makespan ratio - 1| vs |max-flow ratio - 1|",
-                  makespan, std::abs(r.max_flow_ratio.mean - 1.0));
+  for (std::size_t i = 0; i < jittered.algorithms.size(); ++i) {
+    const AlgorithmResult& pert = jittered.algorithms[i];
+    const AlgorithmResult& base = identical.algorithms[i];
+    ASSERT_EQ(pert.name, base.name);
+    const double makespan =
+        std::abs(mean_ratio(pert.makespan_raw, base.makespan_raw) - 1.0);
+    const double sum_flow =
+        std::abs(mean_ratio(pert.sum_flow_raw, base.sum_flow_raw) - 1.0);
+    const double max_flow =
+        std::abs(mean_ratio(pert.max_flow_raw, base.max_flow_raw) - 1.0);
+    claim.at_most(pert.name + " |makespan ratio - 1|", makespan, 0.0);
+    claim.at_most(pert.name + " |makespan ratio - 1| vs |sum-flow ratio - 1|",
+                  makespan, sum_flow);
+    claim.at_most(pert.name + " |makespan ratio - 1| vs |max-flow ratio - 1|",
+                  makespan, max_flow);
   }
   claim.expect(Status::kReproduced);
+}
+
+TEST(Paper, ExtendedMetaPolicyIsNoWorseThanItsBestMember) {
+  // Five fully heterogeneous platforms, five slaves, 400 tasks at load 0.9
+  // (seed 2006), under bursty arrivals and under churn. The members are the
+  // five rank:linear simplex vertices plus the hedge's stressed-regime
+  // blend. Their mean makespans are fitted into one rank:linear blend (the
+  // `msol_run fit` pipeline), and the better of that fitted spec and the
+  // hedge is set against the best member. The member and meta campaigns of
+  // a regime run on the same instances: run_campaign's draws do not depend
+  // on the algorithm list.
+  const std::vector<std::string> members = {
+      "rank:completion", "rank:comm",  "rank:comp",
+      "rank:queue",      "rank:ready", "rank:linear:0:0.2:0:0.1:0.7"};
+  const std::string hedge =
+      "hedge:rank:ready;rank:linear:0:0.2:0:0.1:0.7+window:12+hyst:2";
+  experiments::CampaignConfig base;
+  base.num_platforms = 5;
+  base.num_tasks = 400;
+  experiments::CampaignConfig bursty = base;
+  bursty.arrival = experiments::ArrivalProcess::kBursty;
+  experiments::CampaignConfig churn = base;
+  churn.avail = platform::AvailabilityModel::kChurn;
+  churn.mtbf_tasks = 40.0;
+  churn.outage_frac = 0.15;
+  const std::vector<std::pair<std::string, experiments::CampaignConfig>>
+      regimes = {{"bursty", bursty}, {"churn", churn}};
+
+  Claim claim("Extended: a meta policy is no worse than the best static "
+              "member it is built from");
+  util::Table table({"regime", "best-member", "best-makespan",
+                     "fitted-makespan", "hedge-makespan"});
+  for (auto [label, config] : regimes) {
+    config.algorithms = members;
+    const CampaignResult member_runs = experiments::run_campaign(config);
+    std::vector<experiments::FitSample> samples;
+    const AlgorithmResult* best = nullptr;
+    for (const AlgorithmResult& a : member_runs.algorithms) {
+      samples.push_back(
+          {label, experiments::feature_weights_for(a.spec), a.makespan.mean});
+      if (best == nullptr || a.makespan.mean < best->makespan.mean) best = &a;
+    }
+    const std::vector<experiments::FitResult> fits =
+        experiments::fit_linear_weights(samples);
+    ASSERT_EQ(fits.size(), 1u);
+
+    config.algorithms = {fits.front().spec, hedge};
+    const CampaignResult meta_runs = experiments::run_campaign(config);
+    const double fitted = meta_runs.algorithms[0].makespan.mean;
+    const double hedged = meta_runs.algorithms[1].makespan.mean;
+    claim.at_most(label + " min(fitted, hedge) / best member makespan",
+                  std::min(fitted, hedged) / best->makespan.mean, 1.0);
+    table.add_row({label, best->name, util::fmt(best->makespan.mean),
+                   util::fmt(fitted), util::fmt(hedged)});
+  }
+  claim.expect(Status::kReproduced);
+  std::cout << table.to_string();
 }
 
 TEST(Paper, Table1BoundsSurviveRandomization) {

@@ -286,6 +286,19 @@ TEST(Cli, GetIntRejectsTrailingJunkAndFractions) {
   EXPECT_THROW(cli.get_int("big", 0), std::invalid_argument);
 }
 
+TEST(Cli, GetIntRejectsValuesOutsideIntRangeOrBelowMin) {
+  // "--tasks 4294967297" used to narrow to a 1-task run.
+  const char* argv[] = {"prog", "--tasks=4294967297", "--low=-2147483649",
+                        "--zero=0", "--one=1"};
+  Cli cli(5, argv);
+  EXPECT_THROW(cli.get_int("tasks", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("low", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("zero", 5), 0);
+  EXPECT_THROW(cli.get_int("zero", 5, 1), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("one", 5, 1), 1);
+  EXPECT_EQ(cli.get_int("absent", 5, 1), 5);
+}
+
 TEST(Cli, GetUint64CoversFullRangeAndRejectsNegatives) {
   const char* argv[] = {"prog", "--seed=18446744073709551615", "--bad=-1",
                         "--junk=12x", "--shards=4"};
