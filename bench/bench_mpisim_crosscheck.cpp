@@ -4,7 +4,9 @@
 // drift from the model's prediction?
 
 #include <algorithm>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "algorithms/registry.hpp"
@@ -14,11 +16,13 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace msol;
-  const util::Cli cli(argc, argv);
-  const int tasks = static_cast<int>(cli.get_int("tasks", 20));
-  const int reps = static_cast<int>(cli.get_int("reps", 3));
+namespace {
+
+using namespace msol;
+
+void run(const util::Cli& cli) {
+  const int tasks = cli.get_int("tasks", 20, 1);
+  const int reps = cli.get_int("reps", 3, 1);
   util::Rng rng(cli.get_uint64("seed", 2006));
 
   // The paper ran on five dedicated machines; here slave threads share this
@@ -27,7 +31,14 @@ int main(int argc, char** argv) {
   // run in parallel.
   const int cores = std::max(1u, std::thread::hardware_concurrency());
   const int default_slaves = std::clamp(cores - 1, 1, 5);
-  const int slaves = static_cast<int>(cli.get_int("slaves", default_slaves));
+  const int slaves = cli.get_int("slaves", default_slaves, 1);
+  mpisim::RuntimeConfig rc;
+  rc.matrix_size = cli.get_int("matrix", 32, 1);
+  rc.real_seconds_per_virtual = cli.get_double("scale", 0.005);
+  if (rc.real_seconds_per_virtual <= 0.0) {
+    throw std::invalid_argument("--scale must be > 0, got " +
+                                cli.get("scale", ""));
+  }
 
   std::cout << "=== MPI-emulation cross-check: threaded runtime vs exact "
                "engine ===\n"
@@ -39,10 +50,6 @@ int main(int argc, char** argv) {
                  "timeshare; expect inflated drift.\n";
   }
   std::cout << "\n";
-
-  mpisim::RuntimeConfig rc;
-  rc.matrix_size = static_cast<int>(cli.get_int("matrix", 32));
-  rc.real_seconds_per_virtual = cli.get_double("scale", 0.005);
 
   const mpisim::Calibration cal = mpisim::calibrate(rc.matrix_size, 7);
   std::cout << "host calibration: one " << rc.matrix_size << "x"
@@ -75,5 +82,16 @@ int main(int argc, char** argv) {
   std::cout << "\n(drift = wall-clock threads vs deterministic engine; "
                "small positive drift is expected\n from scheduler jitter and "
                "calibration rounding)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    run(msol::util::Cli(argc, argv));
+    return 0;
+  } catch (const std::exception& error) {
+    std::cerr << "bench_mpisim_crosscheck: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -324,22 +324,28 @@ void IncrementalProjection::apply(const core::DeltaEvent& event) {
       eff_comp_[js] = comp;
       return;
     }
-    case core::DeltaKind::kDisrupt:
-      return;  // unreachable: sync() rebuilds instead of replaying these
+    case core::DeltaKind::kDisrupt: {
+      // What rebuild() reads for an offline slave: speed 0, nominal p_j,
+      // busy-until reset to the outage instant. The re-queued tasks follow
+      // as kPendingPush events.
+      const auto js = static_cast<std::size_t>(event.slave);
+      if (online_[js] != 0) {
+        online_[js] = 0;
+        ++offline_count_;
+      }
+      speed_[js] = 0.0;
+      eff_comp_[js] = live_->platform().comp(event.slave);
+      set_ready(event.slave, event.ready);
+      return;
+    }
   }
 }
 
 void IncrementalProjection::sync() {
   rollback();  // safety: a run that threw must not leak projected writes
   const std::uint64_t end = live_->delta_end();
-  bool need_rebuild = !primed_ || generation_ != live_->delta_generation() ||
-                      cursor_ < live_->delta_begin() || cursor_ > end;
-  for (std::uint64_t seq = cursor_; !need_rebuild && seq < end; ++seq) {
-    if (live_->delta_event(seq).kind == core::DeltaKind::kDisrupt) {
-      need_rebuild = true;
-    }
-  }
-  if (need_rebuild) {
+  if (!primed_ || generation_ != live_->delta_generation() ||
+      cursor_ < live_->delta_begin() || cursor_ > end) {
     rebuild();
     ++rebuilds_;
   } else {

@@ -108,10 +108,11 @@ class EngineProjection : public core::EngineView {
 /// times (plus a multiset of them, so advance() is O(log m) where the fresh
 /// projection scans O(m)), online/speed/effective-comp arrays, and the
 /// pending FIFO — which sync() patches forward by replaying the event
-/// suffix since the previous decision. A full rebuild happens only when the
-/// mirror is unprimed, the engine was reset (generation change), the log
-/// was trimmed past our cursor, or a disruptive event (outage re-dispatch)
-/// rewrote state the feed deliberately does not itemize.
+/// suffix since the previous decision. Outages replay like any other
+/// event (kDisrupt takes the slave offline, its re-queues follow as
+/// kPendingPush), so a full rebuild happens only when the mirror is
+/// unprimed, the engine was reset (generation change), or the log was
+/// trimmed past our cursor.
 ///
 /// run() then forward-simulates a member policy on scratch state layered
 /// over the mirror: projected commits write ready times through an undo log

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -101,7 +102,7 @@ void OnePortEngine::reset(platform::Platform platform,
       }
     }
   }
-  next_avail_time_ = std::numeric_limits<Time>::infinity();
+  avail_heap_.clear();
   if (avail_enabled_) {
     for (std::size_t j = 0; j < m; ++j) {
       const auto& spans = options_.availability[j].spans();
@@ -113,10 +114,10 @@ void OnePortEngine::reset(platform::Platform platform,
       }
       next_span_[j] = i;
       if (i < spans.size()) {
-        events_.push(spans[i].begin, EventKind::kAvailability);
-        next_avail_time_ = std::min(next_avail_time_, spans[i].begin);
+        avail_heap_.emplace_back(spans[i].begin, static_cast<SlaveId>(j));
       }
     }
+    std::make_heap(avail_heap_.begin(), avail_heap_.end(), std::greater<>());
   }
 }
 
@@ -282,9 +283,10 @@ void OnePortEngine::apply_avail_span(std::size_t j,
     event.slave = static_cast<SlaveId>(j);
     event.speed = span.speed;
     if (was_online && !span.online) {
-      // The offline flush below re-queues tasks and rewrites this slave's
-      // ready estimate wholesale — logged as a rebuild marker, not a replay.
+      // The offline flush below resets this slave's ready estimate to the
+      // outage instant; the tasks it re-queues follow as kPendingPush.
       event.kind = DeltaKind::kDisrupt;
+      event.ready = span.begin;
     } else if (!was_online && span.online) {
       event.kind = DeltaKind::kSlaveUp;
     } else {
@@ -311,25 +313,31 @@ void OnePortEngine::apply_avail_span(std::size_t j,
 }
 
 void OnePortEngine::process_avail_transitions() {
-  // O(1) early-out on the overwhelmingly common iteration where nothing is
-  // due; the per-slave sweep below runs only when a transition fires.
-  if (!avail_enabled_ || next_avail_time_ > now_ + kTimeEps) return;
-  next_avail_time_ = std::numeric_limits<Time>::infinity();
-  const std::size_t m = static_cast<std::size_t>(platform_->size());
-  for (std::size_t j = 0; j < m; ++j) {
+  // O(1) on the overwhelmingly common iteration where nothing is due (the
+  // heap is empty when availability is disabled); otherwise only the due
+  // slaves are touched, O(log m) each.
+  const auto later = std::greater<>();
+  avail_due_.clear();
+  while (!avail_heap_.empty() &&
+         avail_heap_.front().first <= now_ + kTimeEps) {
+    std::pop_heap(avail_heap_.begin(), avail_heap_.end(), later);
+    avail_due_.push_back(avail_heap_.back().second);
+    avail_heap_.pop_back();
+  }
+  // Ascending slave order: re-queues at one instant keep the order of a
+  // full sweep over the slaves (then commit order within a slave).
+  std::sort(avail_due_.begin(), avail_due_.end());
+  for (const SlaveId slave : avail_due_) {
+    const std::size_t j = static_cast<std::size_t>(slave);
     const auto& spans = options_.availability[j].spans();
     std::size_t& i = next_span_[j];
-    bool advanced = false;
     while (i < spans.size() && spans[i].begin <= now_ + kTimeEps) {
       apply_avail_span(j, spans[i]);
       ++i;
-      advanced = true;
-    }
-    if (advanced && i < spans.size()) {
-      events_.push(spans[i].begin, EventKind::kAvailability);
     }
     if (i < spans.size()) {
-      next_avail_time_ = std::min(next_avail_time_, spans[i].begin);
+      avail_heap_.emplace_back(spans[i].begin, slave);
+      std::push_heap(avail_heap_.begin(), avail_heap_.end(), later);
     }
   }
 }
@@ -515,16 +523,18 @@ std::optional<Time> OnePortEngine::next_wakeup() {
     if (t > now_ + kTimeEps && (!best || t < *best)) best = t;
   };
   // Releases already sit in a sorted calendar (release_order_ plus a
-  // cursor), and a port's busy-until is a tiny array bounded by the port
-  // capacity — both are O(1)-ish to consult directly, so pushing them
-  // through the heap would only add traffic. The heap carries what the
-  // reference engine has to *scan* for: the per-slave completion instants
-  // (its O(slaves * log tasks) inner loop) and WaitUntil wake-ups.
+  // cursor), a port's busy-until is a tiny array bounded by the port
+  // capacity, and the next availability transition is the top of its own
+  // per-slave heap — all O(1)-ish to consult directly, so pushing them through the heap would
+  // only add traffic. The heap carries what the reference engine has to
+  // *scan* for: the per-slave completion instants (its O(slaves * log
+  // tasks) inner loop) and WaitUntil wake-ups.
   if (next_release_idx_ < release_order_.size()) {
     const TaskId id = release_order_[next_release_idx_];
     consider(task_specs_[static_cast<std::size_t>(id)].release);
   }
   for (Time t : port_busy_until_) consider(t);
+  if (!avail_heap_.empty()) consider(avail_heap_.front().first);
   // Lazy pruning: an entry at or before now() can never matter again (time
   // only moves forward), and a wake entry whose generation was superseded
   // by a newer request or an assignment is dead no matter its time. Every

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/engine_view.hpp"
@@ -48,16 +49,15 @@ double slowdown_factor_at(const std::vector<SlowdownWindow>& windows,
 /// protocol: every event that changes a scheduler-visible observable other
 /// than now() is appended, so a subscriber that replays the suffix since its
 /// last sync (and re-reads now()/port_free_at(), which advance silently)
-/// holds exactly the state a fresh snapshot would capture. kDisrupt is the
-/// deliberate exception: an offline transition re-queues tasks and rewrites
-/// ready times wholesale, so it is logged as a single "resync from scratch"
-/// marker instead of an event-per-effect replay.
+/// holds exactly the state a fresh snapshot would capture. An offline
+/// transition is itemized too: one kDisrupt for the slave, then one
+/// kPendingPush per task it re-queues, in commit order.
 enum class DeltaKind : std::uint8_t {
   kPendingPush,  ///< task joined the pending set (release or re-queue)
   kCommit,       ///< task left pending; slave's busy-until advanced to ready
   kSlaveUp,      ///< slave came back online at `speed`
   kSpeedShift,   ///< online slave's speed changed to `speed`
-  kDisrupt,      ///< offline transition: subscribers must rebuild
+  kDisrupt,      ///< slave went offline; its busy-until reset to `ready`
 };
 
 /// One delta-feed entry; which fields are meaningful depends on `kind`.
@@ -65,7 +65,9 @@ struct DeltaEvent {
   DeltaKind kind = DeltaKind::kPendingPush;
   TaskId task = -1;    ///< kPendingPush / kCommit
   SlaveId slave = -1;  ///< kCommit / kSlaveUp / kSpeedShift / kDisrupt
-  Time ready = 0.0;    ///< kCommit: the slave's new raw busy-until estimate
+  /// kCommit: the slave's new raw busy-until estimate; kDisrupt: the outage
+  /// instant, which becomes the slave's busy-until.
+  Time ready = 0.0;
   double speed = 1.0;  ///< kSlaveUp / kSpeedShift: the new speed
 };
 
@@ -137,8 +139,10 @@ struct DisruptionStats {
 /// exactly the probe discipline of the paper's lower-bound proofs.
 ///
 /// Time-varying availability (EngineOptions::availability): each slave
-/// replays a deterministic profile of outages and speed drift, realized as
-/// kAvailability calendar events. Semantics:
+/// replays a deterministic profile of outages and speed drift. A min-heap
+/// indexed by slave holds each slave's next transition, so a transition
+/// costs O(log m) plus the slaves due at that instant, which are applied in
+/// ascending slave order. Semantics:
 ///  * a slave transitioning offline aborts *every* task committed to it and
 ///    not yet completed (queued, computing, or still on the link): partial
 ///    compute is discarded (DisruptionStats::lost_work), the tasks rejoin
@@ -270,7 +274,7 @@ class OnePortEngine final : public EngineView {
   void process_releases();
   /// Applies every availability transition with instant <= now(): updates
   /// the cached online/speed state, flushes aborted tasks back to pending
-  /// on offline transitions, and schedules the next transition event.
+  /// on offline transitions, and re-indexes each due slave's next span.
   /// No-op when availability is disabled.
   void process_avail_transitions();
   /// Offline transition of slave j at time t: re-queues every committed,
@@ -358,10 +362,13 @@ class OnePortEngine final : public EngineView {
 
   /// --- time-varying availability state (inert when !avail_enabled_) ------
   bool avail_enabled_ = false;
-  /// Earliest pending transition across all slaves (+inf when none): lets
-  /// process_avail_transitions() early-out in O(1) on the vast majority of
-  /// event-loop iterations, where nothing is due.
-  Time next_avail_time_ = 0.0;
+  /// Min-heap (std::greater) of (next span begin, slave), one entry per
+  /// slave that still has spans; empty when availability is disabled. Its
+  /// top is the earliest pending transition, so process_avail_transitions()
+  /// costs O(1) when nothing is due and otherwise O(log m) per due slave
+  /// instead of a sweep over all m; next_wakeup() reads it.
+  std::vector<std::pair<Time, SlaveId>> avail_heap_;
+  std::vector<SlaveId> avail_due_;  ///< the due slaves of one step, reused
   std::vector<std::size_t> next_span_;      ///< per-slave next profile span
   std::vector<std::uint8_t> slave_online_;  ///< cached state at now()
   std::vector<double> slave_speed_;         ///< cached speed at now()

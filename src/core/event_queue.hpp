@@ -14,16 +14,15 @@ namespace msol::core {
 /// before acting (see OnePortEngine::next_wakeup).
 ///
 /// Only the event families that would otherwise need a scan live in the
-/// queue. Releases keep their sorted-order cursor and port frees their
-/// capacity-bounded array (both O(1)-ish to consult), so enqueueing them
-/// would be pure overhead — measured at ~25% of engine time on small
+/// queue. Releases keep their sorted-order cursor, port frees their
+/// capacity-bounded array and availability transitions the engine's
+/// per-slave min-heap, all O(1)-ish to consult; enqueueing releases and
+/// port frees as well was measured at ~25% of engine time on small
 /// platforms.
 enum class EventKind : std::uint8_t {
   kCompletion,     ///< a slave finishes one task (the last one pending on a
                    ///< slave doubles as its slave-free instant)
   kSchedulerWake,  ///< a WaitUntil request comes due
-  kAvailability,   ///< some slave's availability profile has a transition
-                   ///< (outage begin/end or speed drift) at this instant
 };
 
 /// One calendar entry. `gen` is a caller-managed generation stamp used to

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/validator.hpp"
 #include "mpisim/channel.hpp"
 #include "mpisim/matrix.hpp"
 #include "util/rng.hpp"
@@ -79,6 +80,7 @@ RunResult ThreadedRuntime::run(const core::Workload& workload,
   // The master's model of the platform: the exact one-port engine over the
   // calibrated (c_j, p_j). Its decisions are what we execute for real.
   result.predicted = core::simulate(platform_, workload, policy);
+  core::validate_or_throw(platform_, workload, result.predicted);
 
   const double scale = config_.real_seconds_per_virtual;
   const int m = platform_.size();

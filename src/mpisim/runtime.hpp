@@ -56,7 +56,8 @@ class ThreadedRuntime {
   ThreadedRuntime(platform::Platform platform, RuntimeConfig config = {});
 
   /// Runs `workload` under `policy`. Blocking; wall-clock duration is about
-  /// makespan * real_seconds_per_virtual.
+  /// makespan * real_seconds_per_virtual. The predicted schedule passes
+  /// core::validate_or_throw before any thread starts.
   RunResult run(const core::Workload& workload, core::OnlineScheduler& policy);
 
   const platform::Platform& platform() const { return platform_; }

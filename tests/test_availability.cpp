@@ -393,6 +393,123 @@ TEST(EngineAvailability, ReusedEngineMatchesFreshUnderChurn) {
   EXPECT_EQ(reused.now(), fresh.now());
 }
 
+/// Task ids of the kRequeue events, in trace order.
+std::vector<TaskId> requeued_tasks(const Trace& trace) {
+  std::vector<TaskId> out;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == TraceEvent::Kind::kRequeue) out.push_back(e.task);
+  }
+  return out;
+}
+
+TEST(EngineAvailability, SimultaneousOutagesRequeueBySlaveThenCommitOrder) {
+  // Slaves 1-3 each hold two committed tasks (one computing, one queued)
+  // when all three go offline in one engine step: once at exactly t=1, and
+  // once spread within kTimeEps, so the earliest-due slave (2) is not the
+  // lowest id. Re-queues must come out by ascending slave, then in commit
+  // order on each slave, whatever order the transitions fall due in.
+  const platform::Platform plat(std::vector<platform::SlaveSpec>(
+      4, platform::SlaveSpec{0.1, 1.0}));
+  const Workload work = Workload::all_at_zero(9);
+  for (const double spread : {0.0, 0.4 * kTimeEps}) {
+    std::vector<platform::AvailabilityProfile> profiles(4);
+    const double down[] = {0.0, 1.0 + spread, 1.0 - spread, 1.0};
+    for (std::size_t j = 1; j < 4; ++j) {
+      profiles[j] = platform::AvailabilityProfile(
+          {{down[j], false, 1.0}, {50.0, true, 1.0}});
+    }
+    // Tasks 0-5 go round-robin to slaves 3, 1, 2; tasks 6-8 and every
+    // re-queued task go to slave 0, which never fails.
+    std::vector<SlaveId> plan = {3, 1, 2, 3, 1, 2};
+    plan.resize(15, 0);
+    algorithms::Replay replay(plan);
+    const EngineOptions options = with_profiles(profiles);
+    OnePortEngine engine(plat, replay, options);
+    engine.load(work);
+    engine.run_to_completion();
+
+    const std::vector<TaskId> expected = {1, 4, 2, 5, 0, 3};
+    EXPECT_EQ(requeued_tasks(engine.trace()), expected) << "spread " << spread;
+    EXPECT_EQ(engine.disruption().redispatches, 6);
+    EXPECT_EQ(engine.disruption().disruptive_outages, 3);
+    // The computing task of each slave had run 0.8, 0.7 and 0.9 units.
+    EXPECT_NEAR(engine.disruption().lost_work, 2.4, 1e-8);
+    validate_or_throw(plat, work, engine.schedule(), options);
+  }
+}
+
+TEST(EngineAvailability, TwoSpansDueInOneStepApplyInOrder) {
+  // Slave 0 goes down and comes back at half speed within one kTimeEps
+  // step, then speeds up at t=5: both near-coincident spans apply in order
+  // (the down transition still flushes the slave), and the slave's later
+  // span stays indexed.
+  const platform::Platform plat = two_slaves();
+  std::vector<platform::AvailabilityProfile> profiles(2);
+  profiles[0] = platform::AvailabilityProfile({{1.0, false, 1.0},
+                                               {1.0 + 0.4 * kTimeEps, true,
+                                                0.5},
+                                               {5.0, true, 2.0}});
+  algorithms::Replay replay({0, 0, 1, 1, 1});
+  const EngineOptions options = with_profiles(profiles);
+  OnePortEngine engine(plat, replay, options);
+  const Workload work = Workload::all_at_zero(3);
+  engine.load(work);
+
+  engine.run_until(1.5);
+  EXPECT_TRUE(engine.is_available(0));
+  EXPECT_DOUBLE_EQ(engine.current_speed(0), 0.5);
+  EXPECT_EQ(engine.disruption().redispatches, 2);
+  EXPECT_EQ(engine.disruption().disruptive_outages, 1);
+  std::vector<TraceEvent::Kind> transitions;
+  for (const TraceEvent& e : engine.trace().events()) {
+    if (e.kind == TraceEvent::Kind::kSlaveDown ||
+        e.kind == TraceEvent::Kind::kSlaveUp ||
+        e.kind == TraceEvent::Kind::kSpeedShift) {
+      transitions.push_back(e.kind);
+    }
+  }
+  const std::vector<TraceEvent::Kind> expected = {
+      TraceEvent::Kind::kSlaveDown, TraceEvent::Kind::kSlaveUp};
+  EXPECT_EQ(transitions, expected);
+
+  engine.run_until(6.0);
+  EXPECT_DOUBLE_EQ(engine.current_speed(0), 2.0);
+  engine.run_to_completion();
+  validate_or_throw(plat, work, engine.schedule(), options);
+}
+
+TEST(EngineAvailability, TransitionAtAReleaseInstantAppliesFirst) {
+  // The only task is released at t=2, exactly when fast slave 0 changes
+  // state. Transitions apply before releases at one instant, so LS sees
+  // the slave's new state: a dying slave 0 loses the task to slow slave 1,
+  // a recovering one wins it.
+  const platform::Platform plat(
+      {platform::SlaveSpec{0.1, 1.0}, platform::SlaveSpec{0.1, 10.0}});
+  const Workload work = Workload::from_releases({2.0});
+  struct Case {
+    std::vector<platform::AvailabilitySpan> spans;
+    SlaveId chosen;
+  };
+  const Case cases[] = {
+      {{{2.0, false, 1.0}, {9.0, true, 1.0}}, 1},
+      {{{0.0, false, 1.0}, {2.0, true, 1.0}}, 0},
+  };
+  for (const Case& c : cases) {
+    std::vector<platform::AvailabilityProfile> profiles(2);
+    profiles[0] = platform::AvailabilityProfile(c.spans);
+    const auto ls = algorithms::make_scheduler("LS", 1);
+    ls->reset();
+    const EngineOptions options = with_profiles(profiles);
+    OnePortEngine engine(plat, *ls, options);
+    engine.load(work);
+    engine.run_to_completion();
+    ASSERT_EQ(engine.schedule().size(), 1);
+    EXPECT_EQ(engine.schedule().at(0).slave, c.chosen);
+    EXPECT_DOUBLE_EQ(engine.schedule().at(0).send_start, 2.0);
+    validate_or_throw(plat, work, engine.schedule(), options);
+  }
+}
+
 TEST(EngineAvailability, MismatchedProfileCountThrows) {
   const platform::Platform plat = two_slaves();
   const auto ls = algorithms::make_scheduler("LS", 1);

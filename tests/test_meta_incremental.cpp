@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "algorithms/meta/meta_policy.hpp"
@@ -179,8 +181,8 @@ struct DiffCase {
 /// position is part of the evaluation), and a hedge (runs members on the
 /// view it is handed — the view's type must be inert for it). Regimes:
 /// static poisson (resync-only steady state), bursty (clustered releases,
-/// deep pending mirror), churn (kDisrupt rebuilds and offline-slave
-/// projections).
+/// deep pending mirror), churn (replayed kDisrupt outages and
+/// offline-slave projections).
 constexpr DiffCase kDiffCases[] = {
     {"portfolio:LS;rank:queue+horizon:4", DiffRegime::kStatic, 6, 150},
     {"portfolio:LS;rank:queue+horizon:4", DiffRegime::kBursty, 6, 150},
@@ -289,6 +291,7 @@ INSTANTIATE_TEST_SUITE_P(
 struct DirectRun {
   std::unique_ptr<PortfolioPolicy> policy;
   core::Schedule schedule;
+  core::DisruptionStats disruption;
 };
 
 DirectRun run_direct(const std::string& spec, bool churn, std::uint64_t seed) {
@@ -316,6 +319,7 @@ DirectRun run_direct(const std::string& spec, bool churn, std::uint64_t seed) {
   engine.load(work);
   engine.run_to_completion();
   out.schedule = engine.schedule();
+  out.disruption = engine.disruption();
   return out;
 }
 
@@ -333,18 +337,149 @@ TEST(IncrementalProjection, StaticRunRebuildsOnceAndResyncsTheRest) {
   EXPECT_GT(policy.projection()->resyncs(), 0);
 }
 
-TEST(IncrementalProjection, ChurnForcesRebuildsButResyncsStillDominate) {
+TEST(IncrementalProjection, ChurnReplaysOutagesWithoutRebuilding) {
   const DirectRun run =
       run_direct("portfolio:LS;rank:queue+horizon:4", /*churn=*/true, 23);
   const PortfolioPolicy& policy = *run.policy;
   ASSERT_NE(policy.projection(), nullptr);
-  EXPECT_EQ(policy.projection()->rebuilds() + policy.projection()->resyncs(),
-            policy.decisions());
-  // kDisrupt (offline transition with re-queues) is the one event the feed
-  // does not itemize — every one costs a rebuild.
-  EXPECT_GT(policy.projection()->rebuilds(), 1);
-  // ...and between outages the delta replay still carries the run.
-  EXPECT_GT(policy.projection()->resyncs(), 0);
+  // The run really re-dispatched work: outages hit committed tasks.
+  EXPECT_GT(run.disruption.redispatches, 0);
+  // kDisrupt replays like any other delta, so the priming rebuild is the
+  // only one and every later decision resyncs.
+  EXPECT_EQ(policy.projection()->rebuilds(), 1);
+  EXPECT_EQ(policy.projection()->resyncs(), policy.decisions() - 1);
+}
+
+/// Whether delta events [from, to) hold an outage (kDisrupt), a task it
+/// re-queued (a kPendingPush after it) and another slave's recovery.
+bool window_holds_outage_and_recovery(const core::OnePortEngine& live,
+                                      std::uint64_t from, std::uint64_t to) {
+  core::SlaveId down = -1;
+  bool requeued = false;
+  std::vector<core::SlaveId> up;
+  for (std::uint64_t seq = from; seq < to; ++seq) {
+    const core::DeltaEvent& event = live.delta_event(seq);
+    if (event.kind == core::DeltaKind::kDisrupt) down = event.slave;
+    if (event.kind == core::DeltaKind::kPendingPush && down >= 0) {
+      requeued = true;
+    }
+    if (event.kind == core::DeltaKind::kSlaveUp) up.push_back(event.slave);
+  }
+  return down >= 0 && requeued &&
+         std::any_of(up.begin(), up.end(),
+                     [down](core::SlaveId j) { return j != down; });
+}
+
+void expect_outcomes_identical(const ProjectionOutcome& a,
+                               const ProjectionOutcome& b,
+                               const std::string& label) {
+  ASSERT_EQ(a.first.index(), b.first.index()) << label;
+  if (const auto* assign = std::get_if<core::Assign>(&a.first)) {
+    EXPECT_EQ(assign->task, std::get<core::Assign>(b.first).task) << label;
+    EXPECT_EQ(assign->slave, std::get<core::Assign>(b.first).slave) << label;
+  }
+  if (const auto* wait = std::get_if<core::WaitUntil>(&a.first)) {
+    EXPECT_TRUE(bits_equal(wait->time, std::get<core::WaitUntil>(b.first).time))
+        << label;
+  }
+  EXPECT_EQ(a.commits, b.commits) << label;
+  EXPECT_TRUE(bits_equal(a.makespan, b.makespan)) << label;
+  EXPECT_EQ(a.stalled, b.stalled) << label;
+}
+
+/// Hands decide() to a portfolio on the live engine unchanged, and keeps
+/// its own IncrementalProjection synced at every decision. At each decision
+/// whose delta window holds an outage, its re-queues and another slave's
+/// recovery, the replayed mirror's online/speed state and every member run
+/// on it must match a fresh EngineProjection of the engine.
+class OutageWindowProbe final : public core::OnlineScheduler {
+ public:
+  explicit OutageWindowProbe(const std::string& spec)
+      : spec_(parse_meta_spec(spec)), inner_(spec_) {}
+
+  std::string name() const override { return inner_.name(); }
+  core::Decision decide(const core::EngineView& engine) override {
+    const auto& live = dynamic_cast<const core::OnePortEngine&>(engine);
+    if (!mirror_) mirror_ = std::make_unique<IncrementalProjection>(live);
+    const bool window =
+        primed_ &&
+        window_holds_outage_and_recovery(live, cursor_, live.delta_end());
+    mirror_->sync();
+    cursor_ = live.delta_end();
+    primed_ = true;
+    if (window) {
+      ++windows_;
+      const EngineProjection snapshot(live);
+      for (core::SlaveId j = 0; j < live.platform().size(); ++j) {
+        EXPECT_EQ(mirror_->is_available(j), snapshot.is_available(j)) << j;
+        EXPECT_TRUE(
+            bits_equal(mirror_->current_speed(j), snapshot.current_speed(j)))
+            << j;
+      }
+      const int horizon = std::min(spec_.horizon, live.pending_count());
+      for (const PolicySpec& member : spec_.members) {
+        ComposedPolicy replayed(member);
+        ComposedPolicy fresh(member);
+        expect_outcomes_identical(
+            mirror_->run(replayed, horizon),
+            EngineProjection(live).run(fresh, horizon),
+            to_string(member) + " at t=" + std::to_string(live.now()));
+      }
+    }
+    return inner_.decide(engine);
+  }
+  void reset() override { inner_.reset(); }
+
+  const PortfolioPolicy& portfolio() const { return inner_; }
+  const IncrementalProjection& mirror() const { return *mirror_; }
+  int windows() const { return windows_; }
+
+ private:
+  MetaSpec spec_;
+  PortfolioPolicy inner_;
+  std::unique_ptr<IncrementalProjection> mirror_;
+  std::uint64_t cursor_ = 0;
+  bool primed_ = false;
+  int windows_ = 0;
+};
+
+TEST(IncrementalProjection, OutageRequeuesAndRecoveryReplayInOneWindow) {
+  // Slave 0 (fast) holds committed work when it fails at t=1.5, the moment
+  // slave 1 first comes online: the next decision's window holds the
+  // kDisrupt, its kPendingPush re-queues and slave 1's kSlaveUp.
+  const Platform plat({platform::SlaveSpec{0.1, 1.0},
+                       platform::SlaveSpec{0.1, 1.0},
+                       platform::SlaveSpec{0.1, 3.0}});
+  std::vector<platform::AvailabilityProfile> profiles(3);
+  profiles[0] =
+      platform::AvailabilityProfile({{1.5, false, 1.0}, {50.0, true, 1.0}});
+  profiles[1] =
+      platform::AvailabilityProfile({{0.0, false, 1.0}, {1.5, true, 0.8}});
+  core::EngineOptions options;
+  options.availability = profiles;
+  const Workload work = Workload::all_at_zero(8);
+  const std::string spec = "portfolio:LS;SRPT;rank:queue+horizon:6";
+
+  OutageWindowProbe probe(spec);
+  core::OnePortEngine engine(plat, probe, options);
+  engine.load(work);
+  engine.run_to_completion();
+  EXPECT_GT(engine.disruption().redispatches, 0);
+  EXPECT_GE(probe.windows(), 1);
+  EXPECT_EQ(probe.mirror().rebuilds(), 1);
+  EXPECT_EQ(probe.portfolio().projection()->rebuilds(), 1);
+  EXPECT_TRUE(core::validate(plat, work, engine.schedule(), options).empty());
+
+  // End to end, the portfolio on the live engine (replaying the window)
+  // matches its fresh-snapshot loop.
+  RebuildPath baseline(make_meta_policy(parse_meta_spec(spec)));
+  core::OnePortEngine reference(plat, baseline, options);
+  reference.load(work);
+  reference.run_to_completion();
+  expect_schedules_identical(engine.schedule(), reference.schedule(),
+                             "outage window");
+  EXPECT_EQ(engine.disruption().redispatches,
+            reference.disruption().redispatches);
 }
 
 // ------------------------------------------------------------ reset reuse ----
