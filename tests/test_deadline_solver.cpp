@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "core/validator.hpp"
 #include "offline/deadline_solver.hpp"
 #include "offline/exhaustive.hpp"
@@ -113,6 +117,95 @@ TEST(SljfPlan, SplitsLoadByProcessorSpeed) {
   int fast = 0;
   for (core::SlaveId j : plan.assignment) fast += (j == 0);
   EXPECT_GE(fast, 7);  // ~4/5 of the work at equal port cost
+}
+
+/// FNV-1a over a plan's assignment and the bit pattern of its makespan:
+/// any change to a slave id, to the send order or to the makespan's last
+/// bit changes the digest.
+void hash_plan(const OfflinePlan& plan, std::uint64_t& h) {
+  const auto mix = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(plan.assignment.size());
+  for (core::SlaveId j : plan.assignment) mix(static_cast<std::uint64_t>(j));
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &plan.makespan, sizeof bits);
+  mix(bits);
+}
+
+/// The platforms the plan goldens run on: 25 generated platforms per class
+/// (2-8 slaves; the homogeneous classes give every slave the same chain,
+/// so slot deadlines tie across slaves) plus hand-made platforms whose
+/// integer costs make deadlines of different slaves coincide exactly.
+std::vector<Platform> golden_platforms() {
+  std::vector<Platform> out = {
+      Platform::homogeneous(5, 0.5, 2.0),
+      Platform::homogeneous(3, 1.0, 1.0),
+      Platform({SlaveSpec{1.0, 3.0}, SlaveSpec{1.0, 7.0}}),
+      Platform({SlaveSpec{1.0, 2.0}, SlaveSpec{1.0, 4.0}, SlaveSpec{1.0, 8.0}}),
+      Platform({SlaveSpec{0.25, 2.0}, SlaveSpec{0.5, 2.0}, SlaveSpec{1.0, 4.0},
+                SlaveSpec{0.25, 4.0}}),
+  };
+  const platform::PlatformGenerator gen;
+  const PlatformClass classes[] = {
+      PlatformClass::kFullyHomogeneous, PlatformClass::kCommHomogeneous,
+      PlatformClass::kCompHomogeneous, PlatformClass::kFullyHeterogeneous};
+  for (const PlatformClass cls : classes) {
+    for (int k = 0; k < 25; ++k) {
+      util::Rng rng(static_cast<std::uint64_t>(
+          7000 + 100 * static_cast<int>(cls) + k));
+      out.push_back(gen.generate(cls, 2 + k % 7, rng));
+    }
+  }
+  return out;
+}
+
+/// Pins both planners bit for bit: the digest of every plan's assignment
+/// and makespan bits, per planner and release pattern. The n = 1000 batches
+/// released together (at 0 and at one later instant) are how the plan
+/// rankers call the planners; the small sorted Poisson vectors exercise
+/// the release checks. A planner change that is meant to be exact must
+/// leave every digest as it is.
+TEST(PlanGolden, AssignmentsAndMakespanBitsArePinned) {
+  const std::vector<Platform> platforms = golden_platforms();
+  struct Pattern {
+    std::string name;
+    std::uint64_t sljf;
+    std::uint64_t sljfwc;
+  };
+  const std::vector<Pattern> pinned = {
+      {"batch-at-0", 0xff50116987c299fdULL, 0x83c0704cf26d491fULL},
+      {"batch-at-t", 0x8d59c1f0da59daecULL, 0x3ef3acab81ccf57eULL},
+      {"poisson", 0xd4fe66a05406e267ULL, 0xe792426d42593ff8ULL},
+  };
+  for (const Pattern& pattern : pinned) {
+    std::uint64_t h_sljf = 0xcbf29ce484222325ULL;
+    std::uint64_t h_sljfwc = h_sljf;
+    for (std::size_t i = 0; i < platforms.size(); ++i) {
+      std::vector<core::Time> releases;
+      if (pattern.name == "batch-at-0") {
+        releases.assign(1000, 0.0);
+      } else if (pattern.name == "batch-at-t") {
+        releases.assign(1000, 123.456789);
+      } else {
+        util::Rng rng(static_cast<std::uint64_t>(9000 + i));
+        const Workload work =
+            Workload::poisson(5 + static_cast<int>(i % 4) * 15, 1.5, rng);
+        for (int t = 0; t < work.size(); ++t) {
+          releases.push_back(work.at(t).release);
+        }
+      }
+      hash_plan(sljf_plan(platforms[i], releases), h_sljf);
+      hash_plan(sljfwc_plan(platforms[i], releases), h_sljfwc);
+    }
+    EXPECT_EQ(h_sljf, pattern.sljf)
+        << pattern.name << " sljf digest 0x" << std::hex << h_sljf;
+    EXPECT_EQ(h_sljfwc, pattern.sljfwc)
+        << pattern.name << " sljfwc digest 0x" << std::hex << h_sljfwc;
+  }
 }
 
 }  // namespace
