@@ -52,13 +52,21 @@ std::vector<Slot> top_slots_uniform(const platform::Platform& platform, int n,
 /// Jackson's-rule check for the uniform-cost selection: sends in earliest-
 /// deadline order, matched FIFO to the sorted releases, must each complete
 /// by their slot's compute-start deadline.
+/// `slots` is in heap-pop order, which never increases (rounding is
+/// monotone, so M - (k+1) p_j <= M - k p_j): reversed, it is the deadline
+/// sequence std::sort gives. Only the slave order within ties differs, and
+/// only `order_out` sees it, so a probe reverses and the final call sorts.
 bool edf_feasible(std::vector<Slot> slots,
                   const std::vector<core::Time>& releases,
                   core::Time send_cost,
                   std::vector<core::SlaveId>* order_out) {
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    return a.deadline < b.deadline;
-  });
+  if (order_out != nullptr) {
+    std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
+      return a.deadline < b.deadline;
+    });
+  } else {
+    std::reverse(slots.begin(), slots.end());
+  }
   core::Time send_end = 0.0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     send_end = std::max(send_end, releases[i]) + send_cost;
@@ -89,7 +97,10 @@ enum class BackwardRule {
 /// the candidate slot of slave j is its next chain deadline M-(cnt_j+1)*p_j;
 /// the rule picks which slave to commit, then the send is packed right
 /// before min(port_time, deadline). The instance is feasible iff each
-/// forward send starts no earlier than its task's release.
+/// forward send starts no earlier than its task's release. The i-th send
+/// placed is the (n-1-i)-th forward, so each start is checked as it is
+/// placed; the order is kept only when `order_out` wants it. A slave's
+/// next deadline is recomputed only when it is committed.
 bool backward_feasible(const platform::Platform& platform, int n, core::Time M,
                        const std::vector<core::Time>& send_cost,
                        const std::vector<core::Time>& releases,
@@ -97,22 +108,23 @@ bool backward_feasible(const platform::Platform& platform, int n, core::Time M,
                        std::vector<core::SlaveId>* order_out) {
   const int m = platform.size();
   std::vector<int> cnt(static_cast<std::size_t>(m), 0);
+  std::vector<core::Time> deadline;  // M - (cnt_j + 1) * p_j
+  for (core::SlaveId j = 0; j < m; ++j) {
+    deadline.push_back(M - platform.comp(j));
+  }
   core::Time port_time = std::numeric_limits<core::Time>::infinity();
-  std::vector<std::pair<core::SlaveId, core::Time>> placed;  // (slave, start)
-  placed.reserve(static_cast<std::size_t>(n));
+  if (order_out != nullptr) order_out->clear();
 
   for (int i = 0; i < n; ++i) {
     core::SlaveId best = -1;
     core::Time best_key = -std::numeric_limits<core::Time>::infinity();
     core::Time best_cost = 0.0;
     for (core::SlaveId j = 0; j < m; ++j) {
-      const core::Time deadline =
-          M - static_cast<core::Time>(cnt[static_cast<std::size_t>(j)] + 1) *
-                  platform.comp(j);
       const core::Time cost = send_cost[static_cast<std::size_t>(j)];
+      const core::Time d = deadline[static_cast<std::size_t>(j)];
       const core::Time key = rule == BackwardRule::kLatestStart
-                                 ? std::min(port_time, deadline) - cost
-                                 : deadline;
+                                 ? std::min(port_time, d) - cost
+                                 : d;
       if (key > best_key + core::kTimeEps ||
           (key > best_key - core::kTimeEps && best >= 0 &&
            cost < best_cost - core::kTimeEps)) {
@@ -121,52 +133,19 @@ bool backward_feasible(const platform::Platform& platform, int n, core::Time M,
         best_cost = cost;
       }
     }
-    const core::Time deadline =
-        M - static_cast<core::Time>(cnt[static_cast<std::size_t>(best)] + 1) *
-                platform.comp(best);
-    const core::Time start = std::min(port_time, deadline) -
-                             send_cost[static_cast<std::size_t>(best)];
-    placed.emplace_back(best, start);
-    ++cnt[static_cast<std::size_t>(best)];
-    port_time = start;
-  }
-
-  // Forward order: reverse of placement; releases are sorted ascending.
-  for (int i = 0; i < n; ++i) {
-    const core::Time start = placed[static_cast<std::size_t>(n - 1 - i)].second;
-    if (start < releases[static_cast<std::size_t>(i)] - core::kTimeEps) {
+    const auto b = static_cast<std::size_t>(best);
+    const core::Time start = std::min(port_time, deadline[b]) - send_cost[b];
+    if (start < releases[static_cast<std::size_t>(n - 1 - i)] -
+                    core::kTimeEps) {
       return false;
     }
+    if (order_out != nullptr) order_out->push_back(best);
+    ++cnt[b];
+    deadline[b] = M - static_cast<core::Time>(cnt[b] + 1) * platform.comp(best);
+    port_time = start;
   }
-  if (order_out != nullptr) {
-    order_out->clear();
-    for (int i = n - 1; i >= 0; --i) {
-      order_out->push_back(placed[static_cast<std::size_t>(i)].first);
-    }
-  }
+  if (order_out != nullptr) std::reverse(order_out->begin(), order_out->end());
   return true;
-}
-
-/// Rebuilds a send order from per-slave task counts: slave j's i-th-from-
-/// last task sits at chain deadline M - i*p_j; merging all chains and
-/// sorting ascending gives the backward-packed send order.
-std::vector<core::SlaveId> order_from_counts(const platform::Platform& platform,
-                                             const std::vector<int>& counts,
-                                             core::Time M) {
-  std::vector<Slot> slots;
-  for (core::SlaveId j = 0; j < platform.size(); ++j) {
-    for (int k = 1; k <= counts[static_cast<std::size_t>(j)]; ++k) {
-      slots.push_back(
-          Slot{j, M - static_cast<core::Time>(k) * platform.comp(j)});
-    }
-  }
-  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-    return a.deadline < b.deadline;
-  });
-  std::vector<core::SlaveId> order;
-  order.reserve(slots.size());
-  for (const Slot& s : slots) order.push_back(s.slave);
-  return order;
 }
 
 /// First-improvement local search over per-slave counts, scoring candidate
@@ -174,15 +153,23 @@ std::vector<core::SlaveId> order_from_counts(const platform::Platform& platform,
 /// the optimal count split when the port and a fast slave saturate
 /// simultaneously (the slot choice is genuinely combinatorial); moving one
 /// task between slaves and re-deriving the send order repairs exactly those
-/// cases.
+/// cases. A candidate's send order is its chain deadlines M - k p_j,
+/// k = 1..counts[j], sorted ascending.
+///
+/// A move a -> b is not replayed when a lower bound rejects it. In the
+/// replay (StepSimulator::step) a send to b starts no earlier than the first
+/// release r_0, a computation no earlier than its send's end and b's
+/// previous comp_end, and rounded addition is monotone; so the makespan is
+/// at least fl(...fl(fl(r_0 + c_b) + p_b)... + p_b), counts[b] additions.
 void improve_counts(const platform::Platform& platform,
-                    const std::vector<core::Time>& releases, core::Time M,
+                    const core::Workload& work, core::Time M,
                     std::vector<core::SlaveId>& assignment,
                     core::Time& makespan) {
   const int m = platform.size();
   std::vector<int> counts(static_cast<std::size_t>(m), 0);
   for (core::SlaveId j : assignment) ++counts[static_cast<std::size_t>(j)];
-  const core::Workload work = core::Workload::from_releases(releases);
+  std::vector<Slot> slots;
+  std::vector<core::SlaveId> order;
 
   bool improved = true;
   for (int round = 0; improved && round < 200; ++round) {
@@ -191,12 +178,27 @@ void improve_counts(const platform::Platform& platform,
       if (counts[static_cast<std::size_t>(a)] == 0) continue;
       for (core::SlaveId b = 0; b < m && !improved; ++b) {
         if (a == b) continue;
+        const int count_b = counts[static_cast<std::size_t>(b)] + 1;
+        core::Time bound = work.at(0).release + platform.comm(b);
+        for (int k = 0; k < count_b; ++k) bound += platform.comp(b);
+        if (!(bound < makespan - core::kTimeEps)) continue;
         --counts[static_cast<std::size_t>(a)];
         ++counts[static_cast<std::size_t>(b)];
-        const std::vector<core::SlaveId> order =
-            order_from_counts(platform, counts, M);
+        slots.clear();
+        for (core::SlaveId j = 0; j < m; ++j) {
+          for (int k = 1; k <= counts[static_cast<std::size_t>(j)]; ++k) {
+            slots.push_back(
+                Slot{j, M - static_cast<core::Time>(k) * platform.comp(j)});
+          }
+        }
+        std::sort(slots.begin(), slots.end(),
+                  [](const Slot& x, const Slot& y) {
+                    return x.deadline < y.deadline;
+                  });
+        order.clear();
+        for (const Slot& s : slots) order.push_back(s.slave);
         const core::Time candidate =
-            simulate_assignment(platform, work, order).makespan();
+            evaluate_assignment(platform, work, order).makespan;
         if (candidate < makespan - core::kTimeEps) {
           makespan = candidate;
           assignment = order;
@@ -240,10 +242,19 @@ OfflinePlan plan_impl(const platform::Platform& platform,
                       (platform.max_comm() + platform.max_comp()) +
                   1.0;
   while (!feasible(hi, nullptr)) hi *= 2.0;  // paranoia; hi should suffice
+  // Once mid rounds onto hi (feasible) or onto a lo that failed its probe,
+  // no later iteration moves either end (~54 probes instead of 100). The
+  // initial lo was never probed, so the loop probes it before stopping.
+  bool lo_probed = false;
   for (int iter = 0; iter < 100; ++iter) {
     const core::Time mid = 0.5 * (lo + hi);
-    if (feasible(mid, nullptr)) hi = mid;
-    else lo = mid;
+    if (mid == hi || (mid == lo && lo_probed)) break;
+    if (feasible(mid, nullptr)) {
+      hi = mid;
+    } else {
+      lo = mid;
+      lo_probed = true;
+    }
   }
 
   if (!feasible(hi, &plan.assignment)) {
@@ -251,12 +262,11 @@ OfflinePlan plan_impl(const platform::Platform& platform,
   }
 
   // Replay the plan forward (packed left) to report its true makespan.
-  const core::Schedule replay = simulate_assignment(
-      platform, core::Workload::from_releases(releases), plan.assignment);
-  plan.makespan = replay.makespan();
+  const core::Workload work = core::Workload::from_releases(releases);
+  plan.makespan = evaluate_assignment(platform, work, plan.assignment).makespan;
 
   if (comm_aware) {
-    improve_counts(platform, releases, hi, plan.assignment, plan.makespan);
+    improve_counts(platform, work, hi, plan.assignment, plan.makespan);
   }
   return plan;
 }

@@ -52,6 +52,10 @@ OfflinePlan sljf_plan(const platform::Platform& platform,
 /// repairs exactly those cases. Matches the exhaustive optimum on every
 /// computation-homogeneous instance in the test sweeps; a strong heuristic
 /// on fully heterogeneous ones.
+///
+/// Both planners skip only work whose result is already known (a converged
+/// bisection, probe orders nobody reads, count moves a lower bound rejects;
+/// see deadline_solver.cpp), so plans are bit-identical to the full search.
 OfflinePlan sljfwc_plan(const platform::Platform& platform,
                         const std::vector<core::Time>& releases);
 
