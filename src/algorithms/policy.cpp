@@ -466,8 +466,9 @@ class PlanRanker : public Ranker {
  public:
   PlanRanker(bool comm_aware, int lookahead)
       : comm_aware_(comm_aware), lookahead_(lookahead) {
-    if (lookahead_ < 0) {
-      throw std::invalid_argument("plan ranker: lookahead must be >= 0");
+    if (lookahead_ < 0 || lookahead_ > kMaxLookahead) {
+      throw std::invalid_argument("plan ranker: lookahead must be in [0, " +
+                                  std::to_string(kMaxLookahead) + "]");
     }
   }
 

@@ -51,6 +51,13 @@ T number(std::optional<T> (*parse)(const std::string&),
                 token + "'");
 }
 
+/// A plan lookahead K: an int in [0, kMaxLookahead], or a clause error.
+int lookahead_value(const std::string& token, const ClauseCtx& ctx) {
+  const int k = number(util::parse_int, token, ctx);
+  if (k >= 0 && k <= kMaxLookahead) return k;
+  fail(ctx, "lookahead must be in [0, " + std::to_string(kMaxLookahead) + "]");
+}
+
 /// fmt_exact without its exponent's '+' ("7.1e+02" -> "7.1e02"): '+'
 /// separates clauses, so a serialized number must not contain one.
 std::string fmt_number(double v) {
@@ -177,11 +184,7 @@ void apply_rank_clause(const std::vector<std::string>& parts,
     } else {
       fail(ctx, "unknown planner '" + parts[2] + "'");
     }
-    if (parts.size() == 4) {
-      const int k = number(util::parse_int, parts[3], ctx);
-      if (k < 0) fail(ctx, "lookahead must be >= 0");
-      spec.lookahead = k;
-    }
+    if (parts.size() == 4) spec.lookahead = lookahead_value(parts[3], ctx);
     return;
   }
   if (which == "linear") {
@@ -297,9 +300,7 @@ PolicySpec parse_policy_spec(const std::string& text, int lookahead,
     } else if (key == "quota" && parts.size() == 2) {
       apply_filter_clause({"filter", "quota", parts[1]}, ctx, spec);
     } else if (key == "lookahead" && parts.size() == 2) {
-      const int k = number(util::parse_int, parts[1], ctx);
-      if (k < 0) fail(ctx, "lookahead must be >= 0");
-      spec.lookahead = k;
+      spec.lookahead = lookahead_value(parts[1], ctx);
     } else if (key == "eps" && parts.size() == 2) {
       const double theta = number(util::parse_double, parts[1], ctx);
       if (theta < 0.0) fail(ctx, "eps must be >= 0");

@@ -64,13 +64,17 @@ enum class GateKind {
   kPace,    ///< WaitUntil pacing: >= pace_dt between consecutive sends
 };
 
+/// Largest plan lookahead K that specs, grids and plan rankers accept: a
+/// plan ranker allocates O(K) at its first decision (committed grids: 1000).
+inline constexpr int kMaxLookahead = 1000000;
+
 struct PolicySpec {
   FilterKind filter = FilterKind::kAll;
   int throttle_k = 2;        ///< FilterKind::kThrottle cap (>= 1)
   double quota_slack = 1.0;  ///< FilterKind::kQuota slack tasks (> 0)
 
   RankerKind ranker = RankerKind::kCompletion;
-  int lookahead = 1000;      ///< plan rankers' planned-task count K (>= 0)
+  int lookahead = 1000;      ///< plan rankers' planned-task count K (<= 1e6)
   /// RankerKind::kLinear feature weights (exactly kLinearFeatureCount,
   /// finite; empty for every other ranker).
   std::vector<double> linear_w;

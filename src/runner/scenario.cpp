@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "algorithms/policy_spec.hpp"
 #include "algorithms/registry.hpp"
 #include "core/sharded_engine.hpp"
 #include "util/parse.hpp"
@@ -80,6 +81,7 @@ std::vector<T> require_each(std::vector<T> values, Ok ok,
 bool positive(double v) { return v > 0.0; }
 bool at_least_one(int v) { return v >= 1; }
 bool non_negative(int v) { return v >= 0; }
+bool lookahead_ok(int v) { return v >= 0 && v <= algorithms::kMaxLookahead; }
 
 }  // namespace
 
@@ -256,8 +258,10 @@ void apply_key(ScenarioGrid& grid, const std::string& key,
     grid.num_tasks =
         require(parse_int(value), at_least_one, "tasks must be >= 1");
   } else if (key == "lookahead") {
-    grid.lookahead =
-        require(parse_int(value), non_negative, "lookahead must be >= 0");
+    grid.lookahead = require(parse_int(value), lookahead_ok,
+                             "lookahead must be in [0, " +
+                                 std::to_string(algorithms::kMaxLookahead) +
+                                 "]");
   } else if (key == "algorithms") {
     grid.algorithms = parse_list(value, parse_algorithm);
   } else if (key == "class") {

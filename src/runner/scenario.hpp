@@ -128,7 +128,8 @@ std::vector<ScenarioSpec> shard_cells(std::vector<ScenarioSpec> cells,
 /// duplicate keys, integers that do not fit in `int`, and values outside
 /// these ranges throw std::invalid_argument with the offending line:
 ///   - `platforms`, `tasks`, `slaves`, `engine_shards`: >= 1;
-///   - `lookahead`, `port`, `shard_threads`: >= 0;
+///   - `port`, `shard_threads`: >= 0;
+///   - `lookahead`: in [0, algorithms::kMaxLookahead] (10^6);
 ///   - `load`, `mtbf_tasks`, `ipp_period_tasks`: finite and > 0;
 ///   - `jitter`: in [0, 1);
 ///   - `ipp_amplitude`: in [0, 1];

@@ -171,6 +171,10 @@ TEST(PolicySpec, RejectsMalformedSpecs) {
       "eps:-0.1",
       "eps:0.1x",
       "lookahead:-1",
+      // K above kMaxLookahead would make a plan ranker allocate O(K).
+      "lookahead:1000001",
+      "SLJFWC+lookahead:2147483647",
+      "rank:plan:sljf:1000001",
       "LS+",
       "LS+frobnicate:3",
       "rank:cyclic",
@@ -189,6 +193,20 @@ TEST(PolicySpec, RejectsMalformedSpecs) {
     EXPECT_THROW(parse_policy_spec(text), std::invalid_argument) << text;
     EXPECT_THROW(make_scheduler(text), std::invalid_argument) << text;
   }
+}
+
+TEST(PolicySpec, LookaheadIsCappedAtKMaxLookahead) {
+  // Parsing alone: a plan ranker at the cap is never built here, since it
+  // plans kMaxLookahead sends at its first decision.
+  EXPECT_EQ(parse_policy_spec("SLJF+lookahead:1000000").lookahead,
+            kMaxLookahead);
+  EXPECT_EQ(parse_policy_spec("rank:plan:sljfwc:1000000").lookahead,
+            kMaxLookahead);
+  // A default K above the cap (make_scheduler's argument) is refused when
+  // the plan ranker is built, before it allocates anything.
+  EXPECT_THROW(make_scheduler("SLJF", kMaxLookahead + 1),
+               std::invalid_argument);
+  EXPECT_THROW(make_scheduler("SLJFWC", 2147483647), std::invalid_argument);
 }
 
 TEST(PolicySpec, RejectsIntegersThatDoNotFitInInt) {

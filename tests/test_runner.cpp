@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "algorithms/policy_spec.hpp"
 #include "runner/checkpoint.hpp"
 #include "runner/parallel_runner.hpp"
 #include "runner/result_sink.hpp"
@@ -534,8 +535,9 @@ TEST(GridFormat, RejectsOutOfRangeValues) {
         "mtbf_tasks = 25, inf", "outage_frac = 0.95", "outage_frac = -0.1",
         "outage_frac = nan", "platforms = 0", "platforms = 4294967297",
         "tasks = 0", "tasks = -5", "slaves = 0", "slaves = 5, 3000000000",
-        "lookahead = -1", "port = -1", "jitter = -0.5", "jitter = nan",
-        "jitter = 2", "jitter = 1", "ipp_amplitude = 5",
+        "lookahead = -1", "lookahead = 1000001", "lookahead = 2147483647",
+        "algorithms = rank:plan:sljf:2000000", "port = -1", "jitter = -0.5",
+        "jitter = nan", "jitter = 2", "jitter = 1", "ipp_amplitude = 5",
         "ipp_amplitude = -0.1", "ipp_period_tasks = -1",
         "ipp_period_tasks = 0", "ipp_period_tasks = inf", "comm_lo = nan",
         "comm_lo = -1", "comm_hi = 0", "comp_lo = 1e999", "comp_hi = inf",
@@ -564,6 +566,8 @@ TEST(GridFormat, RejectsOutOfRangeValues) {
   EXPECT_EQ(edges.jitters, (std::vector<double>{0.0}));
   EXPECT_EQ(edges.ipp_amplitude, 1.0);
   EXPECT_EQ(parse_grid("ipp_amplitude = 0\n").ipp_amplitude, 0.0);
+  EXPECT_EQ(parse_grid("lookahead = 1000000\n").lookahead,
+            algorithms::kMaxLookahead);
 }
 
 TEST(GridFormat, GeneratorRangesMustBeOrderedOnceTheGridIsRead) {
