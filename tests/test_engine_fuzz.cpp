@@ -225,12 +225,27 @@ TEST_P(ShardedFuzz, RandomFederationsStayFeasible) {
         rng);
   }
   // RR/RRC/RRP, SRPT and the other fixed-order compositions decide by
-  // walking a cached slave order; the sanitizer build runs them here too.
-  const char* const policies[] = {"LS", "RR", "RRC", "RRP", "SRPT", "SLJF",
-                                  "MINREADY", "rank:comm+filter:free",
-                                  "rank:cyclic:comp+filter:free"};
-  const std::string policy = policies[rng.uniform_int(
-      0, static_cast<std::int64_t>(std::size(policies)) - 1)];
+  // walking a cached slave order; the planners build their plan at a
+  // shard's first decision; the meta policies forward-simulate their
+  // members (portfolio) or switch between them (hedge). The sanitizer
+  // build runs them all here. 13 policies against 36 params: each runs at
+  // least twice, and (param % 3, param % 13) never repeats.
+  const char* const policies[] = {
+      "LS",
+      "RR",
+      "RRC",
+      "RRP",
+      "SRPT",
+      "SLJF",
+      "SLJFWC",
+      "rank:plan:sljfwc:40",
+      "MINREADY",
+      "rank:comm+filter:free",
+      "rank:cyclic:comp+filter:free",
+      "portfolio:LS;SRPT;rank:queue+horizon:4",
+      "hedge:rank:ready;LS+window:8+hyst:2"};
+  const std::string policy =
+      policies[static_cast<std::size_t>(param) % std::size(policies)];
 
   ShardedEngine engine(
       plat, [&] { return algorithms::make_scheduler(policy); }, options);
