@@ -1,6 +1,7 @@
 #include "mpisim/runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -45,22 +46,31 @@ Calibration calibrate(int matrix_size, std::uint64_t seed) {
   std::vector<double> scratch;
   volatile double sink = 0.0;
 
-  // Warm-up, then measure. Enough repetitions to dominate clock quantum.
-  for (int i = 0; i < 16; ++i) sink = sink + copy_once(m, scratch);
-  const int copy_reps = 512;
-  const auto t0 = Clock::now();
-  for (int i = 0; i < copy_reps; ++i) sink = sink + copy_once(m, scratch);
-  const double copy_total = seconds_since(t0);
-
-  for (int i = 0; i < 4; ++i) sink = sink + determinant(m);
-  const int det_reps = 64;
-  const auto t1 = Clock::now();
-  for (int i = 0; i < det_reps; ++i) sink = sink + determinant(m);
-  const double det_total = seconds_since(t1);
+  // Every replication count scales with these unit costs, so they must be
+  // the speed the run will get. A sub-millisecond timing sees an idle core
+  // even on a busy host (runs on an oversubscribed 4-vCPU host then took up
+  // to 5x their predicted makespan), so each sample spans >= 2 ms, which
+  // averages in a sustained load, and the median of 9 interleaved samples
+  // drops a single preemption or quiet moment.
+  const auto per_rep = [](const auto& op) {
+    const auto t0 = Clock::now();
+    int reps = 0;
+    for (; reps == 0 || seconds_since(t0) < 2e-3; reps += 16) {
+      for (int i = 0; i < 16; ++i) op();
+    }
+    return seconds_since(t0) / reps;
+  };
+  std::array<double, 9> copy{}, det{};
+  for (std::size_t s = 0; s < copy.size(); ++s) {
+    copy[s] = per_rep([&] { sink = sink + copy_once(m, scratch); });
+    det[s] = per_rep([&] { sink = sink + determinant(m); });
+  }
+  std::nth_element(copy.begin(), copy.begin() + 4, copy.end());
+  std::nth_element(det.begin(), det.begin() + 4, det.end());
 
   Calibration cal;
-  cal.copy_seconds = std::max(copy_total / copy_reps, 1e-9);
-  cal.det_seconds = std::max(det_total / det_reps, 1e-9);
+  cal.copy_seconds = std::max(copy[4], 1e-9);
+  cal.det_seconds = std::max(det[4], 1e-9);
   return cal;
 }
 

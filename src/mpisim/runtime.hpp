@@ -23,7 +23,9 @@ struct RuntimeConfig {
 /// Host calibration, mirroring the paper's Sec 4.2 procedure: measure how
 /// long one matrix copy ("send") and one determinant ("task") take here,
 /// then replicate them nc_j / np_j times per slave so the *effective*
-/// platform matches the requested (c_j, p_j).
+/// platform matches the requested (c_j, p_j). Each unit cost is the median
+/// of 9 samples of >= 2 ms each (~40 ms in all), so a loaded host
+/// calibrates at its loaded speed.
 struct Calibration {
   double copy_seconds = 0.0;  ///< one matrix memcpy through a channel buffer
   double det_seconds = 0.0;   ///< one LU determinant
