@@ -160,7 +160,8 @@ bool backward_feasible(const platform::Platform& platform, int n, core::Time M,
 /// replay (StepSimulator::step) a send to b starts no earlier than the first
 /// release r_0, a computation no earlier than its send's end and b's
 /// previous comp_end, and rounded addition is monotone; so the makespan is
-/// at least fl(...fl(fl(r_0 + c_b) + p_b)... + p_b), counts[b] additions.
+/// at least fl(...fl(fl(r_0 + c_b) + p_b)... + p_b), one p_b per task b
+/// holds after the move.
 void improve_counts(const platform::Platform& platform,
                     const core::Workload& work, core::Time M,
                     std::vector<core::SlaveId>& assignment,
