@@ -1,14 +1,6 @@
 #include "core/rank_kernel.hpp"
 
-#include <cstring>
 #include <limits>
-
-// (MSOL_RANK_KERNEL_SIMD is defined further down, next to the rationale;
-// the gather kernels additionally need the intrinsic headers because
-// vgatherdpd has no GNU-vector-extension spelling.)
-#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace msol::core {
 
@@ -18,409 +10,168 @@ namespace {
 /// result (ties pick `a`, like std::max picks its first argument).
 inline Time tmax(Time a, Time b) { return a < b ? b : a; }
 
-}  // namespace
+/// The engine's completion probe, operation for operation: send end, the
+/// max with busy-until, then the compute time, multiplied and then (on a
+/// platform with availability) divided by the slave's speed.
+inline Time probe(Time now, Time send_start, double comm_factor,
+                  double comp_factor, Time comm, Time comp, Time ready,
+                  const double* speed) {
+  const Time send_end = send_start + comm * comm_factor;
+  const Time comp_start = tmax(send_end, tmax(now, ready));
+  Time compute = comp * comp_factor;
+  if (speed != nullptr) compute /= *speed;
+  return comp_start + compute;
+}
 
-void completion_batch(const SlaveStateView& s, Time now, Time send_start,
-                      double comm_factor, double comp_factor, Time* out) {
-  const int m = s.m;
+/// Slave indices of the two kernel forms: every slave, or a candidate list.
+struct EverySlave {
+  SlaveId operator()(int i) const { return i; }
+};
+struct Candidates {
+  const SlaveId* ids;
+  SlaveId operator()(int i) const { return ids[i]; }
+};
+
+/// out[i] = the probe of slave `slave(i)`, +infinity when it is offline.
+///
+/// The only kernel loop: MSOL_RANK_KERNEL_VARIANTS compiles it again under
+/// target("avx2") and target("avx512f"), so every variant runs the probe's
+/// operation sequence per lane (the library's -ffp-contract=off keeps the
+/// FMA-capable targets from fusing a mul+add). The static loop vectorizes
+/// in every variant; `__restrict` (out overlaps no input) is what lets the
+/// compiler build the candidate form's vectors from indexed loads. The
+/// availability loop keeps its offline early-out and stays scalar: probing
+/// every slave and masking offline ones afterwards measured slower.
+template <typename SlaveOf>
+__attribute__((always_inline)) inline void probe_body(
+    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
+    double comp_factor, SlaveOf slave, int n, Time* __restrict out) {
+  const Time* __restrict comm = s.comm;
+  const Time* __restrict comp = s.comp;
+  const Time* __restrict ready = s.ready;
   if (s.online == nullptr && s.speed == nullptr) {
-    // Static platform: no branches in the loop body, dense loads only —
-    // this is the form the compiler can vectorize.
-    for (int j = 0; j < m; ++j) {
-      const Time send_end = send_start + s.comm[j] * comm_factor;
-      const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-      out[j] = comp_start + s.comp[j] * comp_factor;
+    for (int i = 0; i < n; ++i) {
+      const SlaveId j = slave(i);
+      out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j],
+                     comp[j], ready[j], nullptr);
     }
     return;
   }
   const Time inf = std::numeric_limits<Time>::infinity();
-  for (int j = 0; j < m; ++j) {
+  for (int i = 0; i < n; ++i) {
+    const SlaveId j = slave(i);
     if (s.online != nullptr && s.online[j] == 0) {
-      out[j] = inf;
+      out[i] = inf;
       continue;
     }
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    Time compute = s.comp[j] * comp_factor;
-    if (s.speed != nullptr) compute /= s.speed[j];
-    out[j] = comp_start + compute;
+    out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j], comp[j],
+                   ready[j], s.speed == nullptr ? nullptr : s.speed + j);
   }
+}
+
+// The ISA variants need GCC/Clang's function `target` attribute on x86-64.
+// Only the kernel loop is compiled for AVX2 / AVX-512, behind a
+// __builtin_cpu_supports gate; everything else stays at baseline.
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
+#define MSOL_RANK_KERNEL_SIMD 1
+#define MSOL_RANK_KERNEL_VARIANTS(isa, suffix)                                \
+  __attribute__((target(isa))) void batch_##suffix(                           \
+      const SlaveStateView& s, Time now, Time send_start, double cf,          \
+      double pf, Time* out) {                                                 \
+    probe_body(s, now, send_start, cf, pf, EverySlave{}, s.m, out);           \
+  }                                                                           \
+  __attribute__((target(isa))) void gather_##suffix(                          \
+      const SlaveStateView& s, Time now, Time send_start, double cf,          \
+      double pf, const SlaveId* ids, int n, Time* out) {                      \
+    probe_body(s, now, send_start, cf, pf, Candidates{ids}, n, out);          \
+  }
+MSOL_RANK_KERNEL_VARIANTS("avx2", avx2)
+MSOL_RANK_KERNEL_VARIANTS("avx512f", avx512)
+#endif
+
+/// The variant a width runs on this host: kAuto takes the widest ISA the
+/// host carries; a pinned ISA the build or host lacks falls back to scalar.
+RankKernelWidth resolve(RankKernelWidth width) {
+  const bool avx512 = rank_kernel_avx512_available();
+  const bool avx2 = rank_kernel_simd_available();
+  if (width == RankKernelWidth::kAuto) {
+    return avx512 ? RankKernelWidth::kAvx512
+                  : avx2 ? RankKernelWidth::kAvx2 : RankKernelWidth::kScalar;
+  }
+  if ((width == RankKernelWidth::kAvx512 && avx512) ||
+      (width == RankKernelWidth::kAvx2 && avx2)) {
+    return width;
+  }
+  return RankKernelWidth::kScalar;
+}
+
+}  // namespace
+
+void completion_batch(const SlaveStateView& s, Time now, Time send_start,
+                      double comm_factor, double comp_factor, Time* out) {
+  probe_body(s, now, send_start, comm_factor, comp_factor, EverySlave{}, s.m,
+             out);
 }
 
 void completion_gather(const SlaveStateView& s, Time now, Time send_start,
                        double comm_factor, double comp_factor,
                        const SlaveId* ids, int n, Time* out) {
-  const Time inf = std::numeric_limits<Time>::infinity();
-  for (int i = 0; i < n; ++i) {
-    const SlaveId j = ids[i];
-    if (s.online != nullptr && s.online[j] == 0) {
-      out[i] = inf;
-      continue;
-    }
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    Time compute = s.comp[j] * comp_factor;
-    if (s.speed != nullptr) compute /= s.speed[j];
-    out[i] = comp_start + compute;
-  }
+  probe_body(s, now, send_start, comm_factor, comp_factor, Candidates{ids}, n,
+             out);
 }
 
-// Explicit vectorization needs the GNU vector extensions AND a wider-than-
-// baseline target: the portable build targets x86-64 SSE2, where 4-lane
-// ops get split into a shuffle-heavy mess slower than the compiler's own
-// autovectorized scalar loop. Compiling just the kernel body for AVX2 via
-// the function `target` attribute (with a __builtin_cpu_supports runtime
-// gate) keeps the global build flags and every other translation unit at
-// baseline. FMA is deliberately NOT requested: without fused-multiply-add
-// instructions the compiler cannot contract mul+add, so every lane performs
-// the scalar probe's exact operation sequence.
-#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
-#define MSOL_RANK_KERNEL_SIMD 1
-#endif
-
+#ifdef MSOL_RANK_KERNEL_SIMD
 bool rank_kernel_simd_available() {
-#ifdef MSOL_RANK_KERNEL_SIMD
   return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
 }
-
 bool rank_kernel_avx512_available() {
-#ifdef MSOL_RANK_KERNEL_SIMD
   return __builtin_cpu_supports("avx512f") != 0;
+}
 #else
-  return false;
+bool rank_kernel_simd_available() { return false; }
+bool rank_kernel_avx512_available() { return false; }
 #endif
-}
-
-#ifdef MSOL_RANK_KERNEL_SIMD
-namespace {
-
-typedef double Vd4 __attribute__((vector_size(32)));
-
-/// tmax per lane: the GNU vector ternary selects whole IEEE words on the
-/// comparison mask (lanes where a < b take b, others a), so the result is
-/// bit-for-bit the scalar ternary's; under target("avx2") it lowers to a
-/// single vmaxpd. (An explicit and/andnot/or bit-select computes the same
-/// thing but defeats that pattern match — measured 3x slower.)
-__attribute__((target("avx2"))) inline Vd4 vmax(Vd4 a, Vd4 b) {
-  return a < b ? b : a;
-}
-
-__attribute__((target("avx2"))) void completion_batch_avx2(
-    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
-    double comp_factor, Time* out) {
-  const int m = s.m;
-  const Vd4 vnow = {now, now, now, now};
-  const Vd4 vsend = {send_start, send_start, send_start, send_start};
-  const Vd4 vcf = {comm_factor, comm_factor, comm_factor, comm_factor};
-  const Vd4 vpf = {comp_factor, comp_factor, comp_factor, comp_factor};
-  int j = 0;
-  for (; j + 4 <= m; j += 4) {
-    Vd4 comm;
-    Vd4 comp;
-    Vd4 ready;
-    std::memcpy(&comm, s.comm + j, sizeof comm);
-    std::memcpy(&comp, s.comp + j, sizeof comp);
-    std::memcpy(&ready, s.ready + j, sizeof ready);
-    const Vd4 send_end = vsend + comm * vcf;
-    const Vd4 comp_start = vmax(send_end, vmax(vnow, ready));
-    const Vd4 completion = comp_start + comp * vpf;
-    std::memcpy(out + j, &completion, sizeof completion);
-  }
-  for (; j < m; ++j) {  // scalar tail, same operation sequence
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    out[j] = comp_start + s.comp[j] * comp_factor;
-  }
-}
-
-typedef double Vd8 __attribute__((vector_size(64)));
-
-/// 8-lane tmax; lowers to a single vmaxpd zmm under target("avx512f").
-/// Only "avx512f" is requested — Foundation carries 512-bit vmaxpd/vmulpd/
-/// vaddpd, and it also carries FMA forms, which is why this TU is compiled
-/// with -ffp-contract=off (see CMakeLists): a contracted mul+add would
-/// round once instead of twice and break bit-identity with the scalar probe.
-__attribute__((target("avx512f"))) inline Vd8 vmax8(Vd8 a, Vd8 b) {
-  return a < b ? b : a;
-}
-
-__attribute__((target("avx512f"))) void completion_batch_avx512(
-    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
-    double comp_factor, Time* out) {
-  const int m = s.m;
-  const Vd8 vnow = {now, now, now, now, now, now, now, now};
-  const Vd8 vsend = {send_start, send_start, send_start, send_start,
-                     send_start, send_start, send_start, send_start};
-  const Vd8 vcf = {comm_factor, comm_factor, comm_factor, comm_factor,
-                   comm_factor, comm_factor, comm_factor, comm_factor};
-  const Vd8 vpf = {comp_factor, comp_factor, comp_factor, comp_factor,
-                   comp_factor, comp_factor, comp_factor, comp_factor};
-  int j = 0;
-  // Two independent 8-lane chains per iteration: the max chains serialize a
-  // single accumulator at vmaxpd latency, so a second in-flight group hides
-  // it. Lanes never interact, so the unroll cannot change any lane's value.
-  for (; j + 16 <= m; j += 16) {
-    Vd8 comm0, comp0, ready0, comm1, comp1, ready1;
-    std::memcpy(&comm0, s.comm + j, sizeof comm0);
-    std::memcpy(&comp0, s.comp + j, sizeof comp0);
-    std::memcpy(&ready0, s.ready + j, sizeof ready0);
-    std::memcpy(&comm1, s.comm + j + 8, sizeof comm1);
-    std::memcpy(&comp1, s.comp + j + 8, sizeof comp1);
-    std::memcpy(&ready1, s.ready + j + 8, sizeof ready1);
-    const Vd8 send_end0 = vsend + comm0 * vcf;
-    const Vd8 send_end1 = vsend + comm1 * vcf;
-    const Vd8 comp_start0 = vmax8(send_end0, vmax8(vnow, ready0));
-    const Vd8 comp_start1 = vmax8(send_end1, vmax8(vnow, ready1));
-    const Vd8 completion0 = comp_start0 + comp0 * vpf;
-    const Vd8 completion1 = comp_start1 + comp1 * vpf;
-    std::memcpy(out + j, &completion0, sizeof completion0);
-    std::memcpy(out + j + 8, &completion1, sizeof completion1);
-  }
-  for (; j + 8 <= m; j += 8) {
-    Vd8 comm, comp, ready;
-    std::memcpy(&comm, s.comm + j, sizeof comm);
-    std::memcpy(&comp, s.comp + j, sizeof comp);
-    std::memcpy(&ready, s.ready + j, sizeof ready);
-    const Vd8 send_end = vsend + comm * vcf;
-    const Vd8 comp_start = vmax8(send_end, vmax8(vnow, ready));
-    const Vd8 completion = comp_start + comp * vpf;
-    std::memcpy(out + j, &completion, sizeof completion);
-  }
-  for (; j < m; ++j) {  // scalar tail, same operation sequence
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    out[j] = comp_start + s.comp[j] * comp_factor;
-  }
-}
-
-/// Gather-form AVX2 kernel: 4 candidate ids per group. Loads go through
-/// vgatherdpd (SlaveId is 32-bit int, so a 128-bit lane of 4 ids indexes a
-/// 256-bit gather); the arithmetic then moves into the same GNU-vector
-/// types and vmax as the dense kernel, so every lane performs exactly the
-/// scalar gather's operation sequence. Offline candidates are handled
-/// branch-free: the gathered lanes compute garbage-but-finite values that a
-/// blendv against the widened online bytes replaces with +infinity —
-/// bit-identical to the scalar loop's early-out, and the reason this kernel
-/// does NOT delegate on `online != nullptr` like the dense ones do.
-__attribute__((target("avx2"))) void completion_gather_avx2(
-    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
-    double comp_factor, const SlaveId* ids, int n, Time* out) {
-  const Time inf = std::numeric_limits<Time>::infinity();
-  const Vd4 vnow = {now, now, now, now};
-  const Vd4 vsend = {send_start, send_start, send_start, send_start};
-  const Vd4 vcf = {comm_factor, comm_factor, comm_factor, comm_factor};
-  const Vd4 vpf = {comp_factor, comp_factor, comp_factor, comp_factor};
-  const __m256d vinf = _mm256_set1_pd(inf);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i idx;
-    std::memcpy(&idx, ids + i, sizeof idx);
-    Vd4 comm, comp, ready;
-    const __m256d gcomm = _mm256_i32gather_pd(s.comm, idx, 8);
-    const __m256d gcomp = _mm256_i32gather_pd(s.comp, idx, 8);
-    const __m256d gready = _mm256_i32gather_pd(s.ready, idx, 8);
-    std::memcpy(&comm, &gcomm, sizeof comm);
-    std::memcpy(&comp, &gcomp, sizeof comp);
-    std::memcpy(&ready, &gready, sizeof ready);
-    const Vd4 send_end = vsend + comm * vcf;
-    const Vd4 comp_start = vmax(send_end, vmax(vnow, ready));
-    const Vd4 completion = comp_start + comp * vpf;
-    if (s.online == nullptr) {
-      std::memcpy(out + i, &completion, sizeof completion);
-      continue;
-    }
-    // Widen the 4 online bytes to 64-bit lanes; a zero lane (offline)
-    // selects +infinity in the blend.
-    const std::uint32_t packed =
-        static_cast<std::uint32_t>(s.online[ids[i]]) |
-        static_cast<std::uint32_t>(s.online[ids[i + 1]]) << 8 |
-        static_cast<std::uint32_t>(s.online[ids[i + 2]]) << 16 |
-        static_cast<std::uint32_t>(s.online[ids[i + 3]]) << 24;
-    const __m256i lanes =
-        _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(packed)));
-    const __m256d offline = _mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(lanes, _mm256_setzero_si256()));
-    __m256d result;
-    std::memcpy(&result, &completion, sizeof result);
-    result = _mm256_blendv_pd(result, vinf, offline);
-    std::memcpy(out + i, &result, sizeof result);
-  }
-  for (; i < n; ++i) {  // scalar tail, same operation sequence
-    const SlaveId j = ids[i];
-    if (s.online != nullptr && s.online[j] == 0) {
-      out[i] = inf;
-      continue;
-    }
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    out[i] = comp_start + s.comp[j] * comp_factor;
-  }
-}
-
-/// Gather-form AVX-512 kernel: 8 ids per group through _mm512_i32gather_pd,
-/// offline lanes mask-blended to +infinity via a scalar-built __mmask8
-/// (8 byte loads beat a masked 512-bit byte gather at this width). Same
-/// bit-identity contract as the AVX2 form; -ffp-contract=off on this TU
-/// keeps the avx512f target from contracting the mul+add chains.
-__attribute__((target("avx512f"))) void completion_gather_avx512(
-    const SlaveStateView& s, Time now, Time send_start, double comm_factor,
-    double comp_factor, const SlaveId* ids, int n, Time* out) {
-  const Time inf = std::numeric_limits<Time>::infinity();
-  const Vd8 vnow = {now, now, now, now, now, now, now, now};
-  const Vd8 vsend = {send_start, send_start, send_start, send_start,
-                     send_start, send_start, send_start, send_start};
-  const Vd8 vcf = {comm_factor, comm_factor, comm_factor, comm_factor,
-                   comm_factor, comm_factor, comm_factor, comm_factor};
-  const Vd8 vpf = {comp_factor, comp_factor, comp_factor, comp_factor,
-                   comp_factor, comp_factor, comp_factor, comp_factor};
-  const __m512d vinf = _mm512_set1_pd(inf);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i idx;
-    std::memcpy(&idx, ids + i, sizeof idx);
-    Vd8 comm, comp, ready;
-    const __m512d gcomm = _mm512_i32gather_pd(idx, s.comm, 8);
-    const __m512d gcomp = _mm512_i32gather_pd(idx, s.comp, 8);
-    const __m512d gready = _mm512_i32gather_pd(idx, s.ready, 8);
-    std::memcpy(&comm, &gcomm, sizeof comm);
-    std::memcpy(&comp, &gcomp, sizeof comp);
-    std::memcpy(&ready, &gready, sizeof ready);
-    const Vd8 send_end = vsend + comm * vcf;
-    const Vd8 comp_start = vmax8(send_end, vmax8(vnow, ready));
-    const Vd8 completion = comp_start + comp * vpf;
-    __m512d result;
-    std::memcpy(&result, &completion, sizeof result);
-    if (s.online != nullptr) {
-      __mmask8 offline = 0;
-      for (int l = 0; l < 8; ++l) {
-        if (s.online[ids[i + l]] == 0) {
-          offline = static_cast<__mmask8>(offline | (1u << l));
-        }
-      }
-      result = _mm512_mask_blend_pd(offline, result, vinf);
-    }
-    std::memcpy(out + i, &result, sizeof result);
-  }
-  for (; i < n; ++i) {  // scalar tail, same operation sequence
-    const SlaveId j = ids[i];
-    if (s.online != nullptr && s.online[j] == 0) {
-      out[i] = inf;
-      continue;
-    }
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    out[i] = comp_start + s.comp[j] * comp_factor;
-  }
-}
-
-}  // namespace
-#endif  // MSOL_RANK_KERNEL_SIMD
-
-void completion_batch_simd(const SlaveStateView& s, Time now, Time send_start,
-                           double comm_factor, double comp_factor, Time* out) {
-#ifndef MSOL_RANK_KERNEL_SIMD
-  completion_batch(s, now, send_start, comm_factor, comp_factor, out);
-#else
-  if (s.online != nullptr || s.speed != nullptr) {
-    // Availability state is per-lane divergent (offline infinities, per-
-    // slave speed divides); the scalar loop handles it.
-    completion_batch(s, now, send_start, comm_factor, comp_factor, out);
-    return;
-  }
-  // Widest ISA the host carries; every body is bit-identical, so this is a
-  // pure throughput decision. Pre-AVX2 hosts fall through to scalar.
-  if (rank_kernel_avx512_available()) {
-    completion_batch_avx512(s, now, send_start, comm_factor, comp_factor, out);
-    return;
-  }
-  if (rank_kernel_simd_available()) {
-    completion_batch_avx2(s, now, send_start, comm_factor, comp_factor, out);
-    return;
-  }
-  completion_batch(s, now, send_start, comm_factor, comp_factor, out);
-#endif
-}
 
 void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
                             Time now, Time send_start, double comm_factor,
                             double comp_factor, Time* out) {
-  if (width == RankKernelWidth::kAuto) {
-    completion_batch_simd(s, now, send_start, comm_factor, comp_factor, out);
-    return;
-  }
+  switch (resolve(width)) {
 #ifdef MSOL_RANK_KERNEL_SIMD
-  if (s.online == nullptr && s.speed == nullptr) {
-    if (width == RankKernelWidth::kAvx512 && rank_kernel_avx512_available()) {
-      completion_batch_avx512(s, now, send_start, comm_factor, comp_factor,
+    case RankKernelWidth::kAvx512:
+      return batch_avx512(s, now, send_start, comm_factor, comp_factor, out);
+    case RankKernelWidth::kAvx2:
+      return batch_avx2(s, now, send_start, comm_factor, comp_factor, out);
+#endif
+    default:
+      return completion_batch(s, now, send_start, comm_factor, comp_factor,
                               out);
-      return;
-    }
-    if (width == RankKernelWidth::kAvx2 && rank_kernel_simd_available()) {
-      completion_batch_avx2(s, now, send_start, comm_factor, comp_factor, out);
-      return;
-    }
   }
-#endif
-  // kScalar, an unavailable ISA, or a view with availability state.
-  completion_batch(s, now, send_start, comm_factor, comp_factor, out);
-}
-
-void completion_gather_simd(const SlaveStateView& s, Time now, Time send_start,
-                            double comm_factor, double comp_factor,
-                            const SlaveId* ids, int n, Time* out) {
-#ifndef MSOL_RANK_KERNEL_SIMD
-  completion_gather(s, now, send_start, comm_factor, comp_factor, ids, n, out);
-#else
-  if (s.speed != nullptr) {
-    // Per-lane divides; the scalar loop handles them. (Online state does
-    // NOT delegate here — the gather kernels blend offline lanes to
-    // +infinity themselves.)
-    completion_gather(s, now, send_start, comm_factor, comp_factor, ids, n,
-                      out);
-    return;
-  }
-  if (rank_kernel_avx512_available()) {
-    completion_gather_avx512(s, now, send_start, comm_factor, comp_factor, ids,
-                             n, out);
-    return;
-  }
-  if (rank_kernel_simd_available()) {
-    completion_gather_avx2(s, now, send_start, comm_factor, comp_factor, ids,
-                           n, out);
-    return;
-  }
-  completion_gather(s, now, send_start, comm_factor, comp_factor, ids, n, out);
-#endif
 }
 
 void completion_gather_width(RankKernelWidth width, const SlaveStateView& s,
                              Time now, Time send_start, double comm_factor,
                              double comp_factor, const SlaveId* ids, int n,
                              Time* out) {
-  if (width == RankKernelWidth::kAuto) {
-    completion_gather_simd(s, now, send_start, comm_factor, comp_factor, ids,
-                           n, out);
-    return;
-  }
+  switch (resolve(width)) {
 #ifdef MSOL_RANK_KERNEL_SIMD
-  if (s.speed == nullptr) {
-    if (width == RankKernelWidth::kAvx512 && rank_kernel_avx512_available()) {
-      completion_gather_avx512(s, now, send_start, comm_factor, comp_factor,
-                               ids, n, out);
-      return;
-    }
-    if (width == RankKernelWidth::kAvx2 && rank_kernel_simd_available()) {
-      completion_gather_avx2(s, now, send_start, comm_factor, comp_factor, ids,
-                             n, out);
-      return;
-    }
-  }
+    case RankKernelWidth::kAvx512:
+      return gather_avx512(s, now, send_start, comm_factor, comp_factor, ids,
+                           n, out);
+    case RankKernelWidth::kAvx2:
+      return gather_avx2(s, now, send_start, comm_factor, comp_factor, ids, n,
+                         out);
 #endif
-  // kScalar, an unavailable ISA, or a view with per-slave speeds.
-  completion_gather(s, now, send_start, comm_factor, comp_factor, ids, n, out);
+    default:
+      return completion_gather(s, now, send_start, comm_factor, comp_factor,
+                               ids, n, out);
+  }
+}
+
+void completion_gather_simd(const SlaveStateView& s, Time now, Time send_start,
+                            double comm_factor, double comp_factor,
+                            const SlaveId* ids, int n, Time* out) {
+  completion_gather_width(RankKernelWidth::kAuto, s, now, send_start,
+                          comm_factor, comp_factor, ids, n, out);
 }
 
 SlaveId rank_best_completion(const SlaveStateView& s, Time now,

@@ -1,16 +1,18 @@
-// The explicitly vectorized ranking kernel must be bit-identical to the
-// branch-free scalar loop: completion_batch_simd promises memcmp equality
-// with completion_batch on every input (same multiplies, adds, and max
-// selections per lane, no FMA contraction), and delegates to the scalar
-// form whenever the view carries availability state. The gather form
-// (completion_gather_simd, hardware vgatherdpd over candidate subsets) is
-// pinned the same way — including on online-masked views, which it keeps
-// vectorized by blending offline lanes to +infinity.
+// The rank kernel's AVX2 and AVX-512 variants are the scalar loops compiled
+// for a wider target, and must stay bit-identical to them: every variant
+// performs the scalar probe's multiplies, adds, max selections and
+// multiply-then-divide per lane, with no FMA contraction. These tests pin
+// every width against completion_batch / completion_gather with memcmp, on
+// static, online-masked and per-slave-speed views alike; fleet sizes and
+// subset lengths straddle the 2-, 4- and 8-lane vectors and their
+// multiples (16, 32), so every vector tail length is exercised.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/rank_kernel.hpp"
@@ -51,6 +53,33 @@ struct DenseState {
   }
 };
 
+/// The engine's per-slave probe, written out independently of the kernel:
+/// the oracle the scalar loop is checked against before every vector width
+/// is checked against the scalar loop.
+std::vector<Time> reference_probes(const SlaveStateView& v, Time now,
+                                   Time send_start, double cf, double pf,
+                                   const std::vector<SlaveId>& ids) {
+  std::vector<Time> out;
+  for (const SlaveId j : ids) {
+    if (v.online != nullptr && v.online[j] == 0) {
+      out.push_back(std::numeric_limits<Time>::infinity());
+      continue;
+    }
+    const Time send_end = send_start + v.comm[j] * cf;
+    const Time comp_start = std::max(send_end, std::max(now, v.ready[j]));
+    Time compute = v.comp[j] * pf;
+    if (v.speed != nullptr) compute /= v.speed[j];
+    out.push_back(comp_start + compute);
+  }
+  return out;
+}
+
+std::vector<SlaveId> all_slaves(int m) {
+  std::vector<SlaveId> ids(static_cast<std::size_t>(m));
+  for (int j = 0; j < m; ++j) ids[static_cast<std::size_t>(j)] = j;
+  return ids;
+}
+
 /// memcmp over the raw doubles: equality of every bit, not just of values
 /// (a -0.0 vs +0.0 or differently-rounded lane would slip past ==).
 void expect_bitwise_equal(const std::vector<Time>& a,
@@ -65,8 +94,7 @@ TEST(RankKernelSimd, BitIdenticalToScalarOnStaticViews) {
   util::Rng rng(2006);
   // Sizes straddle the 4-, 8-, and 16-lane groups: 0 exercises the empty
   // loop, small sizes the scalar tails, the larger sizes every vector body
-  // (including the AVX-512 two-chain unroll at >= 16) plus every tail
-  // length modulo 4, 8, and 16.
+  // plus every tail length modulo 4, 8, and 16.
   for (int m : {0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 23, 24, 31, 32,
                 33, 64, 127, 256, 1001}) {
     const DenseState state(m, rng);
@@ -79,69 +107,44 @@ TEST(RankKernelSimd, BitIdenticalToScalarOnStaticViews) {
       std::vector<Time> scalar(m, -1.0);
       std::vector<Time> simd(m, -2.0);
       completion_batch(v, now, send_start, cf, pf, scalar.data());
-      completion_batch_simd(v, now, send_start, cf, pf, simd.data());
+      completion_batch_width(RankKernelWidth::kAuto, v, now, send_start, cf,
+                             pf, simd.data());
       expect_bitwise_equal(scalar, simd);
     }
   }
 }
 
 TEST(RankKernelSimd, EveryPinnedWidthIsBitIdenticalToScalar) {
-  // completion_batch_width forces one kernel body (falling back to scalar
-  // when the build or host lacks the ISA) — every width must agree with the
-  // scalar loop bit-for-bit, which transitively pins AVX-512 == AVX2.
+  // completion_batch_width forces one variant (falling back to scalar when
+  // the build or host lacks the ISA) — every width must agree with the
+  // scalar loop bit-for-bit, which transitively pins AVX-512 == AVX2. Views
+  // with online and speed state run through the same variants.
   util::Rng rng(512);
   for (int m : {0, 1, 3, 7, 8, 15, 16, 17, 31, 32, 33, 48, 100, 257}) {
     const DenseState state(m, rng);
-    const SlaveStateView v = state.view(false, false);
     for (int rep = 0; rep < 4; ++rep) {
       const Time now = rng.uniform(0.0, 1000.0);
       const Time send_start = now + rng.uniform(0.0, 10.0);
       const double cf = rng.uniform(0.5, 2.0);
       const double pf = rng.uniform(0.5, 2.0);
-      std::vector<Time> scalar(m, -1.0);
-      completion_batch(v, now, send_start, cf, pf, scalar.data());
-      for (const RankKernelWidth width :
-           {RankKernelWidth::kAuto, RankKernelWidth::kScalar,
-            RankKernelWidth::kAvx2, RankKernelWidth::kAvx512}) {
-        std::vector<Time> out(m, -2.0);
-        completion_batch_width(width, v, now, send_start, cf, pf, out.data());
-        expect_bitwise_equal(scalar, out);
+      for (const bool with_online : {false, true}) {
+        for (const bool with_speed : {false, true}) {
+          const SlaveStateView v = state.view(with_online, with_speed);
+          std::vector<Time> scalar(m, -1.0);
+          completion_batch(v, now, send_start, cf, pf, scalar.data());
+          expect_bitwise_equal(
+              reference_probes(v, now, send_start, cf, pf, all_slaves(m)),
+              scalar);
+          for (const RankKernelWidth width :
+               {RankKernelWidth::kAuto, RankKernelWidth::kScalar,
+                RankKernelWidth::kAvx2, RankKernelWidth::kAvx512}) {
+            std::vector<Time> out(m, -2.0);
+            completion_batch_width(width, v, now, send_start, cf, pf,
+                                   out.data());
+            expect_bitwise_equal(scalar, out);
+          }
+        }
       }
-    }
-  }
-}
-
-TEST(RankKernelSimd, PinnedWidthsDelegateOnAvailabilityViews) {
-  util::Rng rng(513);
-  const DenseState state(41, rng);
-  for (const bool with_online : {false, true}) {
-    for (const bool with_speed : {false, true}) {
-      if (!with_online && !with_speed) continue;
-      const SlaveStateView v = state.view(with_online, with_speed);
-      std::vector<Time> scalar(41);
-      completion_batch(v, 5.0, 6.0, 1.5, 0.75, scalar.data());
-      for (const RankKernelWidth width :
-           {RankKernelWidth::kAuto, RankKernelWidth::kAvx2,
-            RankKernelWidth::kAvx512}) {
-        std::vector<Time> out(41);
-        completion_batch_width(width, v, 5.0, 6.0, 1.5, 0.75, out.data());
-        expect_bitwise_equal(scalar, out);
-      }
-    }
-  }
-}
-
-TEST(RankKernelSimd, DelegatesOnAvailabilityViews) {
-  util::Rng rng(7);
-  const DenseState state(37, rng);
-  for (const bool with_online : {false, true}) {
-    for (const bool with_speed : {false, true}) {
-      if (!with_online && !with_speed) continue;
-      const SlaveStateView v = state.view(with_online, with_speed);
-      std::vector<Time> scalar(37), simd(37);
-      completion_batch(v, 5.0, 6.0, 1.5, 0.75, scalar.data());
-      completion_batch_simd(v, 5.0, 6.0, 1.5, 0.75, simd.data());
-      expect_bitwise_equal(scalar, simd);
     }
   }
 }
@@ -161,9 +164,7 @@ std::vector<std::vector<SlaveId>> gather_subsets(int m, util::Rng& rng) {
     for (int j = 0; j < m; j += stride) ids.push_back(j);
     subsets.push_back(std::move(ids));
   }
-  std::vector<SlaveId> full(static_cast<std::size_t>(m));
-  for (int j = 0; j < m; ++j) full[static_cast<std::size_t>(j)] = j;
-  subsets.push_back(std::move(full));
+  subsets.push_back(all_slaves(m));
   std::vector<SlaveId> random;  // repeats allowed: gathers must not care
   for (int i = 0; i < m + 3; ++i) {
     random.push_back(
@@ -175,9 +176,9 @@ std::vector<std::vector<SlaveId>> gather_subsets(int m, util::Rng& rng) {
 
 TEST(RankKernelSimd, GatherIsBitIdenticalToScalarAcrossSubsetShapes) {
   util::Rng rng(4242);
-  // Fleet sizes straddle the 4/8/16-lane groups so the subset lengths above
-  // cover every vector-body count and tail length modulo 4 and 8.
-  for (int m : {0, 1, 3, 4, 5, 8, 9, 15, 16, 17, 33, 64, 257}) {
+  // Fleet sizes straddle the 4/8/16-lane groups, so the subset lengths
+  // above cover every tail length modulo 16.
+  for (int m : {0, 1, 3, 4, 5, 8, 9, 15, 16, 17, 31, 32, 33, 64, 257}) {
     const DenseState state(m, rng);
     for (const std::vector<SlaveId>& ids : gather_subsets(m, rng)) {
       const int n = static_cast<int>(ids.size());
@@ -186,8 +187,7 @@ TEST(RankKernelSimd, GatherIsBitIdenticalToScalarAcrossSubsetShapes) {
         const Time send_start = now + rng.uniform(0.0, 10.0);
         const double cf = rng.uniform(0.5, 2.0);
         const double pf = rng.uniform(0.5, 2.0);
-        // Online views STAY vectorized in the gather form (offline lanes
-        // blend to +infinity); only speed views delegate. Pin all four.
+        // Online and speed views run through the vector bodies too.
         for (const bool with_online : {false, true}) {
           for (const bool with_speed : {false, true}) {
             const SlaveStateView v = state.view(with_online, with_speed);
@@ -206,52 +206,33 @@ TEST(RankKernelSimd, GatherIsBitIdenticalToScalarAcrossSubsetShapes) {
 }
 
 TEST(RankKernelSimd, EveryPinnedGatherWidthIsBitIdenticalToScalar) {
-  // Transitively pins AVX-512 gathers == AVX2 gathers == the scalar loop,
-  // on both null-online and masked-online views.
+  // Transitively pins the AVX-512 gather == the AVX2 gather == the scalar
+  // loop, on static, online-masked and speed views.
   util::Rng rng(4243);
-  for (int m : {1, 4, 7, 8, 16, 17, 31, 100}) {
+  for (int m : {1, 4, 7, 8, 15, 16, 17, 29, 31, 32, 33, 100}) {
     const DenseState state(m, rng);
     for (const std::vector<SlaveId>& ids : gather_subsets(m, rng)) {
       const int n = static_cast<int>(ids.size());
       const Time now = rng.uniform(0.0, 1000.0);
       const Time send_start = now + rng.uniform(0.0, 10.0);
       for (const bool with_online : {false, true}) {
-        const SlaveStateView v = state.view(with_online, false);
-        std::vector<Time> scalar(static_cast<std::size_t>(n), -1.0);
-        completion_gather(v, now, send_start, 1.5, 0.75, ids.data(), n,
-                          scalar.data());
-        for (const RankKernelWidth width :
-             {RankKernelWidth::kAuto, RankKernelWidth::kScalar,
-              RankKernelWidth::kAvx2, RankKernelWidth::kAvx512}) {
-          std::vector<Time> out(static_cast<std::size_t>(n), -2.0);
-          completion_gather_width(width, v, now, send_start, 1.5, 0.75,
-                                  ids.data(), n, out.data());
-          expect_bitwise_equal(scalar, out);
+        for (const bool with_speed : {false, true}) {
+          const SlaveStateView v = state.view(with_online, with_speed);
+          std::vector<Time> scalar(static_cast<std::size_t>(n), -1.0);
+          completion_gather(v, now, send_start, 1.5, 0.75, ids.data(), n,
+                            scalar.data());
+          expect_bitwise_equal(
+              reference_probes(v, now, send_start, 1.5, 0.75, ids), scalar);
+          for (const RankKernelWidth width :
+               {RankKernelWidth::kAuto, RankKernelWidth::kScalar,
+                RankKernelWidth::kAvx2, RankKernelWidth::kAvx512}) {
+            std::vector<Time> out(static_cast<std::size_t>(n), -2.0);
+            completion_gather_width(width, v, now, send_start, 1.5, 0.75,
+                                    ids.data(), n, out.data());
+            expect_bitwise_equal(scalar, out);
+          }
         }
       }
-    }
-  }
-}
-
-TEST(RankKernelSimd, GatherDelegatesOnSpeedViews) {
-  // A speed array means per-lane divides — the one view the gather kernels
-  // hand back to the scalar loop, at every pinned width.
-  util::Rng rng(4244);
-  const int m = 29;
-  const DenseState state(m, rng);
-  std::vector<SlaveId> ids;
-  for (int j = 0; j < m; ++j) ids.push_back(j);
-  for (const bool with_online : {false, true}) {
-    const SlaveStateView v = state.view(with_online, true);
-    std::vector<Time> scalar(static_cast<std::size_t>(m));
-    completion_gather(v, 5.0, 6.0, 1.5, 0.75, ids.data(), m, scalar.data());
-    for (const RankKernelWidth width :
-         {RankKernelWidth::kAuto, RankKernelWidth::kAvx2,
-          RankKernelWidth::kAvx512}) {
-      std::vector<Time> out(static_cast<std::size_t>(m));
-      completion_gather_width(width, v, 5.0, 6.0, 1.5, 0.75, ids.data(), m,
-                              out.data());
-      expect_bitwise_equal(scalar, out);
     }
   }
 }
