@@ -325,7 +325,10 @@ void OnePortEngine::process_avail_transitions() {
     avail_heap_.pop_back();
   }
   // Ascending slave order: re-queues at one instant keep the order of a
-  // full sweep over the slaves (then commit order within a slave).
+  // full sweep over the slaves (then commit order within a slave). The heap
+  // holds at most one entry per slave (pushed at start and re-pushed only
+  // after its pop), so the ids are distinct and std::sort has no ties whose
+  // order could differ between standard libraries.
   std::sort(avail_due_.begin(), avail_due_.end());
   for (const SlaveId slave : avail_due_) {
     const std::size_t j = static_cast<std::size_t>(slave);

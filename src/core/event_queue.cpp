@@ -143,6 +143,9 @@ void EventQueue::resize_calendar(std::size_t nbuckets) {
                      [](const Event& a, const Event& b) {
                        return a.time < b.time;
                      });
+    // Only the sample's first and last times are read below, so the order
+    // std::sort leaves among tied events cannot change width_ (and the
+    // rebuilt buckets may hold ties in any order: see the pop contract).
     std::sort(scratch_.begin(),
               scratch_.begin() + static_cast<std::ptrdiff_t>(sample),
               [](const Event& a, const Event& b) { return a.time < b.time; });
