@@ -108,7 +108,9 @@ class EngineView {
   virtual SlaveStateView slave_state() const { return SlaveStateView{}; }
 
   /// Batched completion probe: out[i] = completion_if_assigned(task,
-  /// slaves[i]) for n candidate slaves.
+  /// slaves[i]) for n candidate slaves. `out` must not overlap `slaves`:
+  /// the dense-state kernel is compiled on that assumption (`__restrict`),
+  /// so writing the probes over the candidate buffer is undefined.
   void completion_if_assigned_batch(TaskId task, const SlaveId* slaves, int n,
                                     Time* out) const {
     const SlaveStateView s = slave_state();
@@ -119,8 +121,8 @@ class EngineView {
       return;
     }
     const TaskSpec& spec = task_spec(task);
-    completion_gather_simd(s, now(), send_start(spec), spec.comm_factor,
-                           spec.comp_factor, slaves, n, out);
+    completion_gather(s, now(), send_start(spec), spec.comm_factor,
+                      spec.comp_factor, slaves, n, out);
   }
 
   /// The available slave minimizing completion_if_assigned(task, j), with

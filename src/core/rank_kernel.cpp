@@ -10,16 +10,16 @@ namespace {
 /// result (ties pick `a`, like std::max picks its first argument).
 inline Time tmax(Time a, Time b) { return a < b ? b : a; }
 
-/// The engine's completion probe, operation for operation: send end, the
-/// max with busy-until, then the compute time, multiplied and then (on a
-/// platform with availability) divided by the slave's speed.
+/// The engine's completion probe of slave j, operation for operation: send
+/// end, the max with busy-until, then the compute time, multiplied and then
+/// (on a platform with availability, `speed` set) divided by speed[j].
 inline Time probe(Time now, Time send_start, double comm_factor,
                   double comp_factor, Time comm, Time comp, Time ready,
-                  const double* speed) {
+                  const double* speed, SlaveId j) {
   const Time send_end = send_start + comm * comm_factor;
   const Time comp_start = tmax(send_end, tmax(now, ready));
   Time compute = comp * comp_factor;
-  if (speed != nullptr) compute /= *speed;
+  if (speed != nullptr) compute /= speed[j];
   return comp_start + compute;
 }
 
@@ -34,14 +34,15 @@ struct Candidates {
 
 /// out[i] = the probe of slave `slave(i)`, +infinity when it is offline.
 ///
-/// The only kernel loop: MSOL_RANK_KERNEL_VARIANTS compiles it again under
-/// target("avx2") and target("avx512f"), so every variant runs the probe's
-/// operation sequence per lane (the library's -ffp-contract=off keeps the
-/// FMA-capable targets from fusing a mul+add). The static loop vectorizes
-/// in every variant; `__restrict` (out overlaps no input) is what lets the
-/// compiler build the candidate form's vectors from indexed loads. The
-/// availability loop keeps its offline early-out and stays scalar: probing
-/// every slave and masking offline ones afterwards measured slower.
+/// The only kernel loop: MSOL_RANK_KERNEL_VARIANT compiles the batch form
+/// again under target("avx2") and target("avx512f"), so every variant runs
+/// the probe's operation sequence per lane (the library's -ffp-contract=off
+/// keeps the FMA-capable targets from fusing a mul+add). The static loop
+/// vectorizes in every compilation; `__restrict` (out overlaps no input) is
+/// what lets the compiler build the candidate form's vectors from indexed
+/// loads. The availability loop keeps its offline early-out and stays
+/// scalar: probing every slave and masking offline ones afterwards measured
+/// slower.
 template <typename SlaveOf>
 __attribute__((always_inline)) inline void probe_body(
     const SlaveStateView& s, Time now, Time send_start, double comm_factor,
@@ -53,7 +54,7 @@ __attribute__((always_inline)) inline void probe_body(
     for (int i = 0; i < n; ++i) {
       const SlaveId j = slave(i);
       out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j],
-                     comp[j], ready[j], nullptr);
+                     comp[j], ready[j], nullptr, j);
     }
     return;
   }
@@ -65,28 +66,27 @@ __attribute__((always_inline)) inline void probe_body(
       continue;
     }
     out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j], comp[j],
-                   ready[j], s.speed == nullptr ? nullptr : s.speed + j);
+                   ready[j], s.speed, j);
   }
 }
 
 // The ISA variants need GCC/Clang's function `target` attribute on x86-64.
-// Only the kernel loop is compiled for AVX2 / AVX-512, behind a
-// __builtin_cpu_supports gate; everything else stays at baseline.
+// Only the batch loop is compiled for AVX2 / AVX-512, behind a
+// __builtin_cpu_supports gate; everything else stays at baseline. The
+// candidate form has no wider variant: built from indexed scalar loads, its
+// AVX2 and AVX-512 vectors ran slower per probe than the baseline loop on
+// static views, and on availability views every compilation runs the same
+// scalar early-out loop.
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
 #define MSOL_RANK_KERNEL_SIMD 1
-#define MSOL_RANK_KERNEL_VARIANTS(isa, suffix)                                \
+#define MSOL_RANK_KERNEL_VARIANT(isa, suffix)                                 \
   __attribute__((target(isa))) void batch_##suffix(                           \
       const SlaveStateView& s, Time now, Time send_start, double cf,          \
       double pf, Time* out) {                                                 \
     probe_body(s, now, send_start, cf, pf, EverySlave{}, s.m, out);           \
-  }                                                                           \
-  __attribute__((target(isa))) void gather_##suffix(                          \
-      const SlaveStateView& s, Time now, Time send_start, double cf,          \
-      double pf, const SlaveId* ids, int n, Time* out) {                      \
-    probe_body(s, now, send_start, cf, pf, Candidates{ids}, n, out);          \
   }
-MSOL_RANK_KERNEL_VARIANTS("avx2", avx2)
-MSOL_RANK_KERNEL_VARIANTS("avx512f", avx512)
+MSOL_RANK_KERNEL_VARIANT("avx2", avx2)
+MSOL_RANK_KERNEL_VARIANT("avx512f", avx512)
 #endif
 
 /// The variant a width runs on this host: kAuto takes the widest ISA the
@@ -148,32 +148,6 @@ void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
   }
 }
 
-void completion_gather_width(RankKernelWidth width, const SlaveStateView& s,
-                             Time now, Time send_start, double comm_factor,
-                             double comp_factor, const SlaveId* ids, int n,
-                             Time* out) {
-  switch (resolve(width)) {
-#ifdef MSOL_RANK_KERNEL_SIMD
-    case RankKernelWidth::kAvx512:
-      return gather_avx512(s, now, send_start, comm_factor, comp_factor, ids,
-                           n, out);
-    case RankKernelWidth::kAvx2:
-      return gather_avx2(s, now, send_start, comm_factor, comp_factor, ids, n,
-                         out);
-#endif
-    default:
-      return completion_gather(s, now, send_start, comm_factor, comp_factor,
-                               ids, n, out);
-  }
-}
-
-void completion_gather_simd(const SlaveStateView& s, Time now, Time send_start,
-                            double comm_factor, double comp_factor,
-                            const SlaveId* ids, int n, Time* out) {
-  completion_gather_width(RankKernelWidth::kAuto, s, now, send_start,
-                          comm_factor, comp_factor, ids, n, out);
-}
-
 SlaveId rank_best_completion(const SlaveStateView& s, Time now,
                              Time send_start, double comm_factor,
                              double comp_factor) {
@@ -182,9 +156,9 @@ SlaveId rank_best_completion(const SlaveStateView& s, Time now,
   Time best_completion = 0.0;
   if (s.online == nullptr && s.speed == nullptr) {
     for (int j = 0; j < m; ++j) {
-      const Time send_end = send_start + s.comm[j] * comm_factor;
-      const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-      const Time completion = comp_start + s.comp[j] * comp_factor;
+      const Time completion =
+          probe(now, send_start, comm_factor, comp_factor, s.comm[j],
+                s.comp[j], s.ready[j], nullptr, j);
       if (best < 0 || completion < best_completion - kTimeEps) {
         best = j;
         best_completion = completion;
@@ -196,11 +170,9 @@ SlaveId rank_best_completion(const SlaveStateView& s, Time now,
     // Offline slaves are skipped, not scored infinity: with every slave
     // offline the answer is -1, which an infinity entry would steal.
     if (s.online != nullptr && s.online[j] == 0) continue;
-    const Time send_end = send_start + s.comm[j] * comm_factor;
-    const Time comp_start = tmax(send_end, tmax(now, s.ready[j]));
-    Time compute = s.comp[j] * comp_factor;
-    if (s.speed != nullptr) compute /= s.speed[j];
-    const Time completion = comp_start + compute;
+    const Time completion =
+        probe(now, send_start, comm_factor, comp_factor, s.comm[j], s.comp[j],
+              s.ready[j], s.speed, j);
     if (best < 0 || completion < best_completion - kTimeEps) {
       best = j;
       best_completion = completion;

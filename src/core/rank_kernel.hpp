@@ -43,7 +43,7 @@ struct SlaveStateView {
 void completion_batch(const SlaveStateView& s, Time now, Time send_start,
                       double comm_factor, double comp_factor, Time* out);
 
-/// Gather variant of completion_batch for a candidate *subset*: out[i] is
+/// Candidate form of completion_batch for a *subset* of slaves: out[i] is
 /// the hypothetical completion on slave ids[i] (+infinity when offline).
 /// Candidate ids must be valid slave indices — the kernel indexes the dense
 /// arrays directly, exactly like the full-sweep form — and `out` must not
@@ -60,10 +60,10 @@ SlaveId rank_best_completion(const SlaveStateView& s, Time now,
                              Time send_start, double comm_factor,
                              double comp_factor);
 
-/// True when the AVX2 variant of the kernels will actually run: the build
-/// carries it (GCC/Clang on x86-64, which compile the kernel loop a second
-/// time under a function-level target("avx2") attribute) AND the host CPU
-/// supports AVX2 (checked at runtime).
+/// True when the AVX2 variant of completion_batch will actually run: the
+/// build carries it (GCC/Clang on x86-64, which compile the batch loop a
+/// second time under a function-level target("avx2") attribute) AND the
+/// host CPU supports AVX2 (checked at runtime).
 bool rank_kernel_simd_available();
 
 /// True when the AVX-512 variant will actually run: the build carries it
@@ -72,11 +72,12 @@ bool rank_kernel_simd_available();
 /// can have AVX2 without AVX-512 (most do), never the reverse in practice.
 bool rank_kernel_avx512_available();
 
-/// Which compilation of the kernel loop a *_width call runs. kAuto is the
-/// widest ISA the host supports, scalar when none. The pinned values force
-/// one variant (falling back to scalar when the build or host lacks the
-/// ISA) so the bit-identity tests can memcmp every variant against every
-/// other on the same host.
+/// Which compilation of the batch loop completion_batch_width runs. kAuto
+/// is the widest ISA the host supports, scalar when none. The pinned values
+/// force one variant (falling back to scalar when the build or host lacks
+/// the ISA) so the bit-identity tests can memcmp every variant against every
+/// other on the same host. completion_gather has one compilation only: its
+/// AVX2 and AVX-512 variants measured slower than the baseline loop.
 enum class RankKernelWidth : std::uint8_t {
   kAuto,
   kScalar,
@@ -95,21 +96,5 @@ enum class RankKernelWidth : std::uint8_t {
 void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
                             Time now, Time send_start, double comm_factor,
                             double comp_factor, Time* out);
-
-/// completion_gather through one variant (see RankKernelWidth), under the
-/// same bit-identity contract. On static views the variants build their
-/// vectors from indexed scalar loads (no hardware gathers); on views with
-/// availability state the loop keeps its offline early-out, which the
-/// compiler leaves scalar in every variant, batch form included.
-void completion_gather_width(RankKernelWidth width, const SlaveStateView& s,
-                             Time now, Time send_start, double comm_factor,
-                             double comp_factor, const SlaveId* ids, int n,
-                             Time* out);
-
-/// completion_gather_width(RankKernelWidth::kAuto, ...): the widest variant
-/// the host supports. The engines' batched probe path calls this.
-void completion_gather_simd(const SlaveStateView& s, Time now, Time send_start,
-                            double comm_factor, double comp_factor,
-                            const SlaveId* ids, int n, Time* out);
 
 }  // namespace msol::core
