@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   using namespace msol;
   try {
     const util::Cli cli(argc, argv);
-    const int n = static_cast<int>(cli.get_int("tasks", 500));
+    const int n = cli.get_int("tasks", 500, 1);
     const double load = cli.get_double("load", 0.9);
     util::Rng rng(cli.get_uint64("seed", 1));
 

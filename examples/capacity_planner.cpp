@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   try {
     const util::Cli cli(argc, argv);
     const platform::Platform pool = load_pool(cli);
-    const int tasks = static_cast<int>(cli.get_int("tasks", 2000));
+    const int tasks = cli.get_int("tasks", 2000, 1);
     const double deadline = cli.get_double("deadline", 0.0);
     const double target_rate = cli.get_double("throughput", 0.0);
 
