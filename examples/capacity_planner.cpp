@@ -11,6 +11,8 @@
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "algorithms/registry.hpp"
 #include "algorithms/policy.hpp"
@@ -48,8 +50,18 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc, argv);
     const platform::Platform pool = load_pool(cli);
     const int tasks = cli.get_int("tasks", 2000, 1);
-    const double deadline = cli.get_double("deadline", 0.0);
-    const double target_rate = cli.get_double("throughput", 0.0);
+    // 0 means "not given" below, so a given value must be > 0: a mistyped
+    // sign would otherwise silently print the whole scaling curve.
+    const auto positive_or_absent = [&cli](const std::string& key) {
+      const double value = cli.get_double(key, 0.0);
+      if (cli.has(key) && !(value > 0.0)) {
+        throw std::invalid_argument("--" + key + " must be > 0, got " +
+                                    cli.get(key, ""));
+      }
+      return value;
+    };
+    const double deadline = positive_or_absent("deadline");
+    const double target_rate = positive_or_absent("throughput");
 
     std::cout << "candidate pool: " << pool.describe() << "\n";
     const std::vector<double> shares = algorithms::wrr_shares(pool);

@@ -22,8 +22,6 @@ class MetaPolicy : public core::OnlineScheduler {
 
   std::string name() const override { return name_; }
   const MetaSpec& spec() const { return spec_; }
-  /// Canonical serialized form (what result sinks echo).
-  std::string spec_string() const { return name_; }
 
   /// How many times the active member changed between consecutive
   /// decisions this run; reset() zeroes it.
@@ -60,9 +58,6 @@ class PortfolioPolicy final : public MetaPolicy {
 
   core::Decision decide(const core::EngineView& engine) override;
   void reset() override;
-
-  /// Member chosen at the last decision (-1 before the first).
-  int last_choice() const { return last_choice_; }
 
   /// Decisions taken this run (the bench's decisions/sec numerator).
   long long decisions() const { return decisions_; }

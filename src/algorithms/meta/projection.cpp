@@ -288,8 +288,6 @@ void IncrementalProjection::rebuild() {
   // generation (begin_run increments before first use).
   write_slot_gen_.resize(ms, 0);
   base_ready_slot_.resize(ms, 0.0);
-  inflight_slot_gen_.resize(ms, 0);
-  inflight_slot_.resize(ms, 0);
 }
 
 void IncrementalProjection::apply(const core::DeltaEvent& event) {
@@ -362,8 +360,6 @@ void IncrementalProjection::sync() {
 void IncrementalProjection::begin_run() {
   rollback();
   ++run_gen_;  // retires every write slot from the previous run
-  ++inflight_gen_;
-  inflight_key_valid_ = false;
   now_ = live_->now();
   master_free_ = live_->port_free_at();
   pending_pos_ = 0;
@@ -418,28 +414,12 @@ int IncrementalProjection::tasks_in_system(core::SlaveId j) const {
   // base_in_system_ cache begin_run() keeps — identical to the live value
   // while the engine is frozen), then our own projected commits count
   // exactly.
-  const auto js = static_cast<std::size_t>(j);
-  // The in-flight slots are re-derived from proj_ends_ (<= horizon
-  // entries) whenever now_ moved or a commit landed since the last query —
-  // the exact comparisons the per-query scan would make, paid once per
-  // state change instead of once per candidate.
-  if (!inflight_key_valid_ || inflight_key_size_ != proj_ends_.size() ||
-      inflight_key_now_ != now_) {
-    ++inflight_gen_;
-    for (const auto& [slave, end] : proj_ends_) {
-      const auto ss = static_cast<std::size_t>(slave);
-      if (inflight_slot_gen_[ss] != inflight_gen_) {
-        inflight_slot_gen_[ss] = inflight_gen_;
-        inflight_slot_[ss] = 0;
-      }
-      if (end > now_ + core::kTimeEps) ++inflight_slot_[ss];
-    }
-    inflight_key_size_ = proj_ends_.size();
-    inflight_key_now_ = now_;
-    inflight_key_valid_ = true;
+  int n = now_ + core::kTimeEps < base_ready_of(j)
+              ? base_in_system_[static_cast<std::size_t>(j)]
+              : 0;
+  for (const auto& [slave, end] : proj_ends_) {
+    if (slave == j && end > now_ + core::kTimeEps) ++n;
   }
-  int n = now_ + core::kTimeEps < base_ready_of(j) ? base_in_system_[js] : 0;
-  if (inflight_slot_gen_[js] == inflight_gen_) n += inflight_slot_[js];
   return n;
 }
 

@@ -221,22 +221,13 @@ class IncrementalProjection : public core::EngineView {
   core::Time base_in_system_now_ = 0.0;
   bool base_in_system_primed_ = false;
 
-  /// Generation-stamped per-slave slots: O(1) base-ready and in-flight
-  /// lookups for tasks_in_system (the rank:queue hot path queries it once
-  /// per candidate) with no O(m) clearing per run — a slot is live only
-  /// while its stamp equals the current generation. The in-flight counts
-  /// are re-derived lazily from proj_ends_ (<= horizon entries) whenever
-  /// now_ moves or a commit lands, so every count is computed by exactly
-  /// the comparisons the direct scan would make.
+  /// Generation-stamped per-slave slots: O(1) base-ready lookups for
+  /// tasks_in_system (the rank:queue hot path queries it once per
+  /// candidate) with no O(m) clearing per run — a slot is live only while
+  /// its stamp equals the current generation.
   std::uint64_t run_gen_ = 0;
   std::vector<std::uint64_t> write_slot_gen_;  ///< first projected write
   std::vector<core::Time> base_ready_slot_;
-  mutable std::uint64_t inflight_gen_ = 0;
-  mutable std::vector<std::uint64_t> inflight_slot_gen_;
-  mutable std::vector<int> inflight_slot_;
-  mutable std::size_t inflight_key_size_ = 0;
-  mutable core::Time inflight_key_now_ = 0.0;
-  mutable bool inflight_key_valid_ = false;
 
   // --- run scratch (valid during run(), rolled back after) ----------------
   core::Time now_ = 0.0;

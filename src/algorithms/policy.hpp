@@ -143,8 +143,6 @@ class ComposedPolicy : public core::OnlineScheduler {
   /// ("LS", "SRPT", "LS-K3", ...), else the canonical spec string.
   std::string name() const override { return name_; }
   const PolicySpec& spec() const { return spec_; }
-  /// Canonical serialized form (what result sinks echo).
-  std::string spec_string() const { return to_string(spec_); }
 
   core::Decision decide(const core::EngineView& engine) override;
   void reset() override;
@@ -153,9 +151,9 @@ class ComposedPolicy : public core::OnlineScheduler {
   /// as one freshly constructed from the spec with that seed (the only seed
   /// consumer is the tie:rng stream, which reset() rebuilds from spec_.seed;
   /// reset-equals-fresh for the other components is the engine-reuse
-  /// invariant the differential fuzz suite pins). The cached name()/
-  /// spec_string() keep the construction-time seed — callers that reseed
-  /// per evaluation (PortfolioPolicy's member cache) never read them.
+  /// invariant the differential fuzz suite pins). The cached name() keeps
+  /// the construction-time seed — callers that reseed per evaluation
+  /// (PortfolioPolicy's member cache) never read it.
   void reseed(std::uint64_t seed) {
     spec_.seed = seed;
     reset();

@@ -44,13 +44,4 @@ std::vector<std::string> listed_algorithm_names() {
   return names;
 }
 
-std::vector<std::unique_ptr<core::OnlineScheduler>> paper_algorithms(
-    int lookahead) {
-  std::vector<std::unique_ptr<core::OnlineScheduler>> out;
-  for (const std::string& name : paper_algorithm_names()) {
-    out.push_back(make_scheduler(name, lookahead));
-  }
-  return out;
-}
-
 }  // namespace msol::algorithms

@@ -45,8 +45,4 @@ std::vector<std::string> extended_algorithm_names();
 /// and a representative "LS-K2" (any "LS-K<k>" parses).
 std::vector<std::string> listed_algorithm_names();
 
-/// Fresh instances of the paper's seven algorithms.
-std::vector<std::unique_ptr<core::OnlineScheduler>> paper_algorithms(
-    int lookahead = 1000);
-
 }  // namespace msol::algorithms

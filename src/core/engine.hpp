@@ -113,10 +113,10 @@ struct DisruptionStats {
 ///    is pending, and may Defer (leave the master idle until the next event).
 ///
 /// Decision instants come from an event calendar: slave completions and
-/// WaitUntil wake-ups are pushed into an EventQueue (a bucketed calendar
-/// queue, O(1) amortized) when they become known and consumed lazily, while
+/// WaitUntil wake-ups are pushed into an EventQueue (a binary min-heap,
+/// O(log n) push and pop) when they become known and consumed lazily, while
 /// releases keep their sorted cursor and port frees their capacity-bounded
-/// array. Advancing time thus costs O(1) amortized instead of the
+/// array. Advancing time thus costs O(log n) instead of the
 /// O(slaves * log tasks) scan the pre-calendar engine (retained verbatim as
 /// ReferenceEngine) performs at every step.
 /// The pending set is a bucketed FIFO slot index (dense slot vector with

@@ -264,15 +264,4 @@ Time ReferenceEngine::completion_if_assigned(TaskId task, SlaveId j) const {
   return comp_start + platform_.comp(j) * spec.comp_factor;
 }
 
-Schedule simulate_reference(const platform::Platform& platform,
-                            const Workload& workload,
-                            OnlineScheduler& scheduler,
-                            EngineOptions options) {
-  scheduler.reset();
-  ReferenceEngine engine(platform, scheduler, options);
-  engine.load(workload);
-  engine.run_to_completion();
-  return engine.schedule();
-}
-
 }  // namespace msol::core

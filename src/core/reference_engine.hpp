@@ -86,11 +86,4 @@ class ReferenceEngine final : public EngineView {
   Trace trace_;
 };
 
-/// simulate() twin running on the reference engine; the differential and
-/// golden suites use it as the trusted baseline.
-Schedule simulate_reference(const platform::Platform& platform,
-                            const Workload& workload,
-                            OnlineScheduler& scheduler,
-                            EngineOptions options = {});
-
 }  // namespace msol::core

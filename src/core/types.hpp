@@ -15,9 +15,4 @@ using SlaveId = int;
 
 inline constexpr Time kTimeEps = 1e-9;
 
-/// a <= b up to simulation tolerance.
-inline bool time_leq(Time a, Time b) { return a <= b + kTimeEps; }
-/// a == b up to simulation tolerance.
-inline bool time_eq(Time a, Time b) { return a <= b + kTimeEps && b <= a + kTimeEps; }
-
 }  // namespace msol::core

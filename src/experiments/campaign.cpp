@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "algorithms/meta/meta_policy.hpp"
+#include "algorithms/policy.hpp"
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
@@ -36,21 +37,13 @@ std::string to_string(TaskSizeMix mix) {
 }
 
 double max_throughput(const platform::Platform& platform) {
-  // Fill the port budget (1 second of port time per second) with the
-  // cheapest links first; each slave contributes at most 1/p_j tasks/s.
-  double budget = 1.0;
+  // Summed in the greedy's fill order (ascending c_j), not slave order:
+  // floating-point addition is order-sensitive, and this order is the one
+  // every committed Poisson rate was derived with.
+  const std::vector<double> shares = algorithms::wrr_shares(platform);
   double rate = 0.0;
   for (core::SlaveId j : platform.order_by_comm()) {
-    const double full_rate = 1.0 / platform.comp(j);
-    const double port_cost = platform.comm(j) * full_rate;
-    if (port_cost <= budget) {
-      budget -= port_cost;
-      rate += full_rate;
-    } else {
-      rate += budget / platform.comm(j);
-      budget = 0.0;
-      break;
-    }
+    rate += shares[static_cast<std::size_t>(j)];
   }
   return rate;
 }

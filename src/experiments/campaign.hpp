@@ -125,7 +125,7 @@ CampaignResult run_campaign(const CampaignConfig& config);
 
 /// Maximum sustainable task throughput of a platform under the one-port
 /// model: maximize sum x_j subject to sum c_j x_j <= 1 (port) and
-/// x_j <= 1/p_j (slave speed). Greedy on ascending c_j solves this LP.
+/// x_j <= 1/p_j (slave speed): the sum of algorithms::wrr_shares.
 /// Used to convert `load` into a Poisson arrival rate.
 double max_throughput(const platform::Platform& platform);
 

@@ -1,6 +1,5 @@
 #include "platform/generator.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace msol::platform {
@@ -24,34 +23,6 @@ Platform PlatformGenerator::generate(PlatformClass cls, int num_slaves,
     SlaveSpec s;
     s.comm = comm_homog ? shared_c : rng.uniform(ranges_.comm_lo, ranges_.comm_hi);
     s.comp = comp_homog ? shared_p : rng.uniform(ranges_.comp_lo, ranges_.comp_hi);
-    slaves.push_back(s);
-  }
-  return Platform(std::move(slaves));
-}
-
-Platform PlatformGenerator::generate_with_spread(int num_slaves,
-                                                 double comm_factor,
-                                                 double comp_factor,
-                                                 util::Rng& rng) const {
-  if (!(comm_factor > 0.0) || !std::isfinite(comm_factor) ||
-      !(comp_factor > 0.0) || !std::isfinite(comp_factor)) {
-    throw std::invalid_argument(
-        "PlatformGenerator: spread factors must be positive and finite");
-  }
-  // A factor f in (0, 1) describes the same spread as 1/f — but fed to
-  // uniform(mid / f, mid * f) verbatim it inverts the bounds (lo > hi) and
-  // the draw is undefined. Normalize instead of surprising the caller.
-  if (comm_factor < 1.0) comm_factor = 1.0 / comm_factor;
-  if (comp_factor < 1.0) comp_factor = 1.0 / comp_factor;
-  const double comm_mid = std::sqrt(ranges_.comm_lo * ranges_.comm_hi);
-  const double comp_mid = std::sqrt(ranges_.comp_lo * ranges_.comp_hi);
-
-  std::vector<SlaveSpec> slaves;
-  slaves.reserve(static_cast<std::size_t>(num_slaves));
-  for (int j = 0; j < num_slaves; ++j) {
-    SlaveSpec s;
-    s.comm = rng.uniform(comm_mid / comm_factor, comm_mid * comm_factor);
-    s.comp = rng.uniform(comp_mid / comp_factor, comp_mid * comp_factor);
     slaves.push_back(s);
   }
   return Platform(std::move(slaves));

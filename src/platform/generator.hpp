@@ -26,17 +26,6 @@ class PlatformGenerator {
 
   Platform generate(PlatformClass cls, int num_slaves, util::Rng& rng) const;
 
-  /// Generates a heterogeneous platform with a controllable spread:
-  /// values are drawn from [mid/factor, mid*factor] for each dimension,
-  /// where mid is the geometric midpoint of the configured range.
-  /// factor = 1 yields a homogeneous platform; a factor in (0, 1) names
-  /// the same spread as its reciprocal and is normalized to it (the raw
-  /// value would invert the uniform bounds). Non-positive or non-finite
-  /// factors throw std::invalid_argument. Used by the heterogeneity sweep
-  /// ablation.
-  Platform generate_with_spread(int num_slaves, double comm_factor,
-                                double comp_factor, util::Rng& rng) const;
-
   const GeneratorRanges& ranges() const { return ranges_; }
 
  private:

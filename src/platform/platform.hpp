@@ -80,10 +80,6 @@ class Platform {
   /// Aggregate task throughput 1/p summed over slaves (tasks per time unit
   /// the compute side can absorb, ignoring the master's port).
   double aggregate_compute_rate() const;
-  /// The master's port throughput if it fed the slaves round-robin
-  /// proportionally: m / sum(c_j) is optimistic; we use 1 / min_c as the
-  /// port's peak and expose both pieces for workload sizing.
-  double port_rate_upper_bound() const { return 1.0 / min_comm(); }
 
   /// Convenience factory: m identical slaves.
   static Platform homogeneous(int m, core::Time c, core::Time p);

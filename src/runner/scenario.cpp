@@ -83,6 +83,12 @@ bool at_least_one(int v) { return v >= 1; }
 bool non_negative(int v) { return v >= 0; }
 bool lookahead_ok(int v) { return v >= 0 && v <= algorithms::kMaxLookahead; }
 
+/// Cap on `slaves` and `tasks`: the generators allocate O(value), so an
+/// absurd value would exhaust memory instead of failing. Same order as
+/// kMaxLookahead, far above every committed grid.
+constexpr int kMaxGridSize = 1000000;
+bool grid_size_ok(int v) { return v >= 1 && v <= kMaxGridSize; }
+
 }  // namespace
 
 platform::PlatformClass parse_platform_class(const std::string& token) {
@@ -255,8 +261,9 @@ void apply_key(ScenarioGrid& grid, const std::string& key,
     grid.num_platforms =
         require(parse_int(value), at_least_one, "platforms must be >= 1");
   } else if (key == "tasks") {
-    grid.num_tasks =
-        require(parse_int(value), at_least_one, "tasks must be >= 1");
+    grid.num_tasks = require(parse_int(value), grid_size_ok,
+                             "tasks must be in [1, " +
+                                 std::to_string(kMaxGridSize) + "]");
   } else if (key == "lookahead") {
     grid.lookahead = require(parse_int(value), lookahead_ok,
                              "lookahead must be in [0, " +
@@ -268,7 +275,9 @@ void apply_key(ScenarioGrid& grid, const std::string& key,
     grid.classes = parse_list(value, parse_platform_class);
   } else if (key == "slaves") {
     grid.slave_counts = require_each(parse_list(value, parse_int),
-                                     at_least_one, "slaves must be >= 1");
+                                     grid_size_ok,
+                                     "slaves must be in [1, " +
+                                         std::to_string(kMaxGridSize) + "]");
   } else if (key == "arrival") {
     grid.arrivals = parse_list(value, parse_arrival);
   } else if (key == "load") {

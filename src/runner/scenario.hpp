@@ -127,7 +127,8 @@ std::vector<ScenarioSpec> shard_cells(std::vector<ScenarioSpec> cells,
 /// entry is validated at parse time. Unknown keys, unparsable values,
 /// duplicate keys, integers that do not fit in `int`, and values outside
 /// these ranges throw std::invalid_argument with the offending line:
-///   - `platforms`, `tasks`, `slaves`, `engine_shards`: >= 1;
+///   - `platforms`, `engine_shards`: >= 1;
+///   - `tasks`, `slaves`: in [1, 10^6] (the generators allocate O(value));
 ///   - `port`, `shard_threads`: >= 0;
 ///   - `lookahead`: in [0, algorithms::kMaxLookahead] (10^6);
 ///   - `load`, `mtbf_tasks`, `ipp_period_tasks`: finite and > 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 namespace msol::util {
 
@@ -50,16 +49,6 @@ double mean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   return std::accumulate(values.begin(), values.end(), 0.0) /
          static_cast<double>(values.size());
-}
-
-double geometric_mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double v : values) {
-    if (v <= 0.0) throw std::invalid_argument("geometric_mean: value <= 0");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 }  // namespace msol::util

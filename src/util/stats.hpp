@@ -31,7 +31,4 @@ double t_critical_95(std::size_t df);
 /// Arithmetic mean; 0 for empty input.
 double mean(const std::vector<double>& values);
 
-/// Geometric mean; requires strictly positive values, 0 for empty input.
-double geometric_mean(const std::vector<double>& values);
-
 }  // namespace msol::util

@@ -228,7 +228,8 @@ TEST_P(AlgorithmProperties, FeasibleAndNeverBelowOptimum) {
   const offline::OptimalTriple opt = offline::solve_optimal_all(plat, work);
   const offline::LowerBounds lb = offline::lower_bounds(plat, work);
 
-  for (auto& scheduler : paper_algorithms(/*lookahead=*/7)) {
+  for (const std::string& name : paper_algorithm_names()) {
+    const auto scheduler = make_scheduler(name, /*lookahead=*/7);
     const Schedule s = simulate(plat, work, *scheduler);
     EXPECT_TRUE(core::validate(plat, work, s).empty()) << scheduler->name();
     for (Objective obj : core::all_objectives()) {

@@ -473,8 +473,8 @@ TEST_P(EngineDiffScale, BatchedProbesMatchScalarLoopAtFleetScale) {
   const platform::Platform plat =
       platform::PlatformGenerator().generate(c.cls, c.slaves, rng);
 
-  // Bursty arrivals cluster timestamps — the calendar queue's worst natural
-  // regime (many events in few buckets) — at 90% of one-port capacity.
+  // Bursty arrivals cluster timestamps (many tied and near-tied event
+  // instants) at 90% of one-port capacity.
   const double rate = 0.9 * experiments::max_throughput(plat);
   const Workload work =
       Workload::bursty(c.tasks, c.tasks / 64 + 1, 1.0 / rate, rng);

@@ -1,10 +1,10 @@
-// Property fuzz for the calendar EventQueue against a sorted-multimap model
-// (the queue's one oracle): every pop surfaces the minimum of the current
+// Property fuzz for the EventQueue against a sorted-multimap model (the
+// queue's one oracle): every pop surfaces the minimum of the current
 // content, drains are nondecreasing, and no entry is ever lost or
 // duplicated — across randomized push/pop interleavings drawn from the
-// distributions that stress a calendar queue specifically (all ties at one
-// instant, heavy-tailed gaps, a dense advancing window, grow/shrink churn,
-// and a fleet-size regime holding thousands of live entries). Tie order is
+// engine's time distributions and their extremes (all ties at one instant,
+// heavy-tailed gaps, a dense advancing window, grow/shrink churn, and a
+// fleet-size regime holding thousands of live entries). Tie order is
 // unspecified by the contract, so equality is asserted per-timestamp as a
 // multiset of (kind, gen) payloads, never as a literal sequence.
 //
@@ -62,15 +62,15 @@ class Model {
   std::multimap<Time, Payload> entries_;
 };
 
-/// Time distributions that stress a calendar queue specifically.
+/// Time distributions of the engine's queue traffic and their extremes.
 enum class Regime {
   kUniform,      ///< uniform over a fixed horizon
-  kOneInstant,   ///< every entry at one instant: the calendar's degenerate case
+  kOneInstant,   ///< every entry at one instant: nothing but ties
   kHeavyTail,    ///< heavy-tailed gaps: u^-3 spans ~6 orders of magnitude
   kDenseWindow,  ///< dense moving window just ahead of the cursor
   /// Fleet size: at least kFleetLive entries stay live while a mix of the
-  /// above plus exact-instant tie pile-ups and below-the-floor pushes
-  /// drives every resize, the cached minimum and the floor invariant.
+  /// above plus exact-instant tie pile-ups and pushes behind the popped
+  /// minimum keeps a deep heap under mixed traffic.
   kFleet,
 };
 
@@ -114,7 +114,7 @@ void fuzz_queue(Regime regime, std::uint64_t seed, int ops,
     if (pick < 6) return heavy_tail();
     // Whole-second instants: exact ties across separate pushes.
     if (pick < 9) return std::floor(cursor) + static_cast<Time>(pick - 5);
-    // Behind the popped minimum (a wake-up race): lowers the floor.
+    // Behind the popped minimum (a wake-up race).
     return std::max(0.0, cursor - rng.uniform(0.0, 1.0));
   };
 
@@ -141,8 +141,8 @@ void fuzz_queue(Regime regime, std::uint64_t seed, int ops,
       // with occasional slightly-in-the-past entries (wake-up races).
       cursor = std::max(cursor, popped.time - 0.5);
     } else if (roll < 98 || fleet) {
-      // Burst: a clump of near-identical times lands in one bucket; at
-      // fleet size the clump is an exact-instant pile-up.
+      // Burst: a clump of near-identical times; at fleet size the clump is
+      // an exact-instant pile-up.
       const Time t = draw_time();
       const int burst = static_cast<int>(rng.uniform_int(2, fleet ? 64 : 30));
       for (int b = 0; b < burst; ++b) {
@@ -156,8 +156,8 @@ void fuzz_queue(Regime regime, std::uint64_t seed, int ops,
       cursor = 0.0;
     }
     ASSERT_EQ(queue.size(), model.size()) << label << " op " << op;
-    // Peek like the engine does before its next push: top() caches the
-    // minimum, and that cache must then survive earlier-time pushes.
+    // Peek like the engine does before its next push: top() must be the
+    // minimum after every push, earlier-time ones included.
     if (!queue.empty()) {
       ASSERT_EQ(queue.top().time, model.min_time()) << label << " op " << op;
     }
@@ -213,8 +213,7 @@ TEST(EventQueueEdge, RejectsNegativeAndNonFiniteTimes) {
 }
 
 TEST(EventQueueEdge, TenThousandEntriesAtOneInstant) {
-  // One bucket absorbs everything: the calendar's documented degenerate
-  // case must stay correct.
+  // Nothing but ties: every entry must still surface exactly once.
   EventQueue queue;
   for (int i = 0; i < 10000; ++i)
     queue.push(7.25, EventKind::kCompletion, static_cast<std::uint32_t>(i));
@@ -234,8 +233,8 @@ TEST(EventQueueEdge, TenThousandEntriesAtOneInstant) {
 TEST(EventQueueEdge, GrowShrinkCyclesPreserveEntries) {
   EventQueue queue;
   util::Rng rng(5);
-  // Repeatedly inflate past the grow threshold and drain below the shrink
-  // threshold; every cycle must conserve the surviving entries.
+  // Repeatedly inflate to thousands of entries and drain most of them;
+  // every cycle must conserve the surviving entries.
   std::multimap<Time, std::uint32_t> model;
   std::uint32_t next_gen = 0;
   for (int cycle = 0; cycle < 6; ++cycle) {

@@ -88,9 +88,10 @@ const std::vector<GoldenCase>& golden_cases() {
       {"lsk2_churn_port2", PlatformClass::kFullyHeterogeneous, 4, 24,
        "uniform", 30, 114, "LS-K2", 20, 2, true, "churn-mixed"},
       // Mid-scale fleet fixtures (PR 7): 256 slaves, bursty arrivals, drawn
-      // churn profiles on every slave. Large enough that the calendar
-      // queue's bucket resizing and the SoA ranking kernel are genuinely
-      // exercised on the golden path, small enough to stay reviewable.
+      // churn profiles on every slave. Large enough that the event queue
+      // holds hundreds of live entries and the SoA ranking kernel is
+      // genuinely exercised on the golden path, small enough to stay
+      // reviewable.
       {"ls_fleet256_churn", PlatformClass::kFullyHeterogeneous, 256, 31,
        "bursty-fleet", 1500, 131, "LS", 20, 1, false, "churn-generated"},
       {"srpt_fleet256_churn", PlatformClass::kFullyHeterogeneous, 256, 32,
@@ -135,8 +136,8 @@ Workload make_workload(const GoldenCase& c) {
                                                                   rng);
   }
   if (c.workload == "bursty-fleet") {
-    // Large clumps of simultaneous releases: the calendar queue's dense
-    // regime, arriving fast enough to keep a 256-slave backlog.
+    // Large clumps of simultaneous releases: many tied event instants,
+    // arriving fast enough to keep a 256-slave backlog.
     return Workload::bursty(c.tasks, 32, 0.5, rng);
   }
   if (c.workload == "quantized") {

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
 #include "platform/generator.hpp"
 #include "platform/io.hpp"
 #include "platform/platform.hpp"
@@ -139,52 +136,11 @@ TEST(Generator, DeterministicInSeed) {
   }
 }
 
-TEST(Generator, SpreadFactorOneIsNearHomogeneous) {
-  util::Rng rng(3);
-  const PlatformGenerator gen;
-  const Platform p = gen.generate_with_spread(5, 1.0, 1.0, rng);
-  EXPECT_NEAR(p.comm_heterogeneity(), 1.0, 1e-9);
-  EXPECT_NEAR(p.comp_heterogeneity(), 1.0, 1e-9);
-}
-
 TEST(Generator, RejectsBadArguments) {
   util::Rng rng(3);
   const PlatformGenerator gen;
   EXPECT_THROW(gen.generate(PlatformClass::kFullyHomogeneous, 0, rng),
                std::invalid_argument);
-  // Non-positive and non-finite spreads are meaningless in any direction.
-  EXPECT_THROW(gen.generate_with_spread(5, 0.0, 1.0, rng),
-               std::invalid_argument);
-  EXPECT_THROW(gen.generate_with_spread(5, 1.0, -2.0, rng),
-               std::invalid_argument);
-  EXPECT_THROW(gen.generate_with_spread(5, std::nan(""), 1.0, rng),
-               std::invalid_argument);
-  EXPECT_THROW(
-      gen.generate_with_spread(5, 1.0, std::numeric_limits<double>::infinity(),
-                               rng),
-      std::invalid_argument);
-}
-
-TEST(Generator, SpreadFactorBelowOneNormalizesToItsReciprocal) {
-  // factor 0.5 names the same spread as 2.0; fed verbatim to
-  // uniform(mid/f, mid*f) it used to invert the bounds (lo > hi). The
-  // normalized draw must stay inside the factor-2 band around the
-  // geometric midpoints.
-  util::Rng rng(3);
-  const PlatformGenerator gen;
-  const GeneratorRanges ranges;
-  const double comm_mid = std::sqrt(ranges.comm_lo * ranges.comm_hi);
-  const double comp_mid = std::sqrt(ranges.comp_lo * ranges.comp_hi);
-  const Platform p = gen.generate_with_spread(50, 0.5, 0.25, rng);
-  for (int j = 0; j < p.size(); ++j) {
-    EXPECT_GE(p.comm(j), comm_mid / 2.0 - 1e-12);
-    EXPECT_LE(p.comm(j), comm_mid * 2.0 + 1e-12);
-    EXPECT_GE(p.comp(j), comp_mid / 4.0 - 1e-12);
-    EXPECT_LE(p.comp(j), comp_mid * 4.0 + 1e-12);
-  }
-  // And bounds are sane: heterogeneity is actually produced, not inverted.
-  EXPECT_GT(p.comm_heterogeneity(), 1.0);
-  EXPECT_GT(p.comp_heterogeneity(), 1.0);
 }
 
 // ------------------------------------------------------------------ io ------

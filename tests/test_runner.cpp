@@ -543,7 +543,7 @@ TEST(GridFormat, RejectsOutOfRangeValues) {
         "comm_lo = -1", "comm_hi = 0", "comp_lo = 1e999", "comp_hi = inf",
         "comm_lo = 5", "comp_lo = 9", "seed = -1", "seed = +1",
         "seed = 18446744073709551616", "load = 0.5x", "tasks = 1e3",
-        "slaves = 2.9"}) {
+        "slaves = 2.9", "slaves = 1000001", "tasks = 1000001"}) {
     try {
       parse_grid(std::string(line) + "\n");
       ADD_FAILURE() << "accepted: " << line;
@@ -568,6 +568,10 @@ TEST(GridFormat, RejectsOutOfRangeValues) {
   EXPECT_EQ(parse_grid("ipp_amplitude = 0\n").ipp_amplitude, 0.0);
   EXPECT_EQ(parse_grid("lookahead = 1000000\n").lookahead,
             algorithms::kMaxLookahead);
+  const ScenarioGrid largest =
+      parse_grid("slaves = 1000000\ntasks = 1000000\n");
+  EXPECT_EQ(largest.slave_counts, (std::vector<int>{1000000}));
+  EXPECT_EQ(largest.num_tasks, 1000000);
 }
 
 TEST(GridFormat, GeneratorRangesMustBeOrderedOnceTheGridIsRead) {

@@ -174,11 +174,6 @@ TEST(Stats, Ci95UsesStudentTNotZ) {
   EXPECT_GT(s.ci95_half_width, 1.96 * s.stddev / 2.0);
 }
 
-TEST(Stats, GeometricMean) {
-  EXPECT_DOUBLE_EQ(geometric_mean({1.0, 4.0}), 2.0);
-  EXPECT_THROW(geometric_mean({1.0, 0.0}), std::invalid_argument);
-}
-
 // -------------------------------------------------------------- table ------
 
 TEST(Table, RendersHeaderAndRows) {
