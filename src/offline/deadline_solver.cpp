@@ -19,9 +19,22 @@ struct Slot {
   core::Time deadline;  ///< latest compute-start: M - k * p_j
 };
 
+/// The planners' one tie order: deadline ascending, then slave index
+/// ascending. It is a strict total order on distinct slots (two slots with
+/// equal keys are the same slave at the same deadline, so which comes first
+/// changes nothing), so every sort and heap below gives one result whatever
+/// the standard library's algorithm.
+bool slot_before(const Slot& a, const Slot& b) {
+  return a.deadline < b.deadline ||
+         (a.deadline == b.deadline && a.slave < b.slave);
+}
+
+/// Max-heap on deadline that pops the lower slave index first among ties,
+/// so when n cuts through a tie level the lowest-indexed slaves get it.
 struct SlotOrder {
   bool operator()(const Slot& a, const Slot& b) const {
-    return a.deadline < b.deadline;  // max-heap on deadline
+    return a.deadline < b.deadline ||
+           (a.deadline == b.deadline && a.slave > b.slave);
   }
 };
 
@@ -52,18 +65,18 @@ std::vector<Slot> top_slots_uniform(const platform::Platform& platform, int n,
 /// Jackson's-rule check for the uniform-cost selection: sends in earliest-
 /// deadline order, matched FIFO to the sorted releases, must each complete
 /// by their slot's compute-start deadline.
-/// `slots` is in heap-pop order, which never increases (rounding is
-/// monotone, so M - (k+1) p_j <= M - k p_j): reversed, it is the deadline
-/// sequence std::sort gives. Only the slave order within ties differs, and
-/// only `order_out` sees it, so a probe reverses and the final call sorts.
+/// `slots` is in heap-pop order, whose deadlines never increase (rounding
+/// is monotone, so M - (k+1) p_j <= M - k p_j): reversed, it is the deadline
+/// sequence of the sorted slots. Only the slave order within ties differs.
+/// The check reads deadlines only, so a probe just reverses; the final call
+/// sorts into the tie order, because its `order_out` is the plan's send
+/// order.
 bool edf_feasible(std::vector<Slot> slots,
                   const std::vector<core::Time>& releases,
                   core::Time send_cost,
                   std::vector<core::SlaveId>* order_out) {
   if (order_out != nullptr) {
-    std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) {
-      return a.deadline < b.deadline;
-    });
+    std::sort(slots.begin(), slots.end(), slot_before);
   } else {
     std::reverse(slots.begin(), slots.end());
   }
@@ -154,7 +167,8 @@ bool backward_feasible(const platform::Platform& platform, int n, core::Time M,
 /// simultaneously (the slot choice is genuinely combinatorial); moving one
 /// task between slaves and re-deriving the send order repairs exactly those
 /// cases. A candidate's send order is its chain deadlines M - k p_j,
-/// k = 1..counts[j], sorted ascending.
+/// k = 1..counts[j], sorted in the tie order (deadline ascending, then
+/// slave index).
 ///
 /// A move a -> b is not replayed when a lower bound rejects it. In the
 /// replay (StepSimulator::step) a send to b starts no earlier than the first
@@ -192,10 +206,7 @@ void improve_counts(const platform::Platform& platform,
                 Slot{j, M - static_cast<core::Time>(k) * platform.comp(j)});
           }
         }
-        std::sort(slots.begin(), slots.end(),
-                  [](const Slot& x, const Slot& y) {
-                    return x.deadline < y.deadline;
-                  });
+        std::sort(slots.begin(), slots.end(), slot_before);
         order.clear();
         for (const Slot& s : slots) order.push_back(s.slave);
         const core::Time candidate =

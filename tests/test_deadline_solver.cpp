@@ -119,6 +119,51 @@ TEST(SljfPlan, SplitsLoadByProcessorSpeed) {
   EXPECT_GE(fast, 7);  // ~4/5 of the work at equal port cost
 }
 
+/// The planners' tie rule: slots are ordered by deadline, then by slave
+/// index. The platforms below have integer costs, so chain deadlines of
+/// different slaves tie exactly and each expected send order follows from
+/// the rule alone.
+std::vector<core::SlaveId> pairs_after(std::vector<core::SlaveId> head,
+                                       int pairs) {
+  for (int k = 0; k < pairs; ++k) {
+    head.push_back(0);
+    head.push_back(1);
+  }
+  return head;
+}
+
+TEST(PlanTieOrder, SljfGivesABoundaryTieToTheLowestSlave) {
+  // Three identical chains: the 3 slots at M - 3 and one of the three tied
+  // slots at M - 6. The 4th slot goes to slave 0, and its deadline is the
+  // earliest, so it is sent first; the M - 3 level follows in slave order.
+  const Platform plat = Platform::homogeneous(3, 1.0, 3.0);
+  const OfflinePlan plan = sljf_plan(plat, std::vector<core::Time>(4, 0.0));
+  EXPECT_EQ(plan.assignment, (std::vector<core::SlaveId>{0, 0, 1, 2}));
+  EXPECT_NEAR(plan.makespan, 7.0, 1e-6);
+}
+
+TEST(PlanTieOrder, SljfSendsTiedDeadlinesInSlaveOrder) {
+  // Two identical chains and 17 tasks: levels M - 1 .. M - 8 hold both
+  // slaves, the 17th slot is slave 0's at M - 9. Ascending: slave 0's
+  // M - 9, then each level as slave 0, slave 1.
+  const Platform plat = Platform::homogeneous(2, 1.0, 1.0);
+  const OfflinePlan plan = sljf_plan(plat, std::vector<core::Time>(17, 0.0));
+  EXPECT_EQ(plan.assignment, pairs_after({0}, 8));
+  EXPECT_NEAR(plan.makespan, 18.0, 1e-6);
+}
+
+TEST(PlanTieOrder, SljfwcSendsTiedDeadlinesInSlaveOrder) {
+  // Computation-homogeneous (p = 2) with links 1 and 2: the local search
+  // settles on 11 tasks for slave 0 and 6 for slave 1 and rebuilds the send
+  // order from those counts. Slave 0's five deepest slots come first, then
+  // the six shared levels, each as slave 0, slave 1.
+  const Platform plat({SlaveSpec{1.0, 2.0}, SlaveSpec{2.0, 2.0}});
+  const OfflinePlan plan =
+      sljfwc_plan(plat, std::vector<core::Time>(17, 0.0));
+  EXPECT_EQ(plan.assignment, pairs_after({0, 0, 0, 0, 0}, 6));
+  EXPECT_NEAR(plan.makespan, 25.0, 1e-6);
+}
+
 /// FNV-1a over a plan's assignment and the bit pattern of its makespan:
 /// any change to a slave id, to the send order or to the makespan's last
 /// bit changes the digest.
@@ -177,9 +222,9 @@ TEST(PlanGolden, AssignmentsAndMakespanBitsArePinned) {
     std::uint64_t sljfwc;
   };
   const std::vector<Pattern> pinned = {
-      {"batch-at-0", 0xff50116987c299fdULL, 0x83c0704cf26d491fULL},
-      {"batch-at-t", 0x8d59c1f0da59daecULL, 0x3ef3acab81ccf57eULL},
-      {"poisson", 0xd4fe66a05406e267ULL, 0xe792426d42593ff8ULL},
+      {"batch-at-0", 0xfe47239ade7e11b9ULL, 0xea002bf61d5518dfULL},
+      {"batch-at-t", 0x90e9afbfb1080a65ULL, 0xf2dcc77d47eced3eULL},
+      {"poisson", 0xdb81fd8fe1c345feULL, 0xe792426d42593ff8ULL},
   };
   for (const Pattern& pattern : pinned) {
     std::uint64_t h_sljf = 0xcbf29ce484222325ULL;
