@@ -170,6 +170,12 @@ bool backward_feasible(const platform::Platform& platform, int n, core::Time M,
 /// k = 1..counts[j], sorted in the tie order (deadline ascending, then
 /// slave index).
 ///
+/// `slots` holds the current counts' slots in that order. A move a -> b
+/// drops a's earliest-deadline slot, which is the first a in `slots`, and
+/// adds b's slot M - (counts[b]+1) p_b at its upper_bound, so one linear
+/// pass writes the candidate's order with no sort. `slots` itself is edited
+/// only when a move is accepted.
+///
 /// A move a -> b is not replayed when a lower bound rejects it. In the
 /// replay (StepSimulator::step) a send to b starts no earlier than the first
 /// release r_0, a computation no earlier than its send's end and b's
@@ -184,6 +190,13 @@ void improve_counts(const platform::Platform& platform,
   std::vector<int> counts(static_cast<std::size_t>(m), 0);
   for (core::SlaveId j : assignment) ++counts[static_cast<std::size_t>(j)];
   std::vector<Slot> slots;
+  for (core::SlaveId j = 0; j < m; ++j) {
+    for (int k = 1; k <= counts[static_cast<std::size_t>(j)]; ++k) {
+      slots.push_back(
+          Slot{j, M - static_cast<core::Time>(k) * platform.comp(j)});
+    }
+  }
+  std::sort(slots.begin(), slots.end(), slot_before);
   std::vector<core::SlaveId> order;
 
   bool improved = true;
@@ -191,33 +204,37 @@ void improve_counts(const platform::Platform& platform,
     improved = false;
     for (core::SlaveId a = 0; a < m && !improved; ++a) {
       if (counts[static_cast<std::size_t>(a)] == 0) continue;
+      const auto drop =
+          std::find_if(slots.begin(), slots.end(),
+                       [a](const Slot& s) { return s.slave == a; });
       for (core::SlaveId b = 0; b < m && !improved; ++b) {
         if (a == b) continue;
         const int count_b = counts[static_cast<std::size_t>(b)] + 1;
         core::Time bound = work.at(0).release + platform.comm(b);
         for (int k = 0; k < count_b; ++k) bound += platform.comp(b);
         if (!(bound < makespan - core::kTimeEps)) continue;
-        --counts[static_cast<std::size_t>(a)];
-        ++counts[static_cast<std::size_t>(b)];
-        slots.clear();
-        for (core::SlaveId j = 0; j < m; ++j) {
-          for (int k = 1; k <= counts[static_cast<std::size_t>(j)]; ++k) {
-            slots.push_back(
-                Slot{j, M - static_cast<core::Time>(k) * platform.comp(j)});
-          }
-        }
-        std::sort(slots.begin(), slots.end(), slot_before);
+        const Slot added{
+            b, M - static_cast<core::Time>(count_b) * platform.comp(b)};
+        const auto insert =
+            std::upper_bound(slots.begin(), slots.end(), added, slot_before);
         order.clear();
-        for (const Slot& s : slots) order.push_back(s.slave);
+        for (auto it = slots.begin(); it != slots.end(); ++it) {
+          if (it == insert) order.push_back(b);
+          if (it != drop) order.push_back(it->slave);
+        }
+        if (insert == slots.end()) order.push_back(b);
         const core::Time candidate =
             evaluate_assignment(platform, work, order).makespan;
         if (candidate < makespan - core::kTimeEps) {
           makespan = candidate;
           assignment = order;
           improved = true;
-        } else {
-          ++counts[static_cast<std::size_t>(a)];
-          --counts[static_cast<std::size_t>(b)];
+          --counts[static_cast<std::size_t>(a)];
+          ++counts[static_cast<std::size_t>(b)];
+          slots.erase(drop);
+          slots.insert(std::upper_bound(slots.begin(), slots.end(), added,
+                                        slot_before),
+                       added);
         }
       }
     }
