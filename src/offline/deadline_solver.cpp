@@ -30,7 +30,8 @@ bool slot_before(const Slot& a, const Slot& b) {
 }
 
 /// Max-heap on deadline that pops the lower slave index first among ties,
-/// so when n cuts through a tie level the lowest-indexed slaves get it.
+/// so when n cuts through a tie level the lowest-indexed slaves get its
+/// slots.
 struct SlotOrder {
   bool operator()(const Slot& a, const Slot& b) const {
     return a.deadline < b.deadline ||

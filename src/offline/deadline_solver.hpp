@@ -53,6 +53,12 @@ OfflinePlan sljf_plan(const platform::Platform& platform,
 /// computation-homogeneous instance in the test sweeps; a strong heuristic
 /// on fully heterogeneous ones.
 ///
+/// Tie rule (both planners): compute slots are ordered by deadline, then by
+/// slave index. Sends go out in that order, so among tied deadlines the
+/// lower slave index is sent first, and when n cuts through a level of
+/// tied slots the lowest-indexed slaves get them. Plans therefore do not
+/// depend on the standard library's sort or heap.
+///
 /// Both planners skip only work whose result is already known (a converged
 /// bisection, probe orders nobody reads, count moves a lower bound rejects;
 /// see deadline_solver.cpp), so plans are bit-identical to the full search.

@@ -119,10 +119,12 @@ TEST(SljfPlan, SplitsLoadByProcessorSpeed) {
   EXPECT_GE(fast, 7);  // ~4/5 of the work at equal port cost
 }
 
-/// The planners' tie rule: slots are ordered by deadline, then by slave
-/// index. The platforms below have integer costs, so chain deadlines of
-/// different slaves tie exactly and each expected send order follows from
-/// the rule alone.
+// PlanTieOrder pins the planners' tie rule: slots are ordered by deadline,
+// then by slave index. The platforms have integer costs, so chain deadlines
+// of different slaves tie exactly and each expected send order follows
+// from the rule alone.
+
+/// `head` followed by `pairs` copies of {0, 1}.
 std::vector<core::SlaveId> pairs_after(std::vector<core::SlaveId> head,
                                        int pairs) {
   for (int k = 0; k < pairs; ++k) {
