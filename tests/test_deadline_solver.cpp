@@ -214,8 +214,11 @@ std::vector<Platform> golden_platforms() {
 /// and makespan bits, per planner and release pattern. The n = 1000 batches
 /// released together (at 0 and at one later instant) are how the plan
 /// rankers call the planners; the small sorted Poisson vectors exercise
-/// the release checks. A planner change that is meant to be exact must
-/// leave every digest as it is.
+/// the release checks. At 1e13 a double's spacing is 2^-9, so the deadlines
+/// M - k p_j of distinct slot offsets k p_j round to equal values on many
+/// platforms; that batch pins how the planners treat such collisions. A
+/// planner change that is meant to be exact must leave every digest as it
+/// is.
 TEST(PlanGolden, AssignmentsAndMakespanBitsArePinned) {
   const std::vector<Platform> platforms = golden_platforms();
   struct Pattern {
@@ -227,6 +230,7 @@ TEST(PlanGolden, AssignmentsAndMakespanBitsArePinned) {
       {"batch-at-0", 0xfe47239ade7e11b9ULL, 0xea002bf61d5518dfULL},
       {"batch-at-t", 0x90e9afbfb1080a65ULL, 0xf2dcc77d47eced3eULL},
       {"poisson", 0xdb81fd8fe1c345feULL, 0xe792426d42593ff8ULL},
+      {"batch-at-1e13", 0xdcf901ffd67e4572ULL, 0x9a08fdf812456eb2ULL},
   };
   for (const Pattern& pattern : pinned) {
     std::uint64_t h_sljf = 0xcbf29ce484222325ULL;
@@ -237,6 +241,8 @@ TEST(PlanGolden, AssignmentsAndMakespanBitsArePinned) {
         releases.assign(1000, 0.0);
       } else if (pattern.name == "batch-at-t") {
         releases.assign(1000, 123.456789);
+      } else if (pattern.name == "batch-at-1e13") {
+        releases.assign(1000, 1e13);
       } else {
         util::Rng rng(static_cast<std::uint64_t>(9000 + i));
         const Workload work =
