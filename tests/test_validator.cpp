@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/validator.hpp"
+#include "platform/availability.hpp"
 #include "platform/platform.hpp"
 
 namespace msol::core {
 namespace {
 
+using platform::AvailabilityProfile;
+using platform::AvailabilitySpan;
 using platform::Platform;
 using platform::SlaveSpec;
 
@@ -90,6 +96,79 @@ TEST(Validator, DetectsOnePortViolation) {
     if (msg.find("one-port violation") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+/// The full text of every violation kind a record or the sweeps can report,
+/// numbers in the stream's default format (six significant digits). Each
+/// schedule breaks one rule; the offline case also breaks the work
+/// integral, as a record cut by an outage does.
+TEST(Validator, ViolationMessagesArePinned) {
+  struct Case {
+    std::string name;
+    Workload workload;
+    std::vector<TaskRecord> records;
+    EngineOptions options;
+    std::vector<std::string> want;
+  };
+  EngineOptions outage;  // slave 0 offline over [2, 10)
+  outage.availability = {
+      AvailabilityProfile({AvailabilitySpan{0.0, true, 1.0},
+                           AvailabilitySpan{2.0, false, 1.0},
+                           AvailabilitySpan{10.0, true, 1.0}}),
+      AvailabilityProfile()};
+  EngineOptions fast;  // slave 0 always online at twice its nominal speed
+  fast.availability = {
+      AvailabilityProfile({AvailabilitySpan{0.0, true, 2.0}}),
+      AvailabilityProfile()};
+  const std::vector<Case> cases = {
+      {"send before release",
+       Workload::from_releases({1.23456789}),
+       {{0, 0, 1.23456789, 0.123456789, 1.123456789, 1.123456789,
+         4.123456789}},
+       EngineOptions{},
+       {"task 0: send starts at 0.123457 before release 1.23457"}},
+      {"send duration",
+       Workload::all_at_zero(1),
+       {{0, 0, 0.0, 0.0, 0.4444444, 0.4444444, 3.4444444}},
+       EngineOptions{},
+       {"task 0: send duration 0.444444 != c_j*factor 1"}},
+      {"compute before arrival",
+       Workload::all_at_zero(1),
+       {{0, 0, 0.0, 0.0, 1.0, 0.5, 3.5}},
+       EngineOptions{},
+       {"task 0: computes at 0.5 before arrival 1"}},
+      {"compute duration",
+       Workload::all_at_zero(1),
+       {{0, 0, 0.0, 0.0, 1.0, 1.0, 3.25}},
+       EngineOptions{},
+       {"task 0: compute duration 2.25 != p_j*factor 3"}},
+      {"offline compute",
+       Workload::all_at_zero(1),
+       {{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0}},
+       outage,
+       {"task 0: computes on slave 0 while it is offline (t=1..4)",
+        "task 0: integrated compute work 1 != p_j*factor 3"}},
+      {"integrated work",
+       Workload::all_at_zero(1),
+       {{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0}},
+       fast,
+       {"task 0: integrated compute work 6 != p_j*factor 3"}},
+      {"one-port",
+       Workload::all_at_zero(2),
+       {{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0}, {1, 1, 0.0, 0.5, 2.5, 2.5, 7.5}},
+       EngineOptions{},
+       {"one-port violation: 2 sends in flight at t=0.5 (capacity 1)"}},
+      {"two tasks at once",
+       Workload::all_at_zero(2),
+       {{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0}, {1, 0, 0.0, 1.0, 2.0, 2.0, 5.0}},
+       EngineOptions{},
+       {"slave 0 computes two tasks at once around t=2"}},
+  };
+  for (const Case& c : cases) {
+    Schedule s;
+    for (const TaskRecord& r : c.records) s.add(r);
+    EXPECT_EQ(validate(plat(), c.workload, s, c.options), c.want) << c.name;
+  }
 }
 
 TEST(Validator, OverlapAllowedWithCapacityTwo) {
