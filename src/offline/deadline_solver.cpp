@@ -1,9 +1,11 @@
 #include "offline/deadline_solver.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/workload.hpp"
@@ -42,7 +44,8 @@ struct SlotOrder {
 /// SLJF selection for uniform send cost: the n latest compute-start
 /// deadlines across all per-slave chains. With equal send durations this
 /// maximizes every order statistic of the deadline multiset at once, so it
-/// is the optimal slot choice.
+/// is the optimal slot choice. Only the plan's final call builds the slots;
+/// the bisection probes read `latest_slot_offsets` instead.
 std::vector<Slot> top_slots_uniform(const platform::Platform& platform, int n,
                                     core::Time M) {
   std::priority_queue<Slot, std::vector<Slot>, SlotOrder> heap;
@@ -63,33 +66,62 @@ std::vector<Slot> top_slots_uniform(const platform::Platform& platform, int n,
   return chosen;
 }
 
-/// Jackson's-rule check for the uniform-cost selection: sends in earliest-
+/// A slot's deadline is fl(M - x) for its offset x = fl(k p_j), which does
+/// not depend on M, and fl(M - x) never increases as x grows (rounding is
+/// monotone). So at every M the n latest deadlines, as a multiset, are the
+/// n smallest offsets mapped through fl(M - x), even where distinct offsets
+/// round to one deadline. Returns those offsets largest first, so that
+/// index i holds the i-th smallest deadline.
+std::vector<core::Time> latest_slot_offsets(const platform::Platform& platform,
+                                            int n) {
+  using Entry = std::pair<core::Time, core::SlaveId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  std::vector<int> depth(static_cast<std::size_t>(platform.size()), 1);
+  for (core::SlaveId j = 0; j < platform.size(); ++j) {
+    heap.emplace(platform.comp(j), j);
+  }
+  std::vector<core::Time> offsets(static_cast<std::size_t>(n));
+  for (auto it = offsets.rbegin(); it != offsets.rend(); ++it) {
+    const core::SlaveId j = heap.top().second;
+    *it = heap.top().first;
+    heap.pop();
+    const int k = ++depth[static_cast<std::size_t>(j)];
+    heap.emplace(static_cast<core::Time>(k) * platform.comp(j), j);
+  }
+  return offsets;
+}
+
+/// Jackson's rule for the uniform-cost selection: sends in earliest-
 /// deadline order, matched FIFO to the sorted releases, must each complete
-/// by their slot's compute-start deadline.
-/// `slots` is in heap-pop order, whose deadlines never increase (rounding
-/// is monotone, so M - (k+1) p_j <= M - k p_j): reversed, it is the deadline
-/// sequence of the sorted slots. Only the slave order within ties differs.
-/// The check reads deadlines only, so a probe just reverses; the final call
-/// sorts into the tie order, because its `order_out` is the plan's send
-/// order.
+/// by their slot's compute-start deadline. A bisection probe reads only
+/// deadlines, so it reads them from the precomputed offsets: one pass, no
+/// heap and no copy.
+bool edf_feasible(const std::vector<core::Time>& offsets,
+                  const std::vector<core::Time>& releases,
+                  core::Time send_cost, core::Time M) {
+  core::Time send_end = 0.0;
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    send_end = std::max(send_end, releases[i]) + send_cost;
+    if (send_end > (M - offsets[i]) + core::kTimeEps) return false;
+  }
+  return true;
+}
+
+/// The same check on the final plan's slots, which it sorts into the tie
+/// order first: that order is the plan's send order, written to
+/// `order_out`.
 bool edf_feasible(std::vector<Slot> slots,
                   const std::vector<core::Time>& releases,
                   core::Time send_cost,
-                  std::vector<core::SlaveId>* order_out) {
-  if (order_out != nullptr) {
-    std::sort(slots.begin(), slots.end(), slot_before);
-  } else {
-    std::reverse(slots.begin(), slots.end());
-  }
+                  std::vector<core::SlaveId>& order_out) {
+  std::sort(slots.begin(), slots.end(), slot_before);
   core::Time send_end = 0.0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     send_end = std::max(send_end, releases[i]) + send_cost;
     if (send_end > slots[i].deadline + core::kTimeEps) return false;
   }
-  if (order_out != nullptr) {
-    order_out->clear();
-    for (const Slot& s : slots) order_out->push_back(s.slave);
-  }
+  order_out.clear();
+  for (const Slot& s : slots) order_out.push_back(s.slave);
   return true;
 }
 
@@ -253,6 +285,8 @@ OfflinePlan plan_impl(const platform::Platform& platform,
     throw std::invalid_argument("sljf plan: releases must be sorted");
   }
 
+  std::vector<core::Time> offsets;
+  if (!comm_aware) offsets = latest_slot_offsets(platform, n);
   auto feasible = [&](core::Time M, std::vector<core::SlaveId>* order) {
     if (comm_aware) {
       // Two complementary greedy rules; accept M if either succeeds.
@@ -261,8 +295,11 @@ OfflinePlan plan_impl(const platform::Platform& platform,
              backward_feasible(platform, n, M, send_cost, releases,
                                BackwardRule::kLatestStart, order);
     }
+    if (order == nullptr) {
+      return edf_feasible(offsets, releases, send_cost.front(), M);
+    }
     return edf_feasible(top_slots_uniform(platform, n, M), releases,
-                        send_cost.front(), order);
+                        send_cost.front(), *order);
   };
 
   // Bracket the optimal makespan, then bisect.
