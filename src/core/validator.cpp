@@ -6,6 +6,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace msol::core {
 
@@ -13,30 +14,35 @@ namespace {
 
 constexpr double kDurEps = 1e-6;  // duration checks (looser than event order)
 
+/// One violation message, formatted by a stream. Called only once a check
+/// has failed, so a valid record builds no stream.
+template <typename... Parts>
+std::string message(const Parts&... parts) {
+  std::ostringstream msg;
+  (msg << ... << parts);
+  return msg.str();
+}
+
 void check_durations(const platform::Platform& platform,
                      const Workload& workload, const TaskRecord& r,
                      const EngineOptions& options,
                      std::vector<std::string>& out) {
   const TaskSpec& spec = workload.at(r.task);
-  std::ostringstream msg;
   if (r.send_start < spec.release - kTimeEps) {
-    msg << "task " << r.task << ": send starts at " << r.send_start
-        << " before release " << spec.release;
-    out.push_back(msg.str());
+    out.push_back(message("task ", r.task, ": send starts at ", r.send_start,
+                          " before release ", spec.release));
     return;
   }
   const Time want_send =
       platform.comm(r.slave) * spec.comm_factor;
   if (std::abs((r.send_end - r.send_start) - want_send) > kDurEps) {
-    msg << "task " << r.task << ": send duration "
-        << (r.send_end - r.send_start) << " != c_j*factor " << want_send;
-    out.push_back(msg.str());
+    out.push_back(message("task ", r.task, ": send duration ",
+                          r.send_end - r.send_start, " != c_j*factor ",
+                          want_send));
   }
   if (r.comp_start < r.send_end - kTimeEps) {
-    std::ostringstream m2;
-    m2 << "task " << r.task << ": computes at " << r.comp_start
-       << " before arrival " << r.send_end;
-    out.push_back(m2.str());
+    out.push_back(message("task ", r.task, ": computes at ", r.comp_start,
+                          " before arrival ", r.send_end));
   }
   const double want_work =
       platform.comp(r.slave) * spec.comp_factor *
@@ -47,10 +53,9 @@ void check_durations(const platform::Platform& platform,
           : &options.availability[static_cast<std::size_t>(r.slave)];
   if (profile == nullptr || profile->trivial()) {
     if (std::abs((r.comp_end - r.comp_start) - want_work) > kDurEps) {
-      std::ostringstream m3;
-      m3 << "task " << r.task << ": compute duration "
-         << (r.comp_end - r.comp_start) << " != p_j*factor " << want_work;
-      out.push_back(m3.str());
+      out.push_back(message("task ", r.task, ": compute duration ",
+                            r.comp_end - r.comp_start, " != p_j*factor ",
+                            want_work));
     }
   } else {
     // Time-varying slave: the record must fit inside one online stretch
@@ -61,18 +66,14 @@ void check_durations(const platform::Platform& platform,
         r.comp_start - kTimeEps);
     if (!profile->online_at(r.comp_start) ||
         (outage && r.comp_end > *outage + kDurEps)) {
-      std::ostringstream m3;
-      m3 << "task " << r.task << ": computes on slave " << r.slave
-         << " while it is offline (t=" << r.comp_start << ".." << r.comp_end
-         << ")";
-      out.push_back(m3.str());
+      out.push_back(message("task ", r.task, ": computes on slave ", r.slave,
+                            " while it is offline (t=", r.comp_start, "..",
+                            r.comp_end, ")"));
     }
     const double done = profile->online_work_between(r.comp_start, r.comp_end);
     if (std::abs(done - want_work) > kDurEps) {
-      std::ostringstream m3;
-      m3 << "task " << r.task << ": integrated compute work " << done
-         << " != p_j*factor " << want_work;
-      out.push_back(m3.str());
+      out.push_back(message("task ", r.task, ": integrated compute work ",
+                            done, " != p_j*factor ", want_work));
     }
   }
 }
@@ -141,11 +142,9 @@ std::vector<std::string> validate(const platform::Platform& platform,
     for (const auto& [t, delta] : events) {
       in_flight += delta;
       if (in_flight > port_capacity) {
-        std::ostringstream msg;
-        msg << "one-port violation: " << in_flight
-            << " sends in flight at t=" << t << " (capacity "
-            << port_capacity << ")";
-        out.push_back(msg.str());
+        out.push_back(message("one-port violation: ", in_flight,
+                              " sends in flight at t=", t, " (capacity ",
+                              port_capacity, ")"));
         break;
       }
     }
@@ -162,10 +161,9 @@ std::vector<std::string> validate(const platform::Platform& platform,
     std::sort(intervals.begin(), intervals.end());
     for (std::size_t i = 1; i < intervals.size(); ++i) {
       if (intervals[i].first < intervals[i - 1].second - kTimeEps) {
-        std::ostringstream msg;
-        msg << "slave " << slave << " computes two tasks at once around t="
-            << intervals[i].first;
-        out.push_back(msg.str());
+        out.push_back(message("slave ", slave,
+                              " computes two tasks at once around t=",
+                              intervals[i].first));
         break;
       }
     }
