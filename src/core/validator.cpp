@@ -123,21 +123,18 @@ std::vector<std::string> validate(const platform::Platform& platform,
 
   // One-port: sweep send intervals; at most port_capacity concurrent.
   if (port_capacity > 0) {
-    // Events: +1 at send_start, -1 at send_end. Sort by time with ends
-    // before starts at equal instants (back-to-back sends are legal).
+    // Events: +1 at send_start, -1 at send_end. Back-to-back sends are
+    // legal, and so is an overlap of up to kTimeEps: an end sorts at
+    // e - kTimeEps, a start at s, and ends first at equal keys, so an end
+    // precedes a start exactly when e <= s + kTimeEps. A strict key, since
+    // "within kTimeEps" is not transitive and std::sort needs an order.
     std::vector<std::pair<Time, int>> events;
     events.reserve(schedule.records().size() * 2);
     for (const TaskRecord& r : schedule.records()) {
       events.emplace_back(r.send_start, +1);
-      events.emplace_back(r.send_end, -1);
+      events.emplace_back(r.send_end - kTimeEps, -1);
     }
-    std::sort(events.begin(), events.end(),
-              [](const auto& a, const auto& b) {
-                if (std::abs(a.first - b.first) > kTimeEps) {
-                  return a.first < b.first;
-                }
-                return a.second < b.second;  // -1 before +1
-              });
+    std::sort(events.begin(), events.end());
     int in_flight = 0;
     for (const auto& [t, delta] : events) {
       in_flight += delta;

@@ -189,6 +189,26 @@ TEST(Validator, BackToBackSendsAreLegal) {
                   .empty());
 }
 
+TEST(Validator, SendOverlapWithinTimeEpsIsLegal) {
+  Schedule s;
+  s.add(TaskRecord{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0});
+  s.add(TaskRecord{1, 1, 0.0, 1.0 - 0.5e-9, 3.0 - 0.5e-9, 3.0, 8.0});
+  EXPECT_TRUE(validate(plat(), Workload::all_at_zero(2), s).empty());
+}
+
+TEST(Validator, SendOverlapBeyondTimeEpsIsAViolation) {
+  Schedule s;
+  s.add(TaskRecord{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0});
+  s.add(TaskRecord{1, 1, 0.0, 1.0 - 2e-9, 3.0 - 2e-9, 3.0, 8.0});
+  const auto v = validate(plat(), Workload::all_at_zero(2), s);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].find("one-port violation: 2 sends in flight"),
+            std::string::npos);
+  EXPECT_TRUE(
+      validate(plat(), Workload::all_at_zero(2), s, /*port_capacity=*/2)
+          .empty());
+}
+
 TEST(Validator, DetectsSlaveComputeOverlap) {
   Schedule s;
   s.add(TaskRecord{0, 0, 0.0, 0.0, 1.0, 1.0, 4.0});
