@@ -62,6 +62,9 @@ OfflinePlan sljf_plan(const platform::Platform& platform,
 /// Both planners skip only work whose result is already known (a converged
 /// bisection, probe orders nobody reads, count moves a lower bound rejects;
 /// see deadline_solver.cpp), so plans are bit-identical to the full search.
+/// SLJF's bisection probes read slot offsets k * p_j merged once per plan:
+/// a slot's deadline M - k * p_j is monotone in its offset, so the offsets
+/// give every probe's deadline sequence without rebuilding the slots.
 OfflinePlan sljfwc_plan(const platform::Platform& platform,
                         const std::vector<core::Time>& releases);
 

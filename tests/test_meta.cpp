@@ -439,6 +439,28 @@ TEST(PortfolioPolicy, SwitchesResetBetweenRuns) {
   EXPECT_EQ(portfolio->switches(), first_run);
 }
 
+TEST(PortfolioPolicy, HorizonBeyondTheTaskCountIsClampedNotAllocated) {
+  // decide() clamps the horizon to the pending count, and neither
+  // projection allocates per horizon step, so the largest horizon the
+  // grammar accepts runs like one equal to the number of tasks.
+  const Platform plat = heterogeneous_platform(4, 17);
+  util::Rng rng(5);
+  const Workload work = Workload::poisson(40, 2.0, rng);
+  const core::Schedule widest = core::simulate(
+      plat, work,
+      *make_scheduler("portfolio:LS;rank:queue;SRPT+horizon:2147483647"));
+  const core::Schedule all_tasks = core::simulate(
+      plat, work, *make_scheduler("portfolio:LS;rank:queue;SRPT+horizon:40"));
+  EXPECT_TRUE(core::validate(plat, work, widest).empty());
+  ASSERT_EQ(widest.size(), all_tasks.size());
+  for (int i = 0; i < widest.size(); ++i) {
+    EXPECT_EQ(widest.at(i).task, all_tasks.at(i).task);
+    EXPECT_EQ(widest.at(i).slave, all_tasks.at(i).slave);
+    EXPECT_EQ(widest.at(i).send_start, all_tasks.at(i).send_start);
+    EXPECT_EQ(widest.at(i).comp_end, all_tasks.at(i).comp_end);
+  }
+}
+
 TEST(HedgePolicy, SwitchesToTheStressedMemberOnABurst) {
   // window 4 / hyst 1: four simultaneous releases are full dispersion
   // evidence, so the very next decision runs member B.
