@@ -798,6 +798,64 @@ TEST(Sinks, EmptyGridStillWritesCsvHeader) {
   EXPECT_EQ(out.str(), CsvSink::header() + "\n");
 }
 
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// The exact CSV and JSONL bytes of a small grid, pinned: every number a
+/// sink writes goes through util::fmt_exact, so a formatter or sink change
+/// that moves a single byte of output fails here. The churn cell makes
+/// lost_work and redispatches non-zero, the SRPT row gives the norm_*
+/// columns their reference, and the SLJF row covers the planner's raw
+/// makespans and flows.
+TEST(Sinks, OutputBytesArePinned) {
+  ScenarioGrid grid;
+  grid.name = "pinned";
+  grid.seed = 2006;
+  grid.num_platforms = 2;
+  grid.num_tasks = 40;
+  grid.lookahead = 40;
+  grid.algorithms = {"SRPT", "LS", "SLJF"};
+  grid.classes = {PlatformClass::kFullyHeterogeneous};
+  grid.slave_counts = {3};
+  grid.arrivals = {ArrivalProcess::kPoisson};
+  grid.loads = {0.9};
+  grid.jitters = {0.1};
+  grid.port_capacities = {1};
+  grid.avails = {platform::AvailabilityModel::kAlways,
+                 platform::AvailabilityModel::kChurn};
+  grid.mtbf_tasks = {12.0};
+  grid.outage_fracs = {0.3};
+
+  std::ostringstream csv_out;
+  std::ostringstream jsonl_out;
+  CsvSink csv(csv_out);
+  JsonLinesSink jsonl(jsonl_out);
+  MemorySink memory;
+  RunnerOptions options;
+  options.threads = 1;
+  ParallelRunner(options).run(grid, {&csv, &jsonl, &memory});
+
+  double lost_work = 0.0;
+  double redispatches = 0.0;
+  double norm_makespan = 0.0;
+  for (const ResultRecord& record : memory.records()) {
+    lost_work += record.result.lost_work.mean;
+    redispatches += record.result.redispatches.mean;
+    norm_makespan += record.result.norm_makespan.mean;
+  }
+  EXPECT_GT(lost_work, 0.0);
+  EXPECT_GT(redispatches, 0.0);
+  EXPECT_GT(norm_makespan, 0.0);
+  EXPECT_EQ(fnv1a64(csv_out.str()), 16662078576084365990ULL);
+  EXPECT_EQ(fnv1a64(jsonl_out.str()), 13812869709978002129ULL);
+}
+
 /// Every committed grid's manifest config hash, pinned: a manifest written
 /// by an earlier build names one of these, and --resume refuses a manifest
 /// whose hash differs, so a change to the grid parser or serializer that
