@@ -16,17 +16,6 @@ namespace msol::runner {
 
 namespace {
 
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -203,7 +192,7 @@ std::string CsvSink::to_csv_row(const ResultRecord& record) {
       }
     }
     if (i > 0) row += ',';
-    row += render(columns[i].value, csv_escape, util::fmt_exact);
+    row += render(columns[i].value, util::csv_escape, util::fmt_exact);
   }
   return row;
 }

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace msol::util {
 
@@ -25,17 +26,6 @@ bool looks_numeric(const std::string& s) {
     }
   }
   return digit_seen;
-}
-
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -95,6 +85,17 @@ std::string Table::to_csv() const {
   return out.str();
 }
 
+std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
+  std::string out = "\"";
+  for (char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 std::string fmt(double value, int precision) {
   std::ostringstream out;
   out.setf(std::ios::fixed);
@@ -109,15 +110,30 @@ std::string fmt_exact(double value) {
     out << value;
     return out.str();
   }
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    // strtod, not stod: stod throws out_of_range on subnormal input, and a
-    // tiny-but-valid metric value must not abort a whole run mid-output.
-    if (std::strtod(out.str().c_str(), nullptr) == value) return out.str();
+  // %.Pg prints at most P significant digits, so no P below the digit count
+  // of the shortest round-tripping scientific text can round-trip. (The
+  // plain shortest form is no bound: it spells 1000 as "1000", 4 digits,
+  // though "1e+03" already round-trips.)
+  char buf[64];
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::scientific)
+          .ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
   }
-  return std::to_string(value);  // unreachable: precision 17 round-trips
+  // to_chars(general, P) is specified as printf("%.*g", P), the text the
+  // stream prints at precision P; at P = 17 every double round-trips. A
+  // read that overflows (DBL_MAX at P = 1 is "2e+308") is no round trip.
+  for (;; ++precision) {
+    end = std::to_chars(buf, buf + sizeof buf, value,
+                        std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    const auto read = std::from_chars(buf, end, back);
+    if (precision >= 17 || (read.ec == std::errc() && back == value)) break;
+  }
+  return std::string(buf, end);
 }
 
 }  // namespace msol::util

@@ -20,7 +20,7 @@ class Table {
   /// Renders with a header rule; numeric-looking cells are right-aligned.
   std::string to_string() const;
 
-  /// Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
+  /// Renders as RFC-4180-ish CSV, each cell through csv_escape.
   std::string to_csv() const;
 
   std::size_t rows() const { return rows_.size(); }
@@ -30,13 +30,20 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// Quotes a CSV cell that holds a comma, a quote, `\n` or `\r`, doubling
+/// its quotes; any other cell is returned as it is.
+std::string csv_escape(const std::string& cell);
+
 /// Formats a double with the given precision, trimming to fixed notation.
 std::string fmt(double value, int precision = 3);
 
-/// Shortest decimal spelling that parses back to exactly `value` — for
-/// machine-readable output (grid files, CSV/JSON sinks) where equal doubles
-/// must print as equal text and round-trip bit-identically, without every
-/// 0.9 ballooning to 0.90000000000000002.
+/// Machine-readable text of a double, for grid files, canonical spec strings
+/// and the CSV/JSONL sinks, where equal doubles must print as equal text and
+/// read back bit-identically. A finite value prints as `printf("%.*g", P,
+/// value)` at the smallest P in 1..17 whose text `strtod` reads back to the
+/// same double. That is not the shortest decimal: 1000 prints "1e+03", 0.1
+/// prints "0.1", 1e21 prints "1e+21", -0.0 prints "-0". A non-finite value prints as an `std::ostream` prints
+/// it: "inf", "-inf" or "nan".
 std::string fmt_exact(double value);
 
 }  // namespace msol::util

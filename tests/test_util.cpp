@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -195,14 +197,102 @@ TEST(Table, CsvEscapesCommasAndQuotes) {
   Table t({"x"});
   t.add_row({"a,b"});
   t.add_row({"say \"hi\""});
+  t.add_row({"line\rbreak"});
   const std::string csv = t.to_csv();
   EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
   EXPECT_NE(csv.find("\"say \"\"hi\"\"\""), std::string::npos);
+  EXPECT_NE(csv.find("\"line\rbreak\""), std::string::npos);
 }
 
 TEST(Table, FmtFixedPrecision) {
   EXPECT_EQ(fmt(1.23456, 3), "1.235");
   EXPECT_EQ(fmt(2.0, 1), "2.0");
+}
+
+/// fmt_exact as it was written with string streams: the first of
+/// precisions 1..17 whose stream text strtod reads back to the value.
+std::string fmt_exact_by_streams(double value) {
+  if (!std::isfinite(value)) {
+    std::ostringstream out;
+    out << value;
+    return out.str();
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::ostringstream out;
+    out.precision(precision);
+    out << value;
+    if (std::strtod(out.str().c_str(), nullptr) == value) return out.str();
+  }
+  return "unreachable";
+}
+
+TEST(Table, FmtExactPinnedSpellings) {
+  EXPECT_EQ(fmt_exact(1000.0), "1e+03");
+  EXPECT_EQ(fmt_exact(0.1), "0.1");
+  EXPECT_EQ(fmt_exact(1e21), "1e+21");
+  EXPECT_EQ(fmt_exact(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(fmt_exact(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(fmt_exact(std::numeric_limits<double>::quiet_NaN()), "nan");
+}
+
+TEST(Table, FmtExactMatchesTheStreamSearch) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,          -0.0,
+                                limits::denorm_min(),
+                                -limits::denorm_min(),
+                                limits::min(),  limits::max(),
+                                -limits::max(), 5e-324,
+                                1e21,           1e22,
+                                100.0,          1000.0,
+                                120.0,          0.1,
+                                1.0 / 3.0,      0.9,
+                                1970650295646273024.0};
+  for (double p = 1e15; p <= 1e17; p *= 10.0) {
+    for (int d = -3; d <= 3; ++d) values.push_back(p + d);
+  }
+  // Powers of two sit at a binade's lower edge, where the gap below is half
+  // the gap above: for 46 of them the %g text at the shortest digit count
+  // misses, and the search has to go one precision further.
+  for (int e = -1074; e <= 1023; ++e) values.push_back(std::ldexp(1.0, e));
+  const double two53 = 9007199254740992.0;
+  for (int d = -64; d <= 64; ++d) values.push_back(two53 + 2.0 * d);
+
+  std::mt19937_64 bits(20060101);
+  auto from_bits = [](std::uint64_t pattern) {
+    double value = 0.0;
+    std::memcpy(&value, &pattern, sizeof value);
+    return value;
+  };
+  for (int i = 0; i < 60000; ++i) values.push_back(from_bits(bits()));
+  // Subnormals: a zero exponent field under a random mantissa and sign.
+  for (int i = 0; i < 5000; ++i) {
+    values.push_back(from_bits(bits() & 0x800fffffffffffffULL));
+  }
+  // Integers at and above 2^53, where neighbours are 2, 4, ... apart.
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(static_cast<double>(bits() >> (bits() % 11)));
+  }
+  // Scaled integers: short decimals at every magnitude, where the
+  // fewest-digits text and the %g search part ways most often.
+  for (int i = 0; i < 20000; ++i) {
+    const double mantissa = static_cast<double>(bits() % 100000);
+    const int exponent = static_cast<int>(bits() % 61) - 30;
+    values.push_back(mantissa * std::pow(10.0, exponent));
+  }
+  // Simulation-sized metrics: makespans and flows, all 17 digits deep.
+  std::uniform_real_distribution<double> metric(0.0, 5000.0);
+  for (int i = 0; i < 10000; ++i) values.push_back(metric(bits));
+  ASSERT_GE(values.size(), 100000u);
+
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    const std::string want = fmt_exact_by_streams(value);
+    const std::string got = fmt_exact(value);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "fmt_exact(" << want << ") = " << got;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------------------------------------------------------------- cli ------
