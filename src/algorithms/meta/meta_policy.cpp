@@ -31,14 +31,35 @@ static std::uint64_t member_eval_seed(const PolicySpec& member, int index,
       .child_seed(static_cast<std::uint64_t>(decisions));
 }
 
-template <typename Evaluate>
-core::Decision PortfolioPolicy::choose(Evaluate&& evaluate) {
+core::Decision PortfolioPolicy::decide(const core::EngineView& engine) {
+  const auto* live = dynamic_cast<const core::OnePortEngine*>(&engine);
+  if (live == nullptr) {
+    throw std::logic_error(
+        "PortfolioPolicy: decide() needs a OnePortEngine view (its projection "
+        "follows the engine's delta feed)");
+  }
+  const int horizon = std::min(spec_.horizon, engine.pending_count());
+
+  // One persistent delta-synced projection shared by all members, and
+  // cached member policies reseeded per evaluation (reseed == fresh
+  // construction for decide(), see ComposedPolicy::reseed).
+  if (!incremental_ || incremental_->engine() != live) {
+    incremental_ = std::make_unique<IncrementalProjection>(*live);
+  }
+  incremental_->sync();
+  if (members_.empty()) {
+    members_.reserve(spec_.members.size());
+    for (const PolicySpec& member : spec_.members) {
+      members_.push_back(std::make_unique<ComposedPolicy>(member));
+    }
+  }
   int best = 0;
   ProjectionOutcome best_out;
-  for (int i = 0; i < static_cast<int>(spec_.members.size()); ++i) {
-    const ProjectionOutcome out = evaluate(
-        i, member_eval_seed(spec_.members[static_cast<std::size_t>(i)], i,
-                            decisions_));
+  for (int i = 0; i < static_cast<int>(members_.size()); ++i) {
+    const auto is = static_cast<std::size_t>(i);
+    ComposedPolicy& member = *members_[is];
+    member.reseed(member_eval_seed(spec_.members[is], i, decisions_));
+    const ProjectionOutcome out = incremental_->run(member, horizon);
     if (i == 0 || out.commits > best_out.commits ||
         (out.commits == best_out.commits &&
          out.makespan < best_out.makespan - core::kTimeEps)) {
@@ -50,46 +71,6 @@ core::Decision PortfolioPolicy::choose(Evaluate&& evaluate) {
   last_choice_ = best;
   ++decisions_;
   return best_out.first;
-}
-
-core::Decision PortfolioPolicy::decide_rebuild(const core::EngineView& engine,
-                                               int horizon) {
-  // Fresh-snapshot evaluation: each member is rebuilt per decision and
-  // simulated on its own EngineProjection of the view. It serves views that
-  // are not a OnePortEngine (no delta feed to subscribe to), and it is the
-  // oracle the incremental path below is pinned byte-identical to.
-  return choose([&](int i, std::uint64_t seed) {
-    PolicySpec member = spec_.members[static_cast<std::size_t>(i)];
-    member.seed = seed;
-    ComposedPolicy policy(member);
-    EngineProjection projection(engine);
-    return projection.run(policy, horizon);
-  });
-}
-
-core::Decision PortfolioPolicy::decide(const core::EngineView& engine) {
-  const int horizon = std::min(spec_.horizon, engine.pending_count());
-  const auto* live = dynamic_cast<const core::OnePortEngine*>(&engine);
-  if (live == nullptr) return decide_rebuild(engine, horizon);
-
-  // Incremental path: one persistent delta-synced projection shared by all
-  // members, and cached member policies reseeded per evaluation (reseed ==
-  // fresh construction for decide(), see ComposedPolicy::reseed).
-  if (!incremental_ || incremental_->engine() != live) {
-    incremental_ = std::make_unique<IncrementalProjection>(*live);
-  }
-  incremental_->sync();
-  if (members_.empty()) {
-    members_.reserve(spec_.members.size());
-    for (const PolicySpec& member : spec_.members) {
-      members_.push_back(std::make_unique<ComposedPolicy>(member));
-    }
-  }
-  return choose([&](int i, std::uint64_t seed) {
-    ComposedPolicy& member = *members_[static_cast<std::size_t>(i)];
-    member.reseed(seed);
-    return incremental_->run(member, horizon);
-  });
 }
 
 void PortfolioPolicy::reset() {

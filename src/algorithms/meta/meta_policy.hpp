@@ -34,24 +34,24 @@ class MetaPolicy : public core::OnlineScheduler {
 };
 
 /// portfolio:<spec>;...+horizon:<h> — at every decision point each member
-/// spec is forward-simulated on an EngineProjection of the live view for up
-/// to `horizon` commits, and the member with the best projection (most
+/// spec is forward-simulated on a projection of the live engine for up to
+/// `horizon` commits, and the member with the best projection (most
 /// commits, then lowest projected makespan, ties to the lowest index)
 /// supplies the committed decision.
 ///
-/// Each member evaluation is a pure function of the snapshot; a tie:rng
-/// member's stream is derived counter-style — fork(member index) off its
-/// spec seed, then the decision ordinal — so runs are deterministic and
-/// thread-count independent.
+/// Each member evaluation is a pure function of the engine state; a
+/// tie:rng member's stream is derived counter-style — fork(member index)
+/// off its spec seed, then the decision ordinal — so runs are deterministic
+/// and thread-count independent.
 ///
-/// Evaluation is delta-driven on live OnePortEngine views (the only view
-/// the engine hands schedulers in production runs): one persistent
-/// IncrementalProjection subscribes to the engine's delta feed, sync()
-/// patches it forward per decision, and the cached member policies are
-/// reseeded (not reconstructed) per evaluation. Any other view (the
-/// ReferenceEngine, tests' fakes) takes the fresh-snapshot EngineProjection
-/// loop, the oracle the incremental path is pinned byte-identical to
-/// (tests/test_meta_incremental.cpp and the meta golden traces).
+/// Evaluation is delta-driven: one persistent IncrementalProjection
+/// subscribes to the engine's delta feed, sync() patches it forward per
+/// decision, and the cached member policies are reseeded (not
+/// reconstructed) per evaluation. decide() therefore needs a OnePortEngine
+/// (every run path hands it one: simulate(), ShardedEngine's shards, the
+/// adversary) and throws std::logic_error on any other view. Its
+/// fresh-snapshot oracle, RebuildPortfolio, lives in the test-only library
+/// (tests/oracles/).
 class PortfolioPolicy final : public MetaPolicy {
  public:
   explicit PortfolioPolicy(MetaSpec spec);
@@ -61,25 +61,17 @@ class PortfolioPolicy final : public MetaPolicy {
 
   /// Decisions taken this run (the bench's decisions/sec numerator).
   long long decisions() const { return decisions_; }
-  /// The persistent projection, when the incremental path is active
-  /// (null before the first decision or on a non-engine view) —
+  /// The persistent projection (null before the first decision) —
   /// diagnostics for the bench's resync-vs-rebuild columns.
   const IncrementalProjection* projection() const {
     return incremental_.get();
   }
 
  private:
-  core::Decision decide_rebuild(const core::EngineView& engine, int horizon);
-  /// Evaluates every member through `evaluate(index, seed)`, commits the
-  /// best outcome's first decision and counts a switch when the choice
-  /// moved.
-  template <typename Evaluate>
-  core::Decision choose(Evaluate&& evaluate);
-
   long long decisions_ = 0;
   int last_choice_ = -1;
-  /// Incremental path state: the shared persistent projection and the
-  /// reseed-per-evaluation member cache (see the class comment).
+  /// The shared persistent projection and the reseed-per-evaluation member
+  /// cache (see the class comment).
   std::unique_ptr<IncrementalProjection> incremental_;
   std::vector<std::unique_ptr<ComposedPolicy>> members_;
 };

@@ -8,7 +8,6 @@
 #include "core/engine.hpp"
 #include "core/engine_view.hpp"
 #include "core/scheduler.hpp"
-#include "offline/forward_sim.hpp"
 
 namespace msol::algorithms::meta {
 
@@ -22,91 +21,11 @@ struct ProjectionOutcome {
   bool stalled = false;     ///< deferred with no future event to wake on
 };
 
-/// A frozen, self-contained copy of everything an EngineView legally
-/// exposes, plus a bounded forward simulator driven by a member policy.
-///
-/// The snapshot honours the on-line information model: availability and
-/// speeds are frozen at their current values (future outages, recoveries,
-/// and drift stay invisible, exactly as the live probes are), no future
-/// releases arrive, and offline slaves probe as infinity and reject
-/// commits. Timing arithmetic is offline::StepSimulator — the same one-port
-/// FIFO step the exhaustive solver searches over — seeded with the live
-/// port_free_at() / slave_ready_at() observables, on an effective platform
-/// whose p_j is scaled by the slave's current speed.
-///
-/// Approximations, deliberate and documented: the projection models one
-/// port (port_capacity > 1 collapses to the earliest-free port the view
-/// exposes), and a slave's snapshot tasks_in_system count drains to zero
-/// when its snapshot ready-time passes (per-task completion instants of
-/// already-committed work are not observable through the view).
-class EngineProjection : public core::EngineView {
- public:
-  explicit EngineProjection(const core::EngineView& live);
-
-  /// Runs `policy` from the snapshot until it has committed `horizon`
-  /// tasks, the pending queue drains, or it stalls (defers with nothing
-  /// left to wake on). The policy is consulted exactly when a live engine
-  /// would consult it: port free and at least one task pending.
-  ProjectionOutcome run(core::OnlineScheduler& policy, int horizon);
-
-  // EngineView ------------------------------------------------------------
-  core::Time now() const override { return now_; }
-  const platform::Platform& platform() const override { return platform_; }
-  core::Time port_free_at() const override;
-  bool is_available(core::SlaveId j) const override;
-  double current_speed(core::SlaveId j) const override;
-  core::Time slave_ready_at(core::SlaveId j) const override;
-  int tasks_in_system(core::SlaveId j) const override;
-  core::TaskId pending_front() const override;
-  std::vector<core::TaskId> pending_tasks() const override;
-  int pending_count() const override;
-  int total_tasks() const override { return total_tasks_; }
-  int completed_or_committed() const override {
-    return base_committed_ + commits_;
-  }
-  const core::TaskSpec& task_spec(core::TaskId i) const override;
-  std::optional<core::SlaveId> assignment_of(core::TaskId task) const override;
-  core::Time completion_if_assigned(core::TaskId task,
-                                    core::SlaveId j) const override;
-  /// Dense arrays for EngineView's batched probes. Besides the per-slave
-  /// arithmetic, the kernel path hoists the O(pending) task_spec list walk
-  /// out of the per-slave loop — the meta layer's portfolio scoring probes
-  /// once per (member, decision, slave), making this the projection's hot
-  /// path.
-  core::SlaveStateView slave_state() const override;
-  const core::Schedule& schedule() const override { return schedule_; }
-  const core::Trace& trace() const override { return trace_; }
-
- private:
-  void commit(const core::Assign& assign);
-  /// Advances to the next simulation event (port frees, a slave finishes),
-  /// optionally capped by a WaitUntil target; false when nothing is ahead.
-  bool advance(core::Time wait_until);
-
-  platform::Platform platform_;      ///< nominal (what policies observe)
-  platform::Platform eff_platform_;  ///< p_j scaled by current speed
-  offline::StepSimulator sim_;       ///< seeded port/slave busy state
-  core::Time now_ = 0.0;
-  std::vector<std::uint8_t> online_;  ///< byte-dense for SlaveStateView
-  std::vector<double> speed_;
-  std::vector<core::Time> base_ready_;  ///< snapshot slave_ready_at
-  std::vector<int> base_in_system_;     ///< snapshot tasks_in_system
-  std::vector<std::vector<core::Time>> proj_comp_ends_;  ///< our commits
-  std::deque<core::TaskId> pending_;           ///< FIFO, ids from the live view
-  std::deque<core::TaskSpec> pending_specs_;   ///< aligned with pending_
-  std::vector<std::pair<core::TaskId, core::SlaveId>> assigned_;
-  int total_tasks_ = 0;
-  int base_committed_ = 0;
-  int commits_ = 0;
-  core::Schedule schedule_;  ///< stays empty: projections do not record
-  core::Trace trace_;        ///< stays empty
-};
-
-/// Delta-driven sibling of EngineProjection: instead of re-snapshotting the
-/// live engine per (member, decision), it subscribes to OnePortEngine's
-/// delta feed and keeps a persistent mirror of the observables — raw ready
-/// times (plus a multiset of them, so advance() is O(log m) where the fresh
-/// projection scans O(m)), online/speed/effective-comp arrays, and the
+/// The portfolio's projection of a live OnePortEngine: instead of
+/// re-snapshotting the engine per (member, decision), it subscribes to the
+/// engine's delta feed and keeps a persistent mirror of the observables —
+/// raw ready times (plus a multiset of them, so advance() is O(log m) where
+/// a fresh snapshot scans O(m)), online/speed/effective-comp arrays, and the
 /// pending FIFO — which sync() patches forward by replaying the event
 /// suffix since the previous decision. Outages replay like any other
 /// event (kDisrupt takes the slave offline, its re-queues follow as
@@ -119,13 +38,14 @@ class EngineProjection : public core::EngineView {
 /// that rollback() unwinds, so the same mirror serves every member of a
 /// portfolio at one decision and survives to the next.
 ///
-/// Byte-identity contract (the reason this class exists at all): run() is
-/// pinned bit-identical to constructing a fresh EngineProjection and
-/// running the same member — same decisions, same outcome fields — which
-/// tests/test_meta_incremental.cpp enforces end-to-end against
-/// PortfolioPolicy's fresh-snapshot loop (the path any view that is not a
-/// OnePortEngine takes), and the meta golden traces pin. Two deliberate
-/// representation differences are proven equivalent rather than avoided:
+/// Byte-identity contract: run() is pinned bit-identical to constructing a
+/// fresh snapshot of the engine and running the same member on it — same
+/// decisions, same outcome fields. The snapshot is EngineProjection, an
+/// oracle in the test-only library (tests/oracles/); RebuildPortfolio
+/// there runs the whole portfolio on it, and tests/test_meta_incremental.cpp
+/// and the portfolio golden traces compare the two end to end. Two
+/// deliberate representation differences are proven equivalent rather
+/// than avoided:
 /// the mirror keeps *raw* busy-until values where the fresh snapshot clamps
 /// to its birth now() (every consumer — kernel max-chains, slave_ready_at,
 /// advance's strictly-after filter, tasks_in_system's threshold — re-clamps
@@ -152,11 +72,12 @@ class IncrementalProjection : public core::EngineView {
 
   /// Forward-simulates `policy` from the synced mirror until it commits
   /// `horizon` tasks, drains pending, or stalls — the same control flow as
-  /// EngineProjection::run, on scratch state rolled back on return.
+  /// the oracle's EngineProjection::run, on scratch state rolled back on
+  /// return.
   ProjectionOutcome run(core::OnlineScheduler& policy, int horizon);
 
-  // EngineView — every override replicates EngineProjection's observable
-  // behavior exactly (see the byte-identity contract above).
+  // EngineView — every override replicates the fresh snapshot's
+  // observable behavior exactly (see the byte-identity contract above).
   core::Time now() const override { return now_; }
   const platform::Platform& platform() const override {
     return live_->platform();

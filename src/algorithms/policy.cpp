@@ -78,9 +78,9 @@ core::SlaveId first_in_cycle(const std::vector<core::SlaveId>& order,
 }
 
 /// Base of the filters that test each slave on its own (all, free):
-/// Derived::admission(engine, f) calls f with the test, read from the dense
-/// arrays when the view has them and through the virtual probes when not,
-/// so collect() and the fixed-order walk admit the same slaves.
+/// Derived::admission(engine, f) calls f with the test, read from the
+/// view's dense arrays, so collect() and the fixed-order walk admit the
+/// same slaves.
 template <typename Derived>
 class PerSlaveFilter : public CandidateFilter {
  public:
@@ -108,7 +108,7 @@ class AllFilter : public PerSlaveFilter<AllFilter> {
   void collect(const core::EngineView& engine, core::TaskId task,
                std::vector<core::SlaveId>& out) override {
     const core::SlaveStateView s = engine.slave_state();
-    if (!s.empty() && s.online == nullptr) {
+    if (s.online == nullptr) {
       // Everything online: bulk-fill 0..m-1 instead of m capacity-checked
       // push_backs.
       const std::size_t base = out.size();
@@ -123,14 +123,7 @@ class AllFilter : public PerSlaveFilter<AllFilter> {
   template <typename F>
   static void admission(const core::EngineView& engine, F&& f) {
     const core::SlaveStateView s = engine.slave_state();
-    if (!s.empty()) {
-      // Dense test on the online byte array instead of virtual probes.
-      f([&](core::SlaveId j) {
-        return s.online == nullptr || s.online[j] != 0;
-      });
-    } else {
-      f([&](core::SlaveId j) { return engine.is_available(j); });
-    }
+    f([&](core::SlaveId j) { return s.online == nullptr || s.online[j] != 0; });
   }
 };
 
@@ -138,21 +131,15 @@ class FreeFilter : public PerSlaveFilter<FreeFilter> {
  public:
   template <typename F>
   static void admission(const core::EngineView& engine, F&& f) {
+    // slave_free_now(j) is slave_ready_at(j) <= now + eps, and
+    // slave_ready_at clamps ready to now — so on the raw array the test
+    // reduces to ready[j] <= now + eps, bit-identical to the probe.
     const core::SlaveStateView s = engine.slave_state();
-    if (!s.empty()) {
-      // slave_free_now(j) is slave_ready_at(j) <= now + eps, and
-      // slave_ready_at clamps ready to now — so on the raw array the test
-      // reduces to ready[j] <= now + eps, bit-identical to the probe.
-      const core::Time cutoff = engine.now() + core::kTimeEps;
-      f([&](core::SlaveId j) {
-        return (s.online == nullptr || s.online[j] != 0) &&
-               s.ready[j] <= cutoff;
-      });
-    } else {
-      f([&](core::SlaveId j) {
-        return engine.is_available(j) && engine.slave_free_now(j);
-      });
-    }
+    const core::Time cutoff = engine.now() + core::kTimeEps;
+    f([&](core::SlaveId j) {
+      return (s.online == nullptr || s.online[j] != 0) &&
+             s.ready[j] <= cutoff;
+    });
   }
 };
 

@@ -432,7 +432,7 @@ void OnePortEngine::commit(TaskId task_id, SlaveId slave) {
   bool doomed = false;
   if (!avail_enabled_) {
     // Original closed-form path: the availability-free arithmetic must stay
-    // bit-identical to ReferenceEngine (test_engine_diff).
+    // bit-identical to the ReferenceEngine oracle (test_engine_diff).
     rec.comp_start = std::max(rec.send_end, slave_ready_[js]);
     rec.comp_end = rec.comp_start +
                    platform_->comp(slave) * spec.comp_factor *

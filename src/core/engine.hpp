@@ -83,8 +83,9 @@ struct EngineOptions {
   std::vector<SlowdownWindow> slowdowns;
   /// Per-slave availability timelines (outages + speed drift). Empty, or
   /// all-trivial, keeps the engine on its original closed-form path —
-  /// bit-identical to ReferenceEngine. Non-empty must have one profile per
-  /// slave. See the "time-varying availability" block comment below.
+  /// bit-identical to the test-only ReferenceEngine oracle. Non-empty must
+  /// have one profile per slave. See the "time-varying availability" block
+  /// comment below.
   std::vector<platform::AvailabilityProfile> availability;
   /// Record a decision/event log readable via OnePortEngine::trace().
   bool enable_trace = false;
@@ -117,8 +118,8 @@ struct DisruptionStats {
 /// O(log n) push and pop) when they become known and consumed lazily, while
 /// releases keep their sorted cursor and port frees their capacity-bounded
 /// array. Advancing time thus costs O(log n) instead of the
-/// O(slaves * log tasks) scan the pre-calendar engine (retained verbatim as
-/// ReferenceEngine) performs at every step.
+/// O(slaves * log tasks) scan the pre-calendar engine (kept verbatim as the
+/// ReferenceEngine oracle in tests/oracles/) performs at every step.
 /// The pending set is a bucketed FIFO slot index (dense slot vector with
 /// tombstones and per-64-slot live counts), making commit() O(1) where the
 /// reference engine pays an O(pending) find + erase, and letting bulk
@@ -161,8 +162,8 @@ struct DisruptionStats {
 ///    skip offline slaves, deferring when none is available).
 /// The schedule keeps exactly one record per task: its successful attempt.
 /// With all profiles trivial the engine takes its original closed-form path
-/// and stays bit-identical to ReferenceEngine (test_engine_diff enforces
-/// this).
+/// and stays bit-identical to the ReferenceEngine oracle (test_engine_diff
+/// enforces this).
 class OnePortEngine final : public EngineView {
  public:
   /// Inert engine; call reset() before any other member.

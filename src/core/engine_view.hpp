@@ -17,15 +17,15 @@ namespace msol::core {
 /// the committed past and the currently released tasks — never future
 /// releases, which is what makes the policies on-line.
 ///
-/// Two engines implement this interface: the production OnePortEngine
-/// (event-calendar driven, see engine.hpp) and the frozen ReferenceEngine
-/// (the original scan-based loop, see reference_engine.hpp). Schedulers are
-/// written against this view so the differential harness in
-/// tests/test_engine_diff.cpp can run the *same* policy on both engines and
-/// require bit-identical schedules and traces. The batched probes are not
-/// virtual: one implementation serves every view, running the ranking
-/// kernel when slave_state() exposes dense arrays and the per-slave loop
-/// when it does not (the loop is the kernel's oracle).
+/// The library implements it twice: the OnePortEngine (event-calendar
+/// driven, see engine.hpp) and the portfolio's IncrementalProjection. The
+/// test-only oracles (tests/oracles/) implement it too, so the differential
+/// suites run the *same* policy on an oracle and on the engine and require
+/// bit-identical schedules and traces. The batched probes are not virtual:
+/// every view exposes dense per-slave state through slave_state(), and one
+/// implementation runs the ranking kernel over it. The per-slave loop that
+/// checks the kernel lives in the tests (ProbeAudit in test_engine_diff,
+/// reference_probes in test_rank_kernel_simd).
 class EngineView {
  public:
   virtual ~EngineView() = default;
@@ -39,9 +39,8 @@ class EngineView {
   bool port_free_now() const { return port_free_at() <= now() + kTimeEps; }
 
   /// True when slave j is reachable right now. Engines without time-varying
-  /// availability (the paper's static platforms, and the frozen
-  /// ReferenceEngine) are always-on. Schedulers must skip offline slaves:
-  /// committing to one throws.
+  /// availability (the paper's static platforms) are always-on. Schedulers
+  /// must skip offline slaves: committing to one throws.
   virtual bool is_available(SlaveId j) const {
     (void)j;
     return true;
@@ -99,55 +98,34 @@ class EngineView {
   virtual Time completion_if_assigned(TaskId task, SlaveId j) const = 0;
 
   /// Structure-of-arrays snapshot of the per-slave probe state, for the
-  /// batched probes below and for policy components that rank every slave
-  /// at once through the kernel (core/rank_kernel.hpp). Engines that do not
-  /// maintain dense arrays — the frozen ReferenceEngine on purpose — return
-  /// an empty() view, and the probes take the generic per-slave loop; the
-  /// differential harness runs both paths against each other. Pointers are
-  /// valid only until the engine's next mutation.
-  virtual SlaveStateView slave_state() const { return SlaveStateView{}; }
+  /// batched probes below and for policy components that rank or filter
+  /// every slave at once (core/rank_kernel.hpp). Every view exposes it, and
+  /// it must agree with the per-slave probes above: slave j is online iff
+  /// is_available(j), and the kernel's probe equals
+  /// completion_if_assigned(task, j) bit for bit. Pointers are valid only
+  /// until the view's next mutation.
+  virtual SlaveStateView slave_state() const = 0;
 
   /// Batched completion probe: out[i] = completion_if_assigned(task,
   /// slaves[i]) for n candidate slaves. `out` must not overlap `slaves`:
-  /// the dense-state kernel is compiled on that assumption (`__restrict`),
-  /// so writing the probes over the candidate buffer is undefined.
+  /// the kernel is compiled on that assumption (`__restrict`), so writing
+  /// the probes over the candidate buffer is undefined.
   void completion_if_assigned_batch(TaskId task, const SlaveId* slaves, int n,
                                     Time* out) const {
-    const SlaveStateView s = slave_state();
-    if (s.empty()) {
-      for (int i = 0; i < n; ++i) {
-        out[i] = completion_if_assigned(task, slaves[i]);
-      }
-      return;
-    }
     const TaskSpec& spec = task_spec(task);
-    completion_gather(s, now(), send_start(spec), spec.comm_factor,
-                      spec.comp_factor, slaves, n, out);
+    completion_gather(slave_state(), now(), send_start(spec),
+                      spec.comm_factor, spec.comp_factor, slaves, n, out);
   }
 
   /// The available slave minimizing completion_if_assigned(task, j), with
   /// list scheduling's exact tie-break: a later slave wins only when
   /// strictly better by more than kTimeEps; -1 when no slave is available.
-  /// With dense state this is one kernel pass instead of m virtual probes
-  /// (the send-start term is loop-invariant); otherwise the generic loop.
+  /// One kernel pass instead of m virtual probes (the send-start term is
+  /// loop-invariant).
   SlaveId best_completion_slave(TaskId task) const {
-    const SlaveStateView s = slave_state();
-    if (!s.empty()) {
-      const TaskSpec& spec = task_spec(task);
-      return rank_best_completion(s, now(), send_start(spec), spec.comm_factor,
-                                  spec.comp_factor);
-    }
-    SlaveId best = -1;
-    Time best_completion = 0.0;
-    for (SlaveId j = 0; j < platform().size(); ++j) {
-      if (!is_available(j)) continue;
-      const Time completion = completion_if_assigned(task, j);
-      if (best < 0 || completion < best_completion - kTimeEps) {
-        best = j;
-        best_completion = completion;
-      }
-    }
-    return best;
+    const TaskSpec& spec = task_spec(task);
+    return rank_best_completion(slave_state(), now(), send_start(spec),
+                                spec.comm_factor, spec.comp_factor);
   }
 
   /// The committed schedule so far (records are complete at commitment,

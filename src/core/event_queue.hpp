@@ -38,8 +38,8 @@ struct Event {
 /// The single source of future wake-up instants for the event-driven
 /// engine: a binary min-heap on Event::time, O(log n) push and pop. Replaces
 /// the per-step linear scans over ports, slaves and per-slave completion
-/// lists that the pre-queue engine (retained as ReferenceEngine) performs in
-/// its next_wakeup().
+/// lists that the pre-queue engine (kept as the ReferenceEngine oracle in
+/// tests/oracles/) performs in its next_wakeup().
 ///
 /// Contract (all the engine relies on): pop() consumes entries in
 /// nondecreasing time order, top() is an entry of minimum time, and nothing
@@ -47,7 +47,7 @@ struct Event {
 /// the minimum *instant* is ever consumed, never the entry identity
 /// (tests/test_event_queue.cpp fuzzes exactly this contract against a
 /// sorted-multimap model; tests/test_engine_diff.cpp proves engine-level
-/// identity with ReferenceEngine).
+/// identity with the ReferenceEngine oracle).
 ///
 /// Deletion is lazy: consumers pop entries that their own state proves
 /// stale (in the past, or generation-superseded).

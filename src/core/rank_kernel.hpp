@@ -13,12 +13,9 @@ namespace msol::core {
 /// (everything online, unit speed) so the kernels skip the offline pass and
 /// the per-slave divide.
 ///
-/// An empty() view means the engine cannot expose dense state (the frozen
-/// ReferenceEngine deliberately never does) and callers must fall back to
-/// the per-slave virtual probes — which is what keeps the differential
-/// harness honest: the same policy runs kernel-backed on OnePortEngine and
-/// probe-backed on ReferenceEngine, and the schedules must match
-/// bit-for-bit.
+/// Every EngineView exposes one (EngineView::slave_state()), so the kernel
+/// is the only probe path; the per-slave loops that check it bit for bit
+/// live in the tests.
 struct SlaveStateView {
   const Time* comm = nullptr;           ///< c_j (nominal port seconds)
   const Time* comp = nullptr;           ///< p_j (nominal compute seconds)
@@ -26,8 +23,6 @@ struct SlaveStateView {
   const std::uint8_t* online = nullptr; ///< null = every slave online
   const double* speed = nullptr;        ///< null = unit speed everywhere
   int m = 0;
-
-  bool empty() const { return comm == nullptr || m == 0; }
 };
 
 /// Batched form of EngineView::completion_if_assigned for one task against
@@ -37,8 +32,8 @@ struct SlaveStateView {
 ///
 /// The arithmetic is operation-for-operation the engine's scalar probe
 /// (same max() chains, same multiply-then-divide order), because the
-/// differential suite requires the fast path to be bit-identical to the
-/// virtual-probe path, not merely close. `out` must not overlap the view's
+/// differential suites require it to be bit-identical to the per-slave
+/// probe, not merely close. `out` must not overlap the view's
 /// arrays: the kernel is compiled on that assumption (`__restrict`).
 void completion_batch(const SlaveStateView& s, Time now, Time send_start,
                       double comm_factor, double comp_factor, Time* out);

@@ -38,8 +38,9 @@ using Decision = std::variant<Assign, Defer, WaitUntil>;
 /// committed past and the currently released tasks through the EngineView
 /// interface — never future releases, which is what makes it on-line.
 /// Policies take the abstract view (not a concrete engine) so the same
-/// instance can drive both the event-calendar OnePortEngine and the frozen
-/// ReferenceEngine the differential tests compare against.
+/// instance can drive the event-calendar OnePortEngine, the portfolio's
+/// projections, and the test-only oracles (tests/oracles/) the differential
+/// tests compare against.
 class OnlineScheduler {
  public:
   virtual ~OnlineScheduler() = default;

@@ -312,6 +312,11 @@ OfflinePlan plan_impl(const platform::Platform& platform,
   // Once mid rounds onto hi (feasible) or onto a lo that failed its probe,
   // no later iteration moves either end (~54 probes instead of 100). The
   // initial lo was never probed, so the loop probes it before stopping.
+  // SLJF needs the loop too, although with one send cost its slot set and
+  // order are the same at every M: M decides which offsets k p_j round to
+  // one deadline fl(M - k p_j). Where a double's spacing nears the offsets
+  // (releases near 2^53), the bracket's M gives a different plan than the
+  // bisected one (SljfPlan.BisectedMakespanDecidesWhichOffsetsRoundTogether).
   bool lo_probed = false;
   for (int iter = 0; iter < 100; ++iter) {
     const core::Time mid = 0.5 * (lo + hi);

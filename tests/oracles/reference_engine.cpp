@@ -3,7 +3,7 @@
 // methods differ). It is the oracle the differential fuzz suite compares
 // the event-calendar engine against — keep it boring.
 
-#include "core/reference_engine.hpp"
+#include "oracles/reference_engine.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -262,6 +262,15 @@ Time ReferenceEngine::completion_if_assigned(TaskId task, SlaveId j) const {
   const Time send_end = send_start + platform_.comm(j) * spec.comm_factor;
   const Time comp_start = std::max(send_end, slave_ready_at(j));
   return comp_start + platform_.comp(j) * spec.comp_factor;
+}
+
+SlaveStateView ReferenceEngine::slave_state() const {
+  SlaveStateView s;
+  s.comm = platform_.comm_data();
+  s.comp = platform_.comp_data();
+  s.ready = slave_ready_.data();
+  s.m = platform_.size();
+  return s;
 }
 
 }  // namespace msol::core

@@ -11,7 +11,8 @@
 namespace msol::core {
 
 /// The pre-calendar one-port engine, retained verbatim as the semantic
-/// oracle for the event-driven OnePortEngine.
+/// oracle for the event-driven OnePortEngine. It lives in the test-only
+/// oracle library (tests/oracles/): only test executables link it.
 ///
 /// Its decision loop re-derives every wake-up by scanning all ports, all
 /// slaves and every per-slave completion list, and commit() locates the
@@ -50,6 +51,10 @@ class ReferenceEngine final : public EngineView {
   const TaskSpec& task_spec(TaskId i) const override;
   std::optional<SlaveId> assignment_of(TaskId task) const override;
   Time completion_if_assigned(TaskId task, SlaveId j) const override;
+  /// Dense state over the platform's c_j / p_j arrays and the raw
+  /// busy-until array. `online` and `speed` stay null: this engine supports
+  /// no availability, so every slave is online at unit speed.
+  SlaveStateView slave_state() const override;
   const Schedule& schedule() const override { return schedule_; }
   const Trace& trace() const override { return trace_; }
 

@@ -166,6 +166,25 @@ TEST(PlanTieOrder, SljfwcSendsTiedDeadlinesInSlaveOrder) {
   EXPECT_NEAR(plan.makespan, 25.0, 1e-6);
 }
 
+TEST(SljfPlan, BisectedMakespanDecidesWhichOffsetsRoundTogether) {
+  // Releases just below 2^53, where a double's spacing is 1: the deadlines
+  // fl(M - k p_j) of distinct offsets k p_j round together or apart
+  // depending on M, so the plan depends on the bisected makespan, not only
+  // on the slot set. Planning at the initial bracket's M instead gives
+  // [0, 1, 1] and a makespan of 2^53 - 5.
+  const Platform plat({SlaveSpec{0.75, 2.75}, SlaveSpec{0.25, 0.5}});
+  const core::Time two53 = 9007199254740992.0;
+  const OfflinePlan plan =
+      sljf_plan(plat, std::vector<core::Time>(3, two53 - 9.0));
+  EXPECT_EQ(plan.assignment, (std::vector<core::SlaveId>{1, 1, 1}));
+  const core::Time want = two53 - 8.0;
+  std::uint64_t bits = 0;
+  std::uint64_t want_bits = 0;
+  std::memcpy(&bits, &plan.makespan, sizeof bits);
+  std::memcpy(&want_bits, &want, sizeof want_bits);
+  EXPECT_EQ(bits, want_bits) << plan.makespan;
+}
+
 /// FNV-1a over a plan's assignment and the bit pattern of its makespan:
 /// any change to a slave id, to the send order or to the makespan's last
 /// bit changes the digest.

@@ -126,6 +126,29 @@ TEST(Engine, WaitUntilWakesWithoutExternalEvents) {
   EXPECT_DOUBLE_EQ(engine.schedule().at(0).send_start, 7.5);
 }
 
+TEST(Engine, AnAssignmentCancelsAnOutstandingWaitUntil) {
+  // WaitUntil{6} at t=0, then an assignment at t=1 (a release woke the
+  // scheduler first). The wake-up at 6 must be gone: the next decision that
+  // sends is the release at 10, not t=6.
+  class WaitThenDefer : public OnlineScheduler {
+   public:
+    std::string name() const override { return "WaitThenDefer"; }
+    Decision decide(const EngineView& engine) override {
+      if (engine.now() + kTimeEps < 1.0) return WaitUntil{6.0};
+      if (engine.completed_or_committed() == 0 ||
+          engine.now() + kTimeEps >= 5.5) {
+        return Assign{engine.pending_front(), 0};
+      }
+      return Defer{};
+    }
+  } policy;
+  OnePortEngine engine(two_slaves(), policy);
+  engine.load(Workload::from_releases({0.0, 1.0, 10.0}));
+  engine.run_to_completion();
+  EXPECT_DOUBLE_EQ(engine.schedule().find(0)->send_start, 1.0);
+  EXPECT_DOUBLE_EQ(engine.schedule().find(1)->send_start, 10.0);
+}
+
 TEST(Engine, WaitUntilInThePastCannotSpinForever) {
   // Requesting a wake-up at/before now() is treated as a plain Defer; with
   // no other events this surfaces as the deadlock error instead of a spin.

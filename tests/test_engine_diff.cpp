@@ -20,10 +20,10 @@
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
-#include "core/reference_engine.hpp"
 #include "core/sharded_engine.hpp"
 #include "core/validator.hpp"
 #include "experiments/campaign.hpp"
+#include "oracles/reference_engine.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"

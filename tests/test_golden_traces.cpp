@@ -18,11 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/meta/meta_spec.hpp"
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
-#include "core/reference_engine.hpp"
 #include "core/schedule_io.hpp"
 #include "core/sharded_engine.hpp"
+#include "oracles/rebuild_portfolio.hpp"
+#include "oracles/reference_engine.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
@@ -104,9 +106,9 @@ const std::vector<GoldenCase>& golden_cases() {
        "quantized", 400, 141, "LS", 20, 1, false, "", 4},
       {"ls_k8_leastloaded_churn", PlatformClass::kFullyHeterogeneous, 64, 42,
        "quantized", 500, 142, "LS", 20, 1, false, "churn-generated", 8},
-      // Meta policies, static and churn. The static portfolio also runs on
-      // the ReferenceEngine, which is not a OnePortEngine, so it pins the
-      // portfolio's fresh-snapshot path against its incremental one; the
+      // Meta policies, static and churn. The static portfolio also runs as
+      // RebuildPortfolio on the ReferenceEngine, which pins the portfolio's
+      // incremental projection against the fresh-snapshot oracle; the
       // churn fixtures re-dispatch work mid-decision-stream.
       {"portfolio_static_het", PlatformClass::kFullyHeterogeneous, 6, 51,
        "bursty", 60, 151, "portfolio:LS;SRPT;rank:queue+horizon:4"},
@@ -247,10 +249,17 @@ std::string run_case(const GoldenCase& c) {
   // The reference engine must serialize to the very same bytes — the golden
   // files pin down *the model*, not one implementation of it. Availability
   // cases have no second implementation (the frozen reference predates the
-  // feature), so there the golden file alone is the specification.
+  // feature), so there the golden file alone is the specification. A
+  // portfolio runs on the reference engine as RebuildPortfolio, the
+  // fresh-snapshot oracle of PortfolioPolicy's delta-driven projection, so
+  // its golden is cross-checked by a second implementation of both.
   if (c.avail.empty()) {
-    const auto ref_scheduler =
-        algorithms::make_scheduler(c.scheduler, c.lookahead);
+    const std::unique_ptr<OnlineScheduler> ref_scheduler =
+        c.scheduler.rfind("portfolio:", 0) == 0
+            ? std::make_unique<algorithms::meta::RebuildPortfolio>(
+                  algorithms::meta::parse_meta_spec(c.scheduler,
+                                                    c.lookahead))
+            : algorithms::make_scheduler(c.scheduler, c.lookahead);
     ReferenceEngine reference(plat, *ref_scheduler, make_options(c));
     EXPECT_EQ(actual, render(c, reference)) << c.name << ": engines diverge";
   }

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +24,7 @@
 #include "core/validator.hpp"
 #include "experiments/spec_fit.hpp"
 #include "offline/forward_sim.hpp"
+#include "oracles/engine_projection.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
 
@@ -161,17 +164,19 @@ TEST(MetaRegistry, CanonicalSpecIsAFixpointForMetaSpecs) {
 
 /// A hand-steerable EngineView: fixed platform, scripted availability, and
 /// a FIFO of pending tasks released at or before now(). Just enough view
-/// for the detector and for first-decision probes of member policies.
+/// for the detector and for first-decision probes of member policies. It
+/// exposes the same dense state as an engine (online as bytes, unit
+/// speed), so the kernel-backed probes and filters run on it too.
 class FakeView : public core::EngineView {
  public:
   explicit FakeView(Platform platform)
       : platform_(std::move(platform)),
-        online_(static_cast<std::size_t>(platform_.size()), true),
+        online_(static_cast<std::size_t>(platform_.size()), 1),
         ready_(static_cast<std::size_t>(platform_.size()), 0.0),
         in_system_(static_cast<std::size_t>(platform_.size()), 0) {}
 
   void set_online(core::SlaveId j, bool online) {
-    online_[static_cast<std::size_t>(j)] = online;
+    online_[static_cast<std::size_t>(j)] = online ? 1 : 0;
   }
   void set_ready(core::SlaveId j, core::Time t) {
     ready_[static_cast<std::size_t>(j)] = t;
@@ -188,7 +193,7 @@ class FakeView : public core::EngineView {
   const Platform& platform() const override { return platform_; }
   core::Time port_free_at() const override { return port_free_; }
   bool is_available(core::SlaveId j) const override {
-    return online_[static_cast<std::size_t>(j)];
+    return online_[static_cast<std::size_t>(j)] != 0;
   }
   double current_speed(core::SlaveId j) const override {
     return is_available(j) ? 1.0 : 0.0;
@@ -223,20 +228,32 @@ class FakeView : public core::EngineView {
   }
   core::Time completion_if_assigned(core::TaskId task,
                                     core::SlaveId j) const override {
-    // The hypothetical-commit arithmetic both engines implement: send now
-    // (port is exposed as free at port_free_), queue behind the ready-time.
-    const core::Time send_start = std::max(port_free_, now_);
+    // The hypothetical-commit arithmetic both engines implement: send once
+    // the port is free and the task released, queue behind the ready-time;
+    // an offline slave probes as infinity.
+    if (!is_available(j)) return std::numeric_limits<core::Time>::infinity();
+    const core::TaskSpec& spec = task_spec(task);
+    const core::Time send_start = std::max({port_free_, now_, spec.release});
     const core::Time send_end =
-        send_start + platform_.comm(j) * task_spec(task).comm_factor;
+        send_start + platform_.comm(j) * spec.comm_factor;
     const core::Time comp_start = std::max(send_end, slave_ready_at(j));
-    return comp_start + platform_.comp(j) * task_spec(task).comp_factor;
+    return comp_start + platform_.comp(j) * spec.comp_factor;
+  }
+  core::SlaveStateView slave_state() const override {
+    core::SlaveStateView s;
+    s.comm = platform_.comm_data();
+    s.comp = platform_.comp_data();
+    s.ready = ready_.data();
+    s.online = online_.data();
+    s.m = platform_.size();
+    return s;
   }
   const core::Schedule& schedule() const override { return schedule_; }
   const core::Trace& trace() const override { return trace_; }
 
  private:
   Platform platform_;
-  std::vector<bool> online_;
+  std::vector<std::uint8_t> online_;
   std::vector<core::Time> ready_;
   std::vector<int> in_system_;
   std::vector<core::TaskSpec> specs_;
@@ -459,6 +476,38 @@ TEST(PortfolioPolicy, HorizonBeyondTheTaskCountIsClampedNotAllocated) {
     EXPECT_EQ(widest.at(i).send_start, all_tasks.at(i).send_start);
     EXPECT_EQ(widest.at(i).comp_end, all_tasks.at(i).comp_end);
   }
+}
+
+TEST(PortfolioPolicy, RefusesAViewThatIsNotAOnePortEngine) {
+  // The portfolio's projection follows a OnePortEngine's delta feed, so it
+  // refuses any other view by name. Policies that only read the view still
+  // decide on the same fake, through the kernel over its dense state.
+  FakeView view(three_slaves());
+  view.add_pending(0.0);
+  const auto portfolio = make_scheduler("portfolio:LS;SRPT+horizon:2");
+  try {
+    portfolio->decide(view);
+    ADD_FAILURE() << "decide() accepted a view that is not a OnePortEngine";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "PortfolioPolicy: decide() needs a OnePortEngine view (its "
+                 "projection follows the engine's delta feed)");
+  }
+
+  // c + p is 5, 4, 4: LS keeps the first of the tied slaves, and with that
+  // one offline takes the other.
+  const auto assigned_slave = [&](const std::string& spec) {
+    const core::Decision d = make_scheduler(spec)->decide(view);
+    EXPECT_TRUE(std::holds_alternative<core::Assign>(d)) << spec;
+    return std::holds_alternative<core::Assign>(d)
+               ? std::get<core::Assign>(d).slave
+               : core::SlaveId{-1};
+  };
+  EXPECT_EQ(assigned_slave("LS"), 1);
+  EXPECT_EQ(assigned_slave("hedge:LS;RR+window:4+hyst:1"), 1);
+  view.set_online(1, false);
+  EXPECT_EQ(assigned_slave("LS"), 2);
+  EXPECT_EQ(assigned_slave("hedge:LS;RR+window:4+hyst:1"), 2);
 }
 
 TEST(HedgePolicy, SwitchesToTheStressedMemberOnABurst) {

@@ -1,14 +1,13 @@
 // Differential shard for the incremental projection engine: the
-// delta-driven evaluation path a portfolio takes on a OnePortEngine
-// (persistent IncrementalProjection) must be *byte-identical* end-to-end
-// to its fresh-snapshot EngineProjection loop, which it takes on any other
-// view — same schedule records bit for bit, same disruption counters —
-// across regimes {static poisson, bursty, availability churn} x seeds x
-// {2-member, 4-member, tie:rng-member portfolios, hedge}. The reference
-// side reaches that loop through RebuildPath, a test-only decorator that
-// hands the policy a forwarding view that is not a OnePortEngine. Plus
-// white-box checks of the resync/rebuild accounting, reset-reuse, and the
-// thread-count byte-identity of grids with rng-tied portfolio members.
+// delta-driven evaluation a portfolio runs on a OnePortEngine (persistent
+// IncrementalProjection) must be *byte-identical* end-to-end to
+// RebuildPortfolio, the test-only oracle that evaluates the same rule on a
+// fresh EngineProjection per member and decision — same schedule records
+// bit for bit, same disruption counters — across regimes {static poisson,
+// bursty, availability churn} x seeds x {2-member, 4-member, tie:rng-member
+// portfolios, hedge}. Plus white-box checks of the resync/rebuild
+// accounting, reset-reuse, and the thread-count byte-identity of grids with
+// rng-tied portfolio members.
 //
 // MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks the workloads while
 // keeping every case's structure.
@@ -20,7 +19,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -32,6 +30,8 @@
 #include "core/engine.hpp"
 #include "core/validator.hpp"
 #include "experiments/campaign.hpp"
+#include "oracles/engine_projection.hpp"
+#include "oracles/rebuild_portfolio.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "runner/parallel_runner.hpp"
@@ -92,81 +92,6 @@ void expect_schedules_identical(const core::Schedule& a,
 
 // ------------------------------------------------- incremental vs rebuild ----
 
-/// Forwards every observable to the view it wraps without being a
-/// OnePortEngine, so a portfolio consulted through it takes the
-/// fresh-snapshot EngineProjection loop.
-class ForwardingView final : public core::EngineView {
- public:
-  explicit ForwardingView(const core::EngineView& inner) : inner_(inner) {}
-
-  core::Time now() const override { return inner_.now(); }
-  const Platform& platform() const override { return inner_.platform(); }
-  core::Time port_free_at() const override { return inner_.port_free_at(); }
-  bool is_available(core::SlaveId j) const override {
-    return inner_.is_available(j);
-  }
-  double current_speed(core::SlaveId j) const override {
-    return inner_.current_speed(j);
-  }
-  core::Time slave_ready_at(core::SlaveId j) const override {
-    return inner_.slave_ready_at(j);
-  }
-  int tasks_in_system(core::SlaveId j) const override {
-    return inner_.tasks_in_system(j);
-  }
-  core::TaskId pending_front() const override {
-    return inner_.pending_front();
-  }
-  std::vector<core::TaskId> pending_tasks() const override {
-    return inner_.pending_tasks();
-  }
-  int pending_count() const override { return inner_.pending_count(); }
-  int total_tasks() const override { return inner_.total_tasks(); }
-  int completed_or_committed() const override {
-    return inner_.completed_or_committed();
-  }
-  const core::TaskSpec& task_spec(core::TaskId i) const override {
-    return inner_.task_spec(i);
-  }
-  std::optional<core::SlaveId> assignment_of(
-      core::TaskId task) const override {
-    return inner_.assignment_of(task);
-  }
-  core::Time completion_if_assigned(core::TaskId task,
-                                    core::SlaveId j) const override {
-    return inner_.completion_if_assigned(task, j);
-  }
-  core::SlaveStateView slave_state() const override {
-    return inner_.slave_state();
-  }
-  const core::Schedule& schedule() const override { return inner_.schedule(); }
-  const core::Trace& trace() const override { return inner_.trace(); }
-
- private:
-  const core::EngineView& inner_;
-};
-
-/// Consults the wrapped policy through a ForwardingView: the reference side
-/// of the differential.
-class RebuildPath final : public core::OnlineScheduler {
- public:
-  explicit RebuildPath(std::unique_ptr<core::OnlineScheduler> inner)
-      : inner_(std::move(inner)) {}
-
-  std::string name() const override { return inner_->name(); }
-  core::Decision decide(const core::EngineView& engine) override {
-    return inner_->decide(ForwardingView(engine));
-  }
-  void on_task_released(const core::EngineView& engine,
-                        core::TaskId task) override {
-    inner_->on_task_released(ForwardingView(engine), task);
-  }
-  void reset() override { inner_->reset(); }
-
- private:
-  std::unique_ptr<core::OnlineScheduler> inner_;
-};
-
 enum class DiffRegime { kStatic, kBursty, kChurn };
 
 struct DiffCase {
@@ -178,8 +103,9 @@ struct DiffCase {
 
 /// Spec coverage: the smallest portfolio, a 4-member portfolio (widest
 /// reseed rotation), a portfolio with an rng-tied member (its stream
-/// position is part of the evaluation), and a hedge (runs members on the
-/// view it is handed — the view's type must be inert for it). Regimes:
+/// position is part of the evaluation), and a hedge (no projection: its
+/// baseline is a second instance on a second engine, which pins that a
+/// hedge run depends on nothing but its spec and the engine). Regimes:
 /// static poisson (resync-only steady state), bursty (clustered releases,
 /// deep pending mirror), churn (replayed kDisrupt outages and
 /// offline-slave projections).
@@ -235,15 +161,14 @@ DiffRun run_case(const DiffCase& c, std::uint64_t seed, bool rebuild) {
         horizon, avail_rng);
   }
 
-  std::unique_ptr<core::OnlineScheduler> policy =
-      make_meta_policy(parse_meta_spec(c.spec));
-  const core::OnlineScheduler* meta = policy.get();
-  if (rebuild) {
-    policy = std::make_unique<RebuildPath>(std::move(policy));
-  }
+  const MetaSpec spec = parse_meta_spec(c.spec);
+  const std::unique_ptr<core::OnlineScheduler> policy =
+      rebuild && spec.kind == MetaKind::kPortfolio
+          ? std::make_unique<RebuildPortfolio>(spec)
+          : make_meta_policy(spec);
   DiffRun out;
   out.schedule = core::simulate(plat, work, *policy, options, &out.disruption);
-  const auto* portfolio = dynamic_cast<const PortfolioPolicy*>(meta);
+  const auto* portfolio = dynamic_cast<const PortfolioPolicy*>(policy.get());
   out.had_projection =
       portfolio != nullptr && portfolio->projection() != nullptr;
   return out;
@@ -471,8 +396,8 @@ TEST(IncrementalProjection, OutageRequeuesAndRecoveryReplayInOneWindow) {
   EXPECT_TRUE(core::validate(plat, work, engine.schedule(), options).empty());
 
   // End to end, the portfolio on the live engine (replaying the window)
-  // matches its fresh-snapshot loop.
-  RebuildPath baseline(make_meta_policy(parse_meta_spec(spec)));
+  // matches the fresh-snapshot oracle.
+  RebuildPortfolio baseline(parse_meta_spec(spec));
   core::OnePortEngine reference(plat, baseline, options);
   reference.load(work);
   reference.run_to_completion();
@@ -480,6 +405,42 @@ TEST(IncrementalProjection, OutageRequeuesAndRecoveryReplayInOneWindow) {
                              "outage window");
   EXPECT_EQ(engine.disruption().redispatches,
             reference.disruption().redispatches);
+}
+
+/// Commits the pending front to slave 0 and records slave 0's queue depth
+/// as the view reports it at each decision.
+class QueueRecorder final : public core::OnlineScheduler {
+ public:
+  std::string name() const override { return "queue-recorder"; }
+  core::Decision decide(const core::EngineView& view) override {
+    seen.push_back(view.tasks_in_system(0));
+    return core::Assign{view.pending_front(), 0};
+  }
+  std::vector<int> seen;
+};
+
+TEST(IncrementalProjection, QueueDepthDrainsAtTheBaseReadyTimeNotTheProjectedOne) {
+  // Live: six tasks at t=0, all sent to slave 0 (c=1, p=2); at t=2 two are
+  // in its system (comp ends 3 and 5). The projection commits three more to
+  // slave 0 (comp ends 7, 9, 11). At t=5 the live tasks have drained: the
+  // depth is the 3 projected tasks, although slave 0's projected ready
+  // (11) is still ahead.
+  const Platform plat({platform::SlaveSpec{1.0, 2.0},
+                       platform::SlaveSpec{1.0, 100.0}});
+  QueueRecorder live_policy;
+  core::OnePortEngine engine(plat, live_policy);
+  engine.load(Workload::all_at_zero(6));
+  engine.run_until(2.0);
+  ASSERT_EQ(engine.pending_count(), 4);
+
+  IncrementalProjection mirror(engine);
+  mirror.sync();
+  QueueRecorder replayed;
+  mirror.run(replayed, 4);
+  QueueRecorder fresh;
+  EngineProjection(engine).run(fresh, 4);
+  EXPECT_EQ(replayed.seen, (std::vector<int>{2, 3, 4, 3}));
+  EXPECT_EQ(replayed.seen, fresh.seen);
 }
 
 // ------------------------------------------------------------ reset reuse ----

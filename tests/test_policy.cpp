@@ -20,8 +20,8 @@
 #include "algorithms/policy_spec.hpp"
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
-#include "core/reference_engine.hpp"
 #include "core/validator.hpp"
+#include "oracles/reference_engine.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
@@ -577,8 +577,8 @@ TEST(ComposedPolicy, FixedOrderWalkPicksTheLegacyScansSlave) {
     for (const Platform& plat : platforms) {
       const Workload work = Workload::poisson(
           60, 1.5 * plat.aggregate_compute_rate(), rng);
-      // Static and churning OnePortEngine (dense state; the walk skips
-      // offline slaves), then the ReferenceEngine (virtual probes only).
+      // Static and churning OnePortEngine (the walk skips offline slaves),
+      // then the ReferenceEngine oracle.
       for (int view = 0; view < 3; ++view) {
         core::EngineOptions options;
         if (view == 1) {
