@@ -14,10 +14,9 @@ whether that matches the list's expectation.
 
 Options: --tree DIR (the tree to copy, default this repo), --list FILE
 (default the mutants.tsv beside this script), --work DIR (kept afterwards;
-default a temporary directory, removed at the end), --jobs N (build and
-ctest parallelism, default 4), --timeout S (per-suite ctest timeout,
-default 600). The full ctest log of each mutant is written to
-WORK/logs/ID.log.
+default a temporary directory, removed at the end). Builds and ctest run
+one job per CPU; a suite that runs past SUITE_TIMEOUT_S counts as failed.
+The full ctest log of each mutant is written to WORK/logs/ID.log.
 
 Exit status: 0 when every mutant behaves as listed (each `kill:` mutant is
 killed by at least the suites named, each `equivalent:` one by none), 1
@@ -34,6 +33,9 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
+JOBS = str(os.cpu_count() or 1)
+# Guards against a mutant that makes a suite loop forever.
+SUITE_TIMEOUT_S = 600
 
 
 def unescape(text):
@@ -86,15 +88,15 @@ def run(cmd, cwd, log=None):
     return proc.returncode, proc.stdout
 
 
-def build(build_dir, jobs, log):
-    code, _ = run(["cmake", "--build", build_dir, "-j", str(jobs)],
+def build(build_dir, log):
+    code, _ = run(["cmake", "--build", build_dir, "-j", JOBS],
                   cwd=build_dir, log=log)
     return code == 0
 
 
-def failing_suites(build_dir, jobs, timeout, log):
+def failing_suites(build_dir, log):
     """{suite: [failing gtest cases]} from one ctest run."""
-    _, out = run(["ctest", "-j", str(jobs), "--timeout", str(timeout),
+    _, out = run(["ctest", "-j", JOBS, "--timeout", str(SUITE_TIMEOUT_S),
                   "--output-on-failure"], cwd=build_dir, log=log)
     failed = {}
     listing = out.split("The following tests FAILED:")
@@ -133,8 +135,6 @@ def main():
     parser.add_argument("--tree", default=REPO)
     parser.add_argument("--work")
     parser.add_argument("--list", default=os.path.join(HERE, "mutants.tsv"))
-    parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument("--timeout", type=int, default=600)
     args = parser.parse_args()
 
     mutants = load_mutants(args.list)
@@ -158,11 +158,10 @@ def main():
         code, _ = run(["cmake", "-S", src, "-B", build_dir,
                        "-DMSOL_BUILD_BENCH=OFF", "-DMSOL_BUILD_EXAMPLES=OFF"],
                       cwd=work, log=os.path.join(logs, "configure.log"))
-        if code != 0 or not build(build_dir, args.jobs,
-                                  os.path.join(logs, "build.log")):
+        if code != 0 or not build(build_dir, os.path.join(logs, "build.log")):
             print(f"unmutated tree does not build (see {logs})")
             return 2
-        baseline = failing_suites(build_dir, args.jobs, args.timeout,
+        baseline = failing_suites(build_dir,
                                   os.path.join(logs, "baseline.log"))
         if baseline:
             print(f"unmutated tree fails: {describe(baseline)}")
@@ -182,10 +181,9 @@ def main():
             with open(path, "w", encoding="utf-8") as f:
                 f.write(original.replace(m["search"], m["replace"]))
             try:
-                if build(build_dir, args.jobs,
+                if build(build_dir,
                          os.path.join(logs, m["id"] + ".build.log")):
-                    failed = failing_suites(build_dir, args.jobs,
-                                            args.timeout,
+                    failed = failing_suites(build_dir,
                                             os.path.join(logs,
                                                          m["id"] + ".log"))
                 else:
@@ -207,7 +205,7 @@ def main():
             print(f"{m['id']}: killed by {describe(failed)} -> {verdict}",
                   flush=True)
         # Leave the last build matching the unmutated sources.
-        build(build_dir, args.jobs, os.path.join(logs, "final-build.log"))
+        build(build_dir, os.path.join(logs, "final-build.log"))
         return 1 if bad else 0
     finally:
         if args.work is None:

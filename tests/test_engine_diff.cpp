@@ -4,6 +4,8 @@
 // workloads (including the inhomogeneous-Poisson and heavy-tail mixes),
 // every scheduler in the registry, port capacities and slowdown windows.
 // 500+ cases run as sharded gtest params so a failure pinpoints its seed.
+// Both engines probe through the same ranking kernel, so every calendar
+// engine run is also audited against a per-slave probe loop (ProbeAudit).
 //
 // Half of the calendar-engine runs go through a *reused* engine (reset()
 // between cases) instead of a fresh one, so incomplete state clearing in
@@ -187,6 +189,79 @@ void expect_identical(const EngineView& actual, const EngineView& expected,
   }
 }
 
+// ----- probe audit ----------------------------------------------------------
+//
+// The batched probes (completion_if_assigned_batch, best_completion_slave)
+// run the ranking kernel over a view's dense arrays, on both engines: the
+// differential below cannot see a kernel bug, since ReferenceEngine would
+// share it. ProbeAudit wraps a policy and, at every decision, recomputes
+// both for the pending front task with a test-side loop over is_available /
+// completion_if_assigned — the scalar semantics, eps tie-break included —
+// and requires bitwise agreement. The base shards run it on every case, the
+// fleet-scale shards at the end of this file on large platforms.
+
+class ProbeAudit : public OnlineScheduler {
+ public:
+  explicit ProbeAudit(OnlineScheduler& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  void on_task_released(const EngineView& engine, TaskId task) override {
+    inner_.on_task_released(engine, task);
+  }
+
+  Decision decide(const EngineView& engine) override {
+    ++decisions_;
+    if (mismatch_.empty()) audit(engine);
+    return inner_.decide(engine);
+  }
+
+  long long decisions() const { return decisions_; }
+  /// First disagreement found, or empty.
+  const std::string& mismatch() const { return mismatch_; }
+
+ private:
+  void audit(const EngineView& engine) {
+    const TaskId task = engine.pending_front();
+    const int m = engine.platform().size();
+    const auto ms = static_cast<std::size_t>(m);
+    ids_.resize(ms);
+    scalar_.resize(ms);
+    batch_.resize(ms);
+    SlaveId best = -1;
+    Time best_completion = 0.0;
+    for (SlaveId j = 0; j < m; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      ids_[js] = j;
+      scalar_[js] = engine.completion_if_assigned(task, j);
+      if (!engine.is_available(j)) continue;
+      if (best < 0 || scalar_[js] < best_completion - kTimeEps) {
+        best = j;
+        best_completion = scalar_[js];
+      }
+    }
+    engine.completion_if_assigned_batch(task, ids_.data(), m, batch_.data());
+    const std::string where = "decision " + std::to_string(decisions_) +
+                              " (t=" + std::to_string(engine.now()) + ")";
+    if (std::memcmp(batch_.data(), scalar_.data(), ms * sizeof(Time)) != 0) {
+      mismatch_ = where + ": completion_if_assigned_batch differs";
+      return;
+    }
+    const SlaveId kernel_best = engine.best_completion_slave(task);
+    if (kernel_best != best) {
+      mismatch_ = where + ": best_completion_slave " +
+                  std::to_string(kernel_best) + ", scalar loop " +
+                  std::to_string(best);
+    }
+  }
+
+  OnlineScheduler& inner_;
+  long long decisions_ = 0;
+  std::string mismatch_;
+  std::vector<SlaveId> ids_;
+  std::vector<Time> scalar_;
+  std::vector<Time> batch_;
+};
+
 class EngineDiff : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineDiff, CalendarEngineMatchesReferenceBitExactly) {
@@ -214,17 +289,19 @@ TEST_P(EngineDiff, CalendarEngineMatchesReferenceBitExactly) {
     expected.load(scenario.workload);
     expected.run_to_completion();
 
+    ProbeAudit audited(*policy_a);
     if (c % 2 == 0) {
-      reused.reset(scenario.platform, *policy_a, scenario.options);
+      reused.reset(scenario.platform, audited, scenario.options);
       reused.load(scenario.workload);
       reused.run_to_completion();
       expect_identical(reused, expected, label + " [reused]");
     } else {
-      OnePortEngine fresh(scenario.platform, *policy_a, scenario.options);
+      OnePortEngine fresh(scenario.platform, audited, scenario.options);
       fresh.load(scenario.workload);
       fresh.run_to_completion();
       expect_identical(fresh, expected, label + " [fresh]");
     }
+    EXPECT_EQ(audited.mismatch(), "") << label;
   }
 }
 
@@ -356,12 +433,7 @@ INSTANTIATE_TEST_SUITE_P(Shards, EngineDiffProbes, ::testing::Range(0, 5));
 
 // ----- probe audit at fleet scale ------------------------------------------
 //
-// The batched probes (completion_if_assigned_batch, best_completion_slave)
-// run the ranking kernel over the engine's dense arrays. ProbeAudit wraps a
-// policy and, at every decision, recomputes both for the pending front task
-// with a test-side loop over is_available / completion_if_assigned — the
-// scalar semantics, eps tie-break included — and requires bitwise agreement.
-// The shards run it at fleet sizes the 500-case suite never reaches (1k/4k
+// ProbeAudit (above) at fleet sizes the 500-case suite never reaches (1k/4k
 // slaves x 50k/100k tasks), where ReferenceEngine's O(pending) scans would
 // dominate the suite's runtime: static platforms (one fully homogeneous, so
 // exact ties exercise the tie-break), churn (offline slaves) and drift
@@ -371,68 +443,6 @@ INSTANTIATE_TEST_SUITE_P(Shards, EngineDiffProbes, ::testing::Range(0, 5));
 //
 // Setting MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks every case
 // ~16x/25x while keeping the same structure.
-
-class ProbeAudit : public OnlineScheduler {
- public:
-  explicit ProbeAudit(OnlineScheduler& inner) : inner_(inner) {}
-  std::string name() const override { return inner_.name(); }
-  void reset() override { inner_.reset(); }
-  void on_task_released(const EngineView& engine, TaskId task) override {
-    inner_.on_task_released(engine, task);
-  }
-
-  Decision decide(const EngineView& engine) override {
-    ++decisions_;
-    if (mismatch_.empty()) audit(engine);
-    return inner_.decide(engine);
-  }
-
-  long long decisions() const { return decisions_; }
-  /// First disagreement found, or empty.
-  const std::string& mismatch() const { return mismatch_; }
-
- private:
-  void audit(const EngineView& engine) {
-    const TaskId task = engine.pending_front();
-    const int m = engine.platform().size();
-    const auto ms = static_cast<std::size_t>(m);
-    ids_.resize(ms);
-    scalar_.resize(ms);
-    batch_.resize(ms);
-    SlaveId best = -1;
-    Time best_completion = 0.0;
-    for (SlaveId j = 0; j < m; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      ids_[js] = j;
-      scalar_[js] = engine.completion_if_assigned(task, j);
-      if (!engine.is_available(j)) continue;
-      if (best < 0 || scalar_[js] < best_completion - kTimeEps) {
-        best = j;
-        best_completion = scalar_[js];
-      }
-    }
-    engine.completion_if_assigned_batch(task, ids_.data(), m, batch_.data());
-    const std::string where = "decision " + std::to_string(decisions_) +
-                              " (t=" + std::to_string(engine.now()) + ")";
-    if (std::memcmp(batch_.data(), scalar_.data(), ms * sizeof(Time)) != 0) {
-      mismatch_ = where + ": completion_if_assigned_batch differs";
-      return;
-    }
-    const SlaveId kernel_best = engine.best_completion_slave(task);
-    if (kernel_best != best) {
-      mismatch_ = where + ": best_completion_slave " +
-                  std::to_string(kernel_best) + ", scalar loop " +
-                  std::to_string(best);
-    }
-  }
-
-  OnlineScheduler& inner_;
-  long long decisions_ = 0;
-  std::string mismatch_;
-  std::vector<SlaveId> ids_;
-  std::vector<Time> scalar_;
-  std::vector<Time> batch_;
-};
 
 struct ScaleCase {
   const char* policy;

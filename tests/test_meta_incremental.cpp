@@ -5,9 +5,9 @@
 // fresh EngineProjection per member and decision — same schedule records
 // bit for bit, same disruption counters — across regimes {static poisson,
 // bursty, availability churn} x seeds x {2-member, 4-member, tie:rng-member
-// portfolios, hedge}. Plus white-box checks of the resync/rebuild
-// accounting, reset-reuse, and the thread-count byte-identity of grids with
-// rng-tied portfolio members.
+// portfolios}. Plus a hedge determinism check, white-box checks of the
+// resync/rebuild accounting, reset-reuse, and the thread-count
+// byte-identity of grids with rng-tied portfolio members.
 //
 // MSOL_DIFF_SCALE=small (sanitizer CI legs) shrinks the workloads while
 // keeping every case's structure.
@@ -102,13 +102,11 @@ struct DiffCase {
 };
 
 /// Spec coverage: the smallest portfolio, a 4-member portfolio (widest
-/// reseed rotation), a portfolio with an rng-tied member (its stream
-/// position is part of the evaluation), and a hedge (no projection: its
-/// baseline is a second instance on a second engine, which pins that a
-/// hedge run depends on nothing but its spec and the engine). Regimes:
-/// static poisson (resync-only steady state), bursty (clustered releases,
-/// deep pending mirror), churn (replayed kDisrupt outages and
-/// offline-slave projections).
+/// reseed rotation) and a portfolio with an rng-tied member (its stream
+/// position is part of the evaluation). Regimes: static poisson
+/// (resync-only steady state), bursty (clustered releases, deep pending
+/// mirror), churn (replayed kDisrupt outages and offline-slave
+/// projections).
 constexpr DiffCase kDiffCases[] = {
     {"portfolio:LS;rank:queue+horizon:4", DiffRegime::kStatic, 6, 150},
     {"portfolio:LS;rank:queue+horizon:4", DiffRegime::kBursty, 6, 150},
@@ -125,8 +123,6 @@ constexpr DiffCase kDiffCases[] = {
      DiffRegime::kBursty, 6, 120},
     {"portfolio:LS;rank:completion+eps:0.1+tie:rng+horizon:4",
      DiffRegime::kChurn, 6, 120},
-    {"hedge:LS;rank:queue+window:8+hyst:2", DiffRegime::kBursty, 6, 150},
-    {"hedge:LS;rank:queue+window:8+hyst:2", DiffRegime::kChurn, 6, 150},
 };
 
 constexpr std::uint64_t kDiffSeeds[] = {71, 902};
@@ -134,8 +130,8 @@ constexpr std::uint64_t kDiffSeeds[] = {71, 902};
 struct DiffRun {
   core::Schedule schedule;
   core::DisruptionStats disruption;
-  /// Whether the portfolio held an IncrementalProjection after the run
-  /// (false for a hedge).
+  /// Whether the policy was a portfolio holding an IncrementalProjection
+  /// after the run.
   bool had_projection = false;
 };
 
@@ -163,9 +159,8 @@ DiffRun run_case(const DiffCase& c, std::uint64_t seed, bool rebuild) {
 
   const MetaSpec spec = parse_meta_spec(c.spec);
   const std::unique_ptr<core::OnlineScheduler> policy =
-      rebuild && spec.kind == MetaKind::kPortfolio
-          ? std::make_unique<RebuildPortfolio>(spec)
-          : make_meta_policy(spec);
+      rebuild ? std::make_unique<RebuildPortfolio>(spec)
+              : make_meta_policy(spec);
   DiffRun out;
   out.schedule = core::simulate(plat, work, *policy, options, &out.disruption);
   const auto* portfolio = dynamic_cast<const PortfolioPolicy*>(policy.get());
@@ -189,8 +184,7 @@ TEST_P(MetaIncrementalDiff, DecisionsMatchRebuildBaselineByteForByte) {
   const DiffRun baseline = run_case(c, seed, /*rebuild=*/true);
   // Each side really took its own path: otherwise this would compare the
   // incremental path with itself.
-  const bool portfolio = std::string(c.spec).rfind("portfolio:", 0) == 0;
-  EXPECT_EQ(incremental.had_projection, portfolio) << label;
+  EXPECT_TRUE(incremental.had_projection) << label;
   EXPECT_FALSE(baseline.had_projection) << label;
   expect_schedules_identical(incremental.schedule, baseline.schedule, label);
   EXPECT_EQ(incremental.disruption.redispatches, baseline.disruption.redispatches)
@@ -207,6 +201,30 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, MetaIncrementalDiff,
     ::testing::Range(0, static_cast<int>(std::size(kDiffCases) *
                                          std::size(kDiffSeeds))));
+
+// A hedge has no projection, so there is no rebuild baseline to compare it
+// with. What is left to pin is determinism: a second instance on a second
+// engine reproduces the first run bit for bit (a hedge run depends on
+// nothing but its spec and the engine), under bursts and under churn.
+TEST(HedgePolicy, SecondInstanceReproducesTheRunUnderBurstsAndChurn) {
+  for (const DiffRegime regime : {DiffRegime::kBursty, DiffRegime::kChurn}) {
+    for (const std::uint64_t seed : kDiffSeeds) {
+      const DiffCase c{"hedge:LS;rank:queue+window:8+hyst:2", regime, 6, 150};
+      const std::string label = "hedge seed=" + std::to_string(seed) +
+                                " regime=" +
+                                std::to_string(static_cast<int>(regime));
+      const DiffRun first = run_case(c, seed, /*rebuild=*/false);
+      const DiffRun second = run_case(c, seed, /*rebuild=*/false);
+      EXPECT_FALSE(first.had_projection) << label;
+      expect_schedules_identical(first.schedule, second.schedule, label);
+      EXPECT_EQ(first.disruption.redispatches, second.disruption.redispatches)
+          << label;
+      EXPECT_TRUE(bits_equal(first.disruption.lost_work,
+                             second.disruption.lost_work))
+          << label;
+    }
+  }
+}
 
 // ------------------------------------------------------- resync accounting ----
 

@@ -21,7 +21,6 @@
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
 #include "core/validator.hpp"
-#include "oracles/reference_engine.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
@@ -577,30 +576,21 @@ TEST(ComposedPolicy, FixedOrderWalkPicksTheLegacyScansSlave) {
     for (const Platform& plat : platforms) {
       const Workload work = Workload::poisson(
           60, 1.5 * plat.aggregate_compute_rate(), rng);
-      // Static and churning OnePortEngine (the walk skips offline slaves),
-      // then the ReferenceEngine oracle.
-      for (int view = 0; view < 3; ++view) {
+      // Static and churning engine (the walk skips offline slaves).
+      for (const bool churn : {false, true}) {
         core::EngineOptions options;
-        if (view == 1) {
+        if (churn) {
           options.availability = platform::generate_availability(
               platform::AvailabilityModel::kChurn, plat.size(), 3.0, 0.3,
               200.0, rng);
         }
         oracle.reset();
-        Schedule s;
-        if (view < 2) {
-          core::OnePortEngine engine(plat, oracle, options);
-          engine.load(work);
-          engine.run_to_completion();
-          s = engine.schedule();
-        } else {
-          core::ReferenceEngine engine(plat, oracle);
-          engine.load(work);
-          engine.run_to_completion();
-          s = engine.schedule();
-        }
+        core::OnePortEngine engine(plat, oracle, options);
+        engine.load(work);
+        engine.run_to_completion();
+        const Schedule& s = engine.schedule();
         EXPECT_TRUE(core::validate(plat, work, s, options).empty())
-            << text << " view " << view;
+            << text << (churn ? " churn" : " static");
       }
     }
     EXPECT_EQ(oracle.mismatches, 0) << text << ": " << oracle.first_mismatch;

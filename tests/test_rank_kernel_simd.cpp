@@ -8,7 +8,8 @@
 // sizes and subset lengths straddle the 2-, 4- and 8-lane vectors and their
 // multiples (16, 32), so every vector tail length is exercised. The
 // candidate form (completion_gather) has one compilation, checked against
-// the same oracle.
+// the same oracle, and the argmin form (rank_best_completion) is checked
+// against an argmin over it, eps tie band included.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +201,112 @@ TEST(RankKernelSimd, GatherMatchesTheReferenceProbeAcrossSubsetShapes) {
             expect_bitwise_equal(
                 reference_probes(v, now, send_start, cf, pf, ids), out);
           }
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------ argmin form ----
+
+/// List scheduling's argmin written out over reference_probes: the first
+/// online slave, replaced by a later one only when its probe is smaller by
+/// more than kTimeEps; -1 when every slave is offline.
+SlaveId reference_best(const SlaveStateView& v, Time now, Time send_start,
+                       double cf, double pf) {
+  const std::vector<Time> probes =
+      reference_probes(v, now, send_start, cf, pf, all_slaves(v.m));
+  SlaveId best = -1;
+  for (SlaveId j = 0; j < v.m; ++j) {
+    if (v.online != nullptr && v.online[j] == 0) continue;
+    const auto js = static_cast<std::size_t>(j);
+    if (best < 0 || probes[js] < probes[static_cast<std::size_t>(best)] -
+                                     kTimeEps) {
+      best = j;
+    }
+  }
+  return best;
+}
+
+TEST(RankBestCompletion, ALaterSlaveWinsOnlyWhenBetterByMoreThanTheEpsBand) {
+  // Unit link and compute, now = send start = 0: every ready time lies past
+  // the send end, so slave j's probe is ready[j] + 1 and the ready times
+  // alone decide. Each case runs on the static loop (no online or speed
+  // array) and on the availability loop (all online, unit speeds).
+  struct Case {
+    std::vector<Time> ready;
+    SlaveId best;
+  };
+  const Case cases[] = {
+      {{10.0, 10.0}, 0},                            // exact tie
+      {{10.0, 10.0 - 0.5e-9}, 0},                   // inside the band
+      {{10.0, 10.0 - 2e-9}, 1},                     // outside the band
+      {{10.0, 10.0 - 0.6e-9, 10.0 - 1.2e-9}, 2},    // the band is the best's
+  };
+  for (const Case& c : cases) {
+    const auto m = c.ready.size();
+    const std::vector<Time> unit(m, 1.0);
+    const std::vector<std::uint8_t> online(m, 1);
+    SlaveStateView v;
+    v.comm = unit.data();
+    v.comp = unit.data();
+    v.ready = c.ready.data();
+    v.m = static_cast<int>(m);
+    EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), c.best)
+        << "static, ready[1] = " << c.ready[1];
+    v.online = online.data();
+    v.speed = unit.data();
+    EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), c.best)
+        << "availability, ready[1] = " << c.ready[1];
+  }
+
+  // Offline slaves are skipped, not scored: the band starts at the first
+  // online slave, and with none online there is no answer.
+  const std::vector<Time> unit(3, 1.0);
+  const std::vector<Time> ready = {10.0 - 4e-9, 10.0, 10.0 - 0.5e-9};
+  std::vector<std::uint8_t> online = {0, 1, 1};
+  SlaveStateView v{unit.data(), unit.data(), ready.data(), online.data(),
+                   nullptr, 3};
+  EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), 1);
+  online = {0, 0, 0};
+  EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), -1);
+}
+
+TEST(RankBestCompletion, MatchesTheReferenceArgminOnPlantedTies) {
+  util::Rng rng(77);
+  // Random views almost never tie. So on each view, about half the slaves
+  // after the argmin become copies of it, with its compute time exact,
+  // moved by a tenth of the eps band either way, or lowered by eight bands:
+  // their probes move by that shift times pf / speed (at most 8x, at least
+  // 0.25x), so some copies tie exactly, some fall inside the band on
+  // either side, and some beat the argmin by more than the band.
+  const Time shifts[] = {0.0, -0.1e-9, 0.1e-9, -8e-9};
+  for (int m : {1, 2, 3, 8, 17, 64, 257}) {
+    const DenseState state(m, rng);
+    for (int rep = 0; rep < 8; ++rep) {
+      const Time now = rng.uniform(0.0, 400.0);
+      const Time send_start = now + rng.uniform(0.0, 1.0);
+      const double cf = rng.uniform(0.5, 2.0);
+      const double pf = rng.uniform(0.5, 2.0);
+      for (const bool with_online : {false, true}) {
+        for (const bool with_speed : {false, true}) {
+          DenseState planted = state;
+          const SlaveStateView v = planted.view(with_online, with_speed);
+          const SlaveId best = reference_best(v, now, send_start, cf, pf);
+          const auto b = static_cast<std::size_t>(best);
+          for (int j = best + 1; best >= 0 && j < m; ++j) {
+            if (!rng.chance(0.5)) continue;
+            const auto js = static_cast<std::size_t>(j);
+            planted.comm[js] = planted.comm[b];
+            planted.comp[js] = planted.comp[b] + shifts[rng.uniform_int(0, 3)];
+            planted.ready[js] = planted.ready[b];
+            planted.online[js] = planted.online[b];
+            planted.speed[js] = planted.speed[b];
+          }
+          EXPECT_EQ(rank_best_completion(v, now, send_start, cf, pf),
+                    reference_best(v, now, send_start, cf, pf))
+              << "m=" << m << " online=" << with_online
+              << " speed=" << with_speed;
         }
       }
     }
