@@ -121,7 +121,9 @@ class EngineView {
   /// list scheduling's exact tie-break: a later slave wins only when
   /// strictly better by more than kTimeEps; -1 when no slave is available.
   /// One kernel pass instead of m virtual probes (the send-start term is
-  /// loop-invariant).
+  /// loop-invariant): rank_best_completion scans the slaves in vector
+  /// blocks, skips each block where no slave beats the incumbent's band, and
+  /// returns the sequential scan's slave.
   SlaveId best_completion_slave(TaskId task) const {
     const TaskSpec& spec = task_spec(task);
     return rank_best_completion(slave_state(), now(), send_start(spec),

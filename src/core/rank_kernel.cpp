@@ -10,16 +10,16 @@ namespace {
 /// result (ties pick `a`, like std::max picks its first argument).
 inline Time tmax(Time a, Time b) { return a < b ? b : a; }
 
-/// The engine's completion probe of slave j, operation for operation: send
-/// end, the max with busy-until, then the compute time, multiplied and then
-/// (on a platform with availability, `speed` set) divided by speed[j].
+/// The engine's completion probe of one slave, operation for operation:
+/// send end, the max with busy-until, then the compute time, multiplied and
+/// then (on a platform with availability, `speed` set) divided by *speed.
 inline Time probe(Time now, Time send_start, double comm_factor,
                   double comp_factor, Time comm, Time comp, Time ready,
-                  const double* speed, SlaveId j) {
+                  const double* speed) {
   const Time send_end = send_start + comm * comm_factor;
   const Time comp_start = tmax(send_end, tmax(now, ready));
   Time compute = comp * comp_factor;
-  if (speed != nullptr) compute /= speed[j];
+  if (speed != nullptr) compute /= *speed;
   return comp_start + compute;
 }
 
@@ -34,10 +34,11 @@ struct Candidates {
 
 /// out[i] = the probe of slave `slave(i)`, +infinity when it is offline.
 ///
-/// The only kernel loop: MSOL_RANK_KERNEL_VARIANT compiles the batch form
-/// again under target("avx2") and target("avx512f"), so every variant runs
-/// the probe's operation sequence per lane (the library's -ffp-contract=off
-/// keeps the FMA-capable targets from fusing a mul+add). The static loop
+/// The batch and candidate forms' loop: MSOL_RANK_KERNEL_VARIANT compiles
+/// the batch form again under target("avx2") and target("avx512f"), so
+/// every variant runs the probe's operation sequence per lane (the
+/// library's -ffp-contract=off keeps the FMA-capable targets from fusing a
+/// mul+add). The static loop
 /// vectorizes in every compilation; `__restrict` (out overlaps no input) is
 /// what lets the compiler build the candidate form's vectors from indexed
 /// loads. The availability loop keeps its offline early-out and stays
@@ -54,7 +55,7 @@ __attribute__((always_inline)) inline void probe_body(
     for (int i = 0; i < n; ++i) {
       const SlaveId j = slave(i);
       out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j],
-                     comp[j], ready[j], nullptr, j);
+                     comp[j], ready[j], nullptr);
     }
     return;
   }
@@ -66,17 +67,105 @@ __attribute__((always_inline)) inline void probe_body(
       continue;
     }
     out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j], comp[j],
-                   ready[j], s.speed, j);
+                   ready[j], s.speed == nullptr ? nullptr : &s.speed[j]);
   }
 }
 
+/// Whether slave j is online on a view with (kOnline) or without an online
+/// array.
+template <bool kOnline>
+inline bool online_at(const SlaveStateView& s, int j) {
+  return !kOnline || s.online[j] != 0;
+}
+
+/// The argmin's probe of slave j. When `on` is false the slave is busy
+/// until +infinity, so the probe is +infinity, and it divides by 1 rather
+/// than by its speed (which may be 0). Masking the inputs rather than the
+/// probe keeps the divide unconditional: the compiler will not speculate a
+/// divide whose result a select throws away, and left such a loop scalar.
+/// The loads are unconditional too: a conditional load made it version the
+/// loop for aliasing.
+template <bool kSpeed>
+inline Time argmin_probe(const SlaveStateView& s, Time now, Time send_start,
+                         double comm_factor, double comp_factor, int j,
+                         bool on) {
+  const Time ready = s.ready[j];
+  const double speed = kSpeed ? s.speed[j] : 1.0;
+  const Time busy_until = on ? ready : std::numeric_limits<Time>::infinity();
+  const double div = on ? speed : 1.0;
+  return probe(now, send_start, comm_factor, comp_factor, s.comm[j],
+               s.comp[j], busy_until, kSpeed ? &div : nullptr);
+}
+
+/// List scheduling's argmin, in blocks. The incumbent is the first online
+/// slave, and a later slave replaces it only when its probe lies below
+/// thr = incumbent - kTimeEps. A block's probes go to a stack array while
+/// their `probe < thr` tests are ORed together with no branch; a block with
+/// no hit is skipped whole (nothing in it can move the incumbent, so thr
+/// holds across it), and a hit block is replayed lane by lane with the
+/// sequential rule. The slaves after the last full block take the same rule
+/// one at a time. So the answer is the sequential scan's on every input.
+/// Blocks start at the incumbent's block: its incumbent lane cannot pass
+/// against its own thr, and the lanes before it are offline.
+template <bool kOnline, bool kSpeed>
+__attribute__((always_inline)) inline SlaveId argmin_body(
+    const SlaveStateView& s, Time now, Time send_start, double cf,
+    double pf) {
+  const int m = s.m;
+  SlaveId best = 0;
+  while (best < m && !online_at<kOnline>(s, best)) ++best;
+  if (best >= m) return -1;
+  Time thr =
+      argmin_probe<kSpeed>(s, now, send_start, cf, pf, best, true) - kTimeEps;
+  int j = best - best % kRankArgminBlock;
+  for (; j + kRankArgminBlock <= m; j += kRankArgminBlock) {
+    Time probes[kRankArgminBlock];
+    std::int64_t hit = 0;  // 64-bit, like the probes: the OR needs no narrowing
+    for (int i = 0; i < kRankArgminBlock; ++i) {
+      probes[i] = argmin_probe<kSpeed>(s, now, send_start, cf, pf, j + i,
+                                       online_at<kOnline>(s, j + i));
+      hit |= probes[i] < thr;
+    }
+    if (hit == 0) continue;
+    for (int i = 0; i < kRankArgminBlock; ++i) {
+      if (probes[i] < thr) {
+        best = j + i;
+        thr = probes[i] - kTimeEps;
+      }
+    }
+  }
+  for (; j < m; ++j) {
+    const Time completion = argmin_probe<kSpeed>(s, now, send_start, cf, pf,
+                                                 j, online_at<kOnline>(s, j));
+    if (completion < thr) {
+      best = j;
+      thr = completion - kTimeEps;
+    }
+  }
+  return best;
+}
+
+/// argmin_body for the view's shape: static, or online and speed arrays in
+/// any combination.
+__attribute__((always_inline)) inline SlaveId argmin_dispatch(
+    const SlaveStateView& s, Time now, Time send_start, double cf,
+    double pf) {
+  if (s.online == nullptr) {
+    return s.speed == nullptr
+               ? argmin_body<false, false>(s, now, send_start, cf, pf)
+               : argmin_body<false, true>(s, now, send_start, cf, pf);
+  }
+  return s.speed == nullptr
+             ? argmin_body<true, false>(s, now, send_start, cf, pf)
+             : argmin_body<true, true>(s, now, send_start, cf, pf);
+}
+
 // The ISA variants need GCC/Clang's function `target` attribute on x86-64.
-// Only the batch loop is compiled for AVX2 / AVX-512, behind a
-// __builtin_cpu_supports gate; everything else stays at baseline. The
-// candidate form has no wider variant: built from indexed scalar loads, its
-// AVX2 and AVX-512 vectors ran slower per probe than the baseline loop on
-// static views, and on availability views every compilation runs the same
-// scalar early-out loop.
+// The batch loop and the argmin are compiled again for AVX2 and AVX-512,
+// and resolve() picks the variant that runs. The candidate form has no wider
+// variant: built from indexed scalar loads, its AVX2 and AVX-512 vectors ran
+// slower per probe than the baseline loop on static views, and on
+// availability views every compilation runs the same scalar early-out loop.
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
 #define MSOL_RANK_KERNEL_SIMD 1
 #define MSOL_RANK_KERNEL_VARIANT(isa, suffix)                                 \
@@ -84,6 +173,11 @@ __attribute__((always_inline)) inline void probe_body(
       const SlaveStateView& s, Time now, Time send_start, double cf,          \
       double pf, Time* out) {                                                 \
     probe_body(s, now, send_start, cf, pf, EverySlave{}, s.m, out);           \
+  }                                                                           \
+  __attribute__((target(isa))) SlaveId argmin_##suffix(                       \
+      const SlaveStateView& s, Time now, Time send_start, double cf,          \
+      double pf) {                                                            \
+    return argmin_dispatch(s, now, send_start, cf, pf);                       \
   }
 MSOL_RANK_KERNEL_VARIANT("avx2", avx2)
 MSOL_RANK_KERNEL_VARIANT("avx512f", avx512)
@@ -103,6 +197,21 @@ RankKernelWidth resolve(RankKernelWidth width) {
     return width;
   }
   return RankKernelWidth::kScalar;
+}
+
+/// The argmin through one variant; `width` is already resolved.
+SlaveId argmin(RankKernelWidth width, const SlaveStateView& s, Time now,
+               Time send_start, double cf, double pf) {
+  switch (width) {
+#ifdef MSOL_RANK_KERNEL_SIMD
+    case RankKernelWidth::kAvx512:
+      return argmin_avx512(s, now, send_start, cf, pf);
+    case RankKernelWidth::kAvx2:
+      return argmin_avx2(s, now, send_start, cf, pf);
+#endif
+    default:
+      return argmin_dispatch(s, now, send_start, cf, pf);
+  }
 }
 
 }  // namespace
@@ -151,34 +260,17 @@ void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
 SlaveId rank_best_completion(const SlaveStateView& s, Time now,
                              Time send_start, double comm_factor,
                              double comp_factor) {
-  const int m = s.m;
-  SlaveId best = -1;
-  Time best_completion = 0.0;
-  if (s.online == nullptr && s.speed == nullptr) {
-    for (int j = 0; j < m; ++j) {
-      const Time completion =
-          probe(now, send_start, comm_factor, comp_factor, s.comm[j],
-                s.comp[j], s.ready[j], nullptr, j);
-      if (best < 0 || completion < best_completion - kTimeEps) {
-        best = j;
-        best_completion = completion;
-      }
-    }
-    return best;
-  }
-  for (int j = 0; j < m; ++j) {
-    // Offline slaves are skipped, not scored infinity: with every slave
-    // offline the answer is -1, which an infinity entry would steal.
-    if (s.online != nullptr && s.online[j] == 0) continue;
-    const Time completion =
-        probe(now, send_start, comm_factor, comp_factor, s.comm[j], s.comp[j],
-              s.ready[j], s.speed, j);
-    if (best < 0 || completion < best_completion - kTimeEps) {
-      best = j;
-      best_completion = completion;
-    }
-  }
-  return best;
+  // The widest variant this host runs, resolved once per process.
+  static const RankKernelWidth width = resolve(RankKernelWidth::kAuto);
+  return argmin(width, s, now, send_start, comm_factor, comp_factor);
+}
+
+SlaveId rank_best_completion_width(RankKernelWidth width,
+                                   const SlaveStateView& s, Time now,
+                                   Time send_start, double comm_factor,
+                                   double comp_factor) {
+  return argmin(resolve(width), s, now, send_start, comm_factor,
+                comp_factor);
 }
 
 }  // namespace msol::core

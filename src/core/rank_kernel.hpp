@@ -47,32 +47,46 @@ void completion_gather(const SlaveStateView& s, Time now, Time send_start,
                        double comm_factor, double comp_factor,
                        const SlaveId* ids, int n, Time* out);
 
+/// Slaves per block of rank_best_completion's scan: one 32-byte vector of
+/// online bytes, four AVX-512 or eight AVX2 vectors of probes. Blocks of 32
+/// ran faster than blocks of 16 on availability views, and no slower on
+/// static ones.
+inline constexpr int kRankArgminBlock = 32;
+
 /// Batched form of EngineView::best_completion_slave: the available slave
 /// minimizing the hypothetical completion, with list scheduling's exact
 /// tie-break (a later slave wins only when strictly better by more than
 /// kTimeEps); -1 when no slave is available.
+///
+/// The answer is the sequential scan's on every input. The scan runs in
+/// blocks of kRankArgminBlock slaves and skips each block where no slave
+/// beats the incumbent's band. Like the batch loop it is compiled for AVX2
+/// and AVX-512 as well as baseline, and the widest variant the host runs is
+/// picked once per process.
 SlaveId rank_best_completion(const SlaveStateView& s, Time now,
                              Time send_start, double comm_factor,
                              double comp_factor);
 
-/// True when the AVX2 variant of completion_batch will actually run: the
-/// build carries it (GCC/Clang on x86-64, which compile the batch loop a
-/// second time under a function-level target("avx2") attribute) AND the
-/// host CPU supports AVX2 (checked at runtime).
+/// True when the AVX2 variants of completion_batch and rank_best_completion
+/// will actually run: the build carries them (GCC/Clang on x86-64, which
+/// compile the batch loop and the argmin a second time under a
+/// function-level target("avx2") attribute) AND the host CPU supports AVX2
+/// (checked at runtime).
 bool rank_kernel_simd_available();
 
-/// True when the AVX-512 variant will actually run: the build carries it
-/// (the same loop under target("avx512f")) AND the host CPU reports
+/// True when the AVX-512 variants will actually run: the build carries them
+/// (the same loops under target("avx512f")) AND the host CPU reports
 /// AVX-512 Foundation. Independent of rank_kernel_simd_available() — a host
 /// can have AVX2 without AVX-512 (most do), never the reverse in practice.
 bool rank_kernel_avx512_available();
 
-/// Which compilation of the batch loop completion_batch_width runs. kAuto
-/// is the widest ISA the host supports, scalar when none. The pinned values
-/// force one variant (falling back to scalar when the build or host lacks
-/// the ISA) so the bit-identity tests can memcmp every variant against every
-/// other on the same host. completion_gather has one compilation only: its
-/// AVX2 and AVX-512 variants measured slower than the baseline loop.
+/// Which compilation of the batch loop (completion_batch_width) or of the
+/// argmin (rank_best_completion_width) runs. kAuto is the widest ISA the
+/// host supports, scalar when none. The pinned values force one variant
+/// (falling back to scalar when the build or host lacks the ISA) so the
+/// tests can check every variant against the same oracle on one host.
+/// completion_gather has one compilation only: its AVX2 and AVX-512
+/// variants measured slower than the baseline loop.
 enum class RankKernelWidth : std::uint8_t {
   kAuto,
   kScalar,
@@ -91,5 +105,13 @@ enum class RankKernelWidth : std::uint8_t {
 void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
                             Time now, Time send_start, double comm_factor,
                             double comp_factor, Time* out);
+
+/// rank_best_completion through one variant (see RankKernelWidth). Every
+/// variant returns the same slave on every view; the tests check each one
+/// against a sequential argmin over the independent probe.
+SlaveId rank_best_completion_width(RankKernelWidth width,
+                                   const SlaveStateView& s, Time now,
+                                   Time send_start, double comm_factor,
+                                   double comp_factor);
 
 }  // namespace msol::core

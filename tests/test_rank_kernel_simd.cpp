@@ -8,15 +8,20 @@
 // sizes and subset lengths straddle the 2-, 4- and 8-lane vectors and their
 // multiples (16, 32), so every vector tail length is exercised. The
 // candidate form (completion_gather) has one compilation, checked against
-// the same oracle, and the argmin form (rank_best_completion) is checked
-// against an argmin over it, eps tie band included.
+// the same oracle. The argmin form (rank_best_completion) scans in blocks
+// of kRankArgminBlock slaves and is compiled three times too: every width
+// is checked against a sequential argmin over the oracle, eps tie band
+// included, at fleet sizes around one and two blocks, with ties, chains and
+// offline blocks planted at the block boundaries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/rank_kernel.hpp"
@@ -209,6 +214,24 @@ TEST(RankKernelSimd, GatherMatchesTheReferenceProbeAcrossSubsetShapes) {
 
 // ------------------------------------------------------------ argmin form ----
 
+constexpr int kB = kRankArgminBlock;
+
+/// The default argmin and every pinned width must pick `want`. A width the
+/// build or host lacks runs the scalar compilation, which is checked too.
+void expect_argmin(const SlaveStateView& v, Time now, Time send_start,
+                   double cf, double pf, SlaveId want,
+                   const std::string& where) {
+  EXPECT_EQ(rank_best_completion(v, now, send_start, cf, pf), want)
+      << where << ", default width";
+  for (const RankKernelWidth width :
+       {RankKernelWidth::kAuto, RankKernelWidth::kScalar,
+        RankKernelWidth::kAvx2, RankKernelWidth::kAvx512}) {
+    EXPECT_EQ(rank_best_completion_width(width, v, now, send_start, cf, pf),
+              want)
+        << where << ", width " << static_cast<int>(width);
+  }
+}
+
 /// List scheduling's argmin written out over reference_probes: the first
 /// online slave, replaced by a later one only when its probe is smaller by
 /// more than kTimeEps; -1 when every slave is offline.
@@ -228,11 +251,26 @@ SlaveId reference_best(const SlaveStateView& v, Time now, Time send_start,
   return best;
 }
 
+/// Unit link and compute, now = send start = 0: every ready time lies past
+/// the send end, so slave j's probe is ready[j] + 1 and the ready times
+/// alone decide. Runs the static scan (no online or speed array) and the
+/// availability scan (all online, unit speeds) through every width.
+void expect_ready_argmin(const std::vector<Time>& ready, SlaveId want,
+                         const std::string& where) {
+  const std::vector<Time> unit(ready.size(), 1.0);
+  const std::vector<std::uint8_t> online(ready.size(), 1);
+  SlaveStateView v;
+  v.comm = unit.data();
+  v.comp = unit.data();
+  v.ready = ready.data();
+  v.m = static_cast<int>(ready.size());
+  expect_argmin(v, 0.0, 0.0, 1.0, 1.0, want, where + ", static");
+  v.online = online.data();
+  v.speed = unit.data();
+  expect_argmin(v, 0.0, 0.0, 1.0, 1.0, want, where + ", availability");
+}
+
 TEST(RankBestCompletion, ALaterSlaveWinsOnlyWhenBetterByMoreThanTheEpsBand) {
-  // Unit link and compute, now = send start = 0: every ready time lies past
-  // the send end, so slave j's probe is ready[j] + 1 and the ready times
-  // alone decide. Each case runs on the static loop (no online or speed
-  // array) and on the availability loop (all online, unit speeds).
   struct Case {
     std::vector<Time> ready;
     SlaveId best;
@@ -244,20 +282,31 @@ TEST(RankBestCompletion, ALaterSlaveWinsOnlyWhenBetterByMoreThanTheEpsBand) {
       {{10.0, 10.0 - 0.6e-9, 10.0 - 1.2e-9}, 2},    // the band is the best's
   };
   for (const Case& c : cases) {
-    const auto m = c.ready.size();
-    const std::vector<Time> unit(m, 1.0);
-    const std::vector<std::uint8_t> online(m, 1);
-    SlaveStateView v;
-    v.comm = unit.data();
-    v.comp = unit.data();
-    v.ready = c.ready.data();
-    v.m = static_cast<int>(m);
-    EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), c.best)
-        << "static, ready[1] = " << c.ready[1];
-    v.online = online.data();
-    v.speed = unit.data();
-    EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), c.best)
-        << "availability, ready[1] = " << c.ready[1];
+    expect_ready_argmin(c.ready, c.best,
+                        "ready[1] = " + std::to_string(c.ready[1]));
+  }
+
+  // The same rules where a block meets the next block or the scalar tail,
+  // and inside the tail: the pair or chain starts at p on a field of worse
+  // slaves (ready 20), so its first slave becomes the incumbent and the
+  // band is its own. The chain's last slave beats the first by 1.2e-9 and
+  // wins; an exact tie and a step inside the band keep the first.
+  for (const int m : {kB + 2, kB + 3, 2 * kB + 1, 3 * kB}) {
+    for (const int p : {kB - 2, kB - 1, kB, 2 * kB - 2, 2 * kB - 1}) {
+      if (p + 2 >= m) continue;
+      const std::string where =
+          "m = " + std::to_string(m) + ", p = " + std::to_string(p);
+      std::vector<Time> ready(static_cast<std::size_t>(m), 20.0);
+      const auto ps = static_cast<std::size_t>(p);
+      ready[ps] = 10.0;
+      ready[ps + 1] = 10.0 - 0.6e-9;
+      ready[ps + 2] = 10.0 - 1.2e-9;
+      expect_ready_argmin(ready, p + 2, where + ", chain");
+      ready[ps + 2] = 20.0;
+      expect_ready_argmin(ready, p, where + ", step inside the band");
+      ready[ps + 1] = 10.0;
+      expect_ready_argmin(ready, p, where + ", exact tie");
+    }
   }
 
   // Offline slaves are skipped, not scored: the band starts at the first
@@ -267,27 +316,32 @@ TEST(RankBestCompletion, ALaterSlaveWinsOnlyWhenBetterByMoreThanTheEpsBand) {
   std::vector<std::uint8_t> online = {0, 1, 1};
   SlaveStateView v{unit.data(), unit.data(), ready.data(), online.data(),
                    nullptr, 3};
-  EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), 1);
+  expect_argmin(v, 0.0, 0.0, 1.0, 1.0, 1, "first slave offline");
   online = {0, 0, 0};
-  EXPECT_EQ(rank_best_completion(v, 0.0, 0.0, 1.0, 1.0), -1);
+  expect_argmin(v, 0.0, 0.0, 1.0, 1.0, -1, "every slave offline");
 }
 
 TEST(RankBestCompletion, MatchesTheReferenceArgminOnPlantedTies) {
   util::Rng rng(77);
-  // Random views almost never tie. So on each view, about half the slaves
-  // after the argmin become copies of it, with its compute time exact,
-  // moved by a tenth of the eps band either way, or lowered by eight bands:
-  // their probes move by that shift times pf / speed (at most 8x, at least
+  // Random views almost never tie. So on each view, slaves after the
+  // argmin become copies of it, with its compute time exact, moved by a
+  // tenth of the eps band either way, or lowered by eight bands: their
+  // probes move by that shift times pf / speed (at most 8x, at least
   // 0.25x), so some copies tie exactly, some fall inside the band on
-  // either side, and some beat the argmin by more than the band.
+  // either side, and some beat the argmin by more than the band. Copies go
+  // on both sides of every block boundary past the argmin, and on about
+  // half (dense) or a fiftieth (sparse, so most blocks are skipped) of the
+  // other slaves after it.
   const Time shifts[] = {0.0, -0.1e-9, 0.1e-9, -8e-9};
-  for (int m : {1, 2, 3, 8, 17, 64, 257}) {
+  for (int m : {1, 2, 3, 8, 17, kB - 1, kB, kB + 1, 2 * kB - 1, 2 * kB + 1,
+                257, 4096}) {
     const DenseState state(m, rng);
     for (int rep = 0; rep < 8; ++rep) {
       const Time now = rng.uniform(0.0, 400.0);
       const Time send_start = now + rng.uniform(0.0, 1.0);
       const double cf = rng.uniform(0.5, 2.0);
       const double pf = rng.uniform(0.5, 2.0);
+      const double density = rep % 2 == 0 ? 0.5 : 0.02;
       for (const bool with_online : {false, true}) {
         for (const bool with_speed : {false, true}) {
           DenseState planted = state;
@@ -295,7 +349,8 @@ TEST(RankBestCompletion, MatchesTheReferenceArgminOnPlantedTies) {
           const SlaveId best = reference_best(v, now, send_start, cf, pf);
           const auto b = static_cast<std::size_t>(best);
           for (int j = best + 1; best >= 0 && j < m; ++j) {
-            if (!rng.chance(0.5)) continue;
+            const bool at_boundary = j % kB == 0 || j % kB == kB - 1;
+            if (!at_boundary && !rng.chance(density)) continue;
             const auto js = static_cast<std::size_t>(j);
             planted.comm[js] = planted.comm[b];
             planted.comp[js] = planted.comp[b] + shifts[rng.uniform_int(0, 3)];
@@ -303,13 +358,47 @@ TEST(RankBestCompletion, MatchesTheReferenceArgminOnPlantedTies) {
             planted.online[js] = planted.online[b];
             planted.speed[js] = planted.speed[b];
           }
-          EXPECT_EQ(rank_best_completion(v, now, send_start, cf, pf),
-                    reference_best(v, now, send_start, cf, pf))
-              << "m=" << m << " online=" << with_online
-              << " speed=" << with_speed;
+          expect_argmin(v, now, send_start, cf, pf,
+                        reference_best(v, now, send_start, cf, pf),
+                        "m = " + std::to_string(m) +
+                            ", online = " + std::to_string(with_online) +
+                            ", speed = " + std::to_string(with_speed));
         }
       }
     }
+  }
+}
+
+TEST(RankBestCompletion, OfflineBlocksNeitherWinNorDivideByZero) {
+  // Every online slave is ready at 100, except one at 50 in the scalar
+  // tail. The offline slaves (a prefix longer than a block, and one whole
+  // block inside the view) are ready at 0 with speed 0: probed like online
+  // ones they would win, and divided by their speed they would raise
+  // FE_DIVBYZERO.
+  const int m = 5 * kB + 3;
+  const int want = 5 * kB + 1;
+  const std::vector<Time> unit(static_cast<std::size_t>(m), 1.0);
+  std::vector<Time> ready(static_cast<std::size_t>(m), 100.0);
+  std::vector<double> speed(static_cast<std::size_t>(m), 1.0);
+  std::vector<std::uint8_t> online(static_cast<std::size_t>(m), 1);
+  ready[static_cast<std::size_t>(want)] = 50.0;
+  for (int j = 0; j < m; ++j) {
+    if (j < kB + 3 || (j >= 3 * kB && j < 4 * kB)) {
+      const auto js = static_cast<std::size_t>(j);
+      online[js] = 0;
+      ready[js] = 0.0;
+      speed[js] = 0.0;
+    }
+  }
+  for (const bool with_speed : {false, true}) {
+    const SlaveStateView v{unit.data(), unit.data(), ready.data(),
+                           online.data(), with_speed ? speed.data() : nullptr,
+                           m};
+    std::feclearexcept(FE_DIVBYZERO);
+    expect_argmin(v, 0.0, 0.0, 1.0, 1.0, want,
+                  "speed = " + std::to_string(with_speed));
+    EXPECT_EQ(std::fetestexcept(FE_DIVBYZERO), 0)
+        << "speed = " << with_speed;
   }
 }
 
