@@ -23,7 +23,8 @@ inline Time probe(Time now, Time send_start, double comm_factor,
   return comp_start + compute;
 }
 
-/// Slave indices of the two kernel forms: every slave, or a candidate list.
+/// Slave indices of the kernel forms: every slave, a candidate list, or
+/// the slaves from `first` on.
 struct EverySlave {
   SlaveId operator()(int i) const { return i; }
 };
@@ -31,99 +32,125 @@ struct Candidates {
   const SlaveId* ids;
   SlaveId operator()(int i) const { return ids[i]; }
 };
+struct From {
+  SlaveId first;
+  SlaveId operator()(int i) const { return first + i; }
+};
 
-/// out[i] = the probe of slave `slave(i)`, +infinity when it is offline.
-///
-/// The batch and candidate forms' loop: MSOL_RANK_KERNEL_VARIANT compiles
-/// the batch form again under target("avx2") and target("avx512f"), so
-/// every variant runs the probe's operation sequence per lane (the
-/// library's -ffp-contract=off keeps the FMA-capable targets from fusing a
-/// mul+add). The static loop
-/// vectorizes in every compilation; `__restrict` (out overlaps no input) is
+/// Whether slave j is online on a view with (kOnline) or without an online
+/// array.
+template <bool kOnline>
+inline bool online_at(const std::uint8_t* online, int j) {
+  return !kOnline || online[j] != 0;
+}
+
+/// The probe of one slave from its fields, +infinity when `on` is false:
+/// an offline slave is probed as busy until +infinity and divides by 1
+/// rather than by its speed (which may be 0). Masking the inputs rather
+/// than the probe keeps the divide unconditional: the compiler will not
+/// speculate a divide whose result a select throws away, and left such a
+/// loop scalar. The fields are loaded unconditionally too: a conditional
+/// load made it version the loop for aliasing.
+template <bool kSpeed>
+inline Time masked_probe(Time now, Time send_start, double comm_factor,
+                         double comp_factor, Time comm, Time comp, Time ready,
+                         double speed, bool on) {
+  const Time busy_until = on ? ready : std::numeric_limits<Time>::infinity();
+  const double div = on ? speed : 1.0;
+  return probe(now, send_start, comm_factor, comp_factor, comm, comp,
+               busy_until, kSpeed ? &div : nullptr);
+}
+
+/// masked_probe of slave j, on a view with (kOnline) or without an online
+/// array and with (kSpeed) or without per-slave speeds.
+template <bool kOnline, bool kSpeed>
+inline Time slave_probe(const SlaveStateView& s, Time now, Time send_start,
+                        double comm_factor, double comp_factor, SlaveId j) {
+  return masked_probe<kSpeed>(now, send_start, comm_factor, comp_factor,
+                              s.comm[j], s.comp[j], s.ready[j],
+                              kSpeed ? s.speed[j] : 1.0,
+                              online_at<kOnline>(s.online, j));
+}
+
+/// out[i] = slave_probe of slave `slave(i)`: the batch and candidate forms'
+/// loop, and the argmin's block fill. The batch loop and the block fill
+/// vectorize on every view shape, the candidate loop on views without an
+/// online array (GCC 12 cannot rule out that a store to `out` aliases an
+/// indexed load of online bytes). `__restrict` (out overlaps no input) is
 /// what lets the compiler build the candidate form's vectors from indexed
-/// loads. The availability loop keeps its offline early-out and stays
-/// scalar: probing every slave and masking offline ones afterwards measured
-/// slower.
-template <typename SlaveOf>
+/// loads. The library's -ffp-contract=off keeps the FMA-capable targets
+/// from fusing a mul+add, so every lane runs the probe's operation
+/// sequence.
+template <bool kOnline, bool kSpeed, typename SlaveOf>
 __attribute__((always_inline)) inline void probe_body(
     const SlaveStateView& s, Time now, Time send_start, double comm_factor,
     double comp_factor, SlaveOf slave, int n, Time* __restrict out) {
   const Time* __restrict comm = s.comm;
   const Time* __restrict comp = s.comp;
   const Time* __restrict ready = s.ready;
-  if (s.online == nullptr && s.speed == nullptr) {
-    for (int i = 0; i < n; ++i) {
-      const SlaveId j = slave(i);
-      out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j],
-                     comp[j], ready[j], nullptr);
-    }
-    return;
-  }
-  const Time inf = std::numeric_limits<Time>::infinity();
+  const std::uint8_t* __restrict online = s.online;
+  const double* __restrict speed = s.speed;
   for (int i = 0; i < n; ++i) {
     const SlaveId j = slave(i);
-    if (s.online != nullptr && s.online[j] == 0) {
-      out[i] = inf;
-      continue;
-    }
-    out[i] = probe(now, send_start, comm_factor, comp_factor, comm[j], comp[j],
-                   ready[j], s.speed == nullptr ? nullptr : &s.speed[j]);
+    out[i] = masked_probe<kSpeed>(now, send_start, comm_factor, comp_factor,
+                                  comm[j], comp[j], ready[j],
+                                  kSpeed ? speed[j] : 1.0,
+                                  online_at<kOnline>(online, j));
   }
 }
 
-/// Whether slave j is online on a view with (kOnline) or without an online
-/// array.
-template <bool kOnline>
-inline bool online_at(const SlaveStateView& s, int j) {
-  return !kOnline || s.online[j] != 0;
+/// probe_body for the view's speed array, on a view with (kOnline) or
+/// without an online array.
+template <bool kOnline, typename SlaveOf>
+__attribute__((always_inline)) inline void probe_shape(
+    const SlaveStateView& s, Time now, Time send_start, double cf, double pf,
+    SlaveOf slave, int n, Time* out) {
+  if (s.speed == nullptr) {
+    probe_body<kOnline, false>(s, now, send_start, cf, pf, slave, n, out);
+  } else {
+    probe_body<kOnline, true>(s, now, send_start, cf, pf, slave, n, out);
+  }
 }
 
-/// The argmin's probe of slave j. When `on` is false the slave is busy
-/// until +infinity, so the probe is +infinity, and it divides by 1 rather
-/// than by its speed (which may be 0). Masking the inputs rather than the
-/// probe keeps the divide unconditional: the compiler will not speculate a
-/// divide whose result a select throws away, and left such a loop scalar.
-/// The loads are unconditional too: a conditional load made it version the
-/// loop for aliasing.
-template <bool kSpeed>
-inline Time argmin_probe(const SlaveStateView& s, Time now, Time send_start,
-                         double comm_factor, double comp_factor, int j,
-                         bool on) {
-  const Time ready = s.ready[j];
-  const double speed = kSpeed ? s.speed[j] : 1.0;
-  const Time busy_until = on ? ready : std::numeric_limits<Time>::infinity();
-  const double div = on ? speed : 1.0;
-  return probe(now, send_start, comm_factor, comp_factor, s.comm[j],
-               s.comp[j], busy_until, kSpeed ? &div : nullptr);
+/// probe_shape for the view's shape.
+template <typename SlaveOf>
+__attribute__((always_inline)) inline void probe_dispatch(
+    const SlaveStateView& s, Time now, Time send_start, double cf, double pf,
+    SlaveOf slave, int n, Time* out) {
+  if (s.online == nullptr) {
+    probe_shape<false>(s, now, send_start, cf, pf, slave, n, out);
+  } else {
+    probe_shape<true>(s, now, send_start, cf, pf, slave, n, out);
+  }
 }
 
 /// List scheduling's argmin, in blocks. The incumbent is the first online
 /// slave, and a later slave replaces it only when its probe lies below
-/// thr = incumbent - kTimeEps. A block's probes go to a stack array while
-/// their `probe < thr` tests are ORed together with no branch; a block with
-/// no hit is skipped whole (nothing in it can move the incumbent, so thr
-/// holds across it), and a hit block is replayed lane by lane with the
-/// sequential rule. The slaves after the last full block take the same rule
-/// one at a time. So the answer is the sequential scan's on every input.
-/// Blocks start at the incumbent's block: its incumbent lane cannot pass
-/// against its own thr, and the lanes before it are offline.
+/// thr = incumbent - kTimeEps. A block's probes go to a stack array
+/// (probe_body), and their `probe < thr` tests are ORed together with no
+/// branch; a block with no hit is skipped whole (nothing in it can move the
+/// incumbent, so thr holds across it), and a hit block is replayed lane by
+/// lane with the sequential rule. The slaves after the last full block take
+/// the same rule one at a time. So the answer is the sequential scan's on
+/// every input. Blocks start at the incumbent's block: its incumbent lane
+/// cannot pass against its own thr, and the lanes before it are offline.
 template <bool kOnline, bool kSpeed>
 __attribute__((always_inline)) inline SlaveId argmin_body(
     const SlaveStateView& s, Time now, Time send_start, double cf,
     double pf) {
   const int m = s.m;
   SlaveId best = 0;
-  while (best < m && !online_at<kOnline>(s, best)) ++best;
+  while (best < m && !online_at<kOnline>(s.online, best)) ++best;
   if (best >= m) return -1;
-  Time thr =
-      argmin_probe<kSpeed>(s, now, send_start, cf, pf, best, true) - kTimeEps;
+  Time thr = slave_probe<kOnline, kSpeed>(s, now, send_start, cf, pf, best) -
+             kTimeEps;
   int j = best - best % kRankArgminBlock;
   for (; j + kRankArgminBlock <= m; j += kRankArgminBlock) {
     Time probes[kRankArgminBlock];
+    probe_body<kOnline, kSpeed>(s, now, send_start, cf, pf, From{j},
+                                kRankArgminBlock, probes);
     std::int64_t hit = 0;  // 64-bit, like the probes: the OR needs no narrowing
     for (int i = 0; i < kRankArgminBlock; ++i) {
-      probes[i] = argmin_probe<kSpeed>(s, now, send_start, cf, pf, j + i,
-                                       online_at<kOnline>(s, j + i));
       hit |= probes[i] < thr;
     }
     if (hit == 0) continue;
@@ -135,8 +162,8 @@ __attribute__((always_inline)) inline SlaveId argmin_body(
     }
   }
   for (; j < m; ++j) {
-    const Time completion = argmin_probe<kSpeed>(s, now, send_start, cf, pf,
-                                                 j, online_at<kOnline>(s, j));
+    const Time completion =
+        slave_probe<kOnline, kSpeed>(s, now, send_start, cf, pf, j);
     if (completion < thr) {
       best = j;
       thr = completion - kTimeEps;
@@ -145,49 +172,50 @@ __attribute__((always_inline)) inline SlaveId argmin_body(
   return best;
 }
 
-/// argmin_body for the view's shape: static, or online and speed arrays in
-/// any combination.
-__attribute__((always_inline)) inline SlaveId argmin_dispatch(
+/// argmin_body for the view's speed array, on a view with (kOnline) or
+/// without an online array.
+template <bool kOnline>
+__attribute__((always_inline)) inline SlaveId argmin_shape(
     const SlaveStateView& s, Time now, Time send_start, double cf,
     double pf) {
-  if (s.online == nullptr) {
-    return s.speed == nullptr
-               ? argmin_body<false, false>(s, now, send_start, cf, pf)
-               : argmin_body<false, true>(s, now, send_start, cf, pf);
-  }
   return s.speed == nullptr
-             ? argmin_body<true, false>(s, now, send_start, cf, pf)
-             : argmin_body<true, true>(s, now, send_start, cf, pf);
+             ? argmin_body<kOnline, false>(s, now, send_start, cf, pf)
+             : argmin_body<kOnline, true>(s, now, send_start, cf, pf);
 }
 
 // The ISA variants need GCC/Clang's function `target` attribute on x86-64.
-// The batch loop and the argmin are compiled again for AVX2 and AVX-512,
-// and resolve() picks the variant that runs. The candidate form has no wider
-// variant: built from indexed scalar loads, its AVX2 and AVX-512 vectors ran
-// slower per probe than the baseline loop on static views, and on
-// availability views every compilation runs the same scalar early-out loop.
+// The batch loop and the argmin are compiled again under target("avx2") for
+// every view shape, and under target("avx512f") only for views without an
+// online array: avx512f has no 512-bit byte operations, so GCC runs a loop
+// that loads online bytes in 256-bit vectors there, and such an AVX-512
+// copy measured slower than the AVX2 one (the AVX-512 variant sends those
+// views to the AVX2 copy). resolve() picks the variant that runs. The
+// candidate form has no wider variant: built from indexed scalar loads, its
+// AVX2 and AVX-512 vectors ran slower per probe than the baseline loop.
 #if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__)
 #define MSOL_RANK_KERNEL_SIMD 1
-#define MSOL_RANK_KERNEL_VARIANT(isa, suffix)                                 \
+#define MSOL_RANK_KERNEL_VARIANT(isa, suffix, kOnline)                        \
   __attribute__((target(isa))) void batch_##suffix(                           \
       const SlaveStateView& s, Time now, Time send_start, double cf,          \
       double pf, Time* out) {                                                 \
-    probe_body(s, now, send_start, cf, pf, EverySlave{}, s.m, out);           \
+    probe_shape<kOnline>(s, now, send_start, cf, pf, EverySlave{}, s.m, out); \
   }                                                                           \
   __attribute__((target(isa))) SlaveId argmin_##suffix(                       \
       const SlaveStateView& s, Time now, Time send_start, double cf,          \
       double pf) {                                                            \
-    return argmin_dispatch(s, now, send_start, cf, pf);                       \
+    return argmin_shape<kOnline>(s, now, send_start, cf, pf);                 \
   }
-MSOL_RANK_KERNEL_VARIANT("avx2", avx2)
-MSOL_RANK_KERNEL_VARIANT("avx512f", avx512)
+MSOL_RANK_KERNEL_VARIANT("avx2", avx2_static, false)
+MSOL_RANK_KERNEL_VARIANT("avx2", avx2_online, true)
+MSOL_RANK_KERNEL_VARIANT("avx512f", avx512_static, false)
 #endif
 
 /// The variant a width runs on this host: kAuto takes the widest ISA the
 /// host carries; a pinned ISA the build or host lacks falls back to scalar.
 RankKernelWidth resolve(RankKernelWidth width) {
-  const bool avx512 = rank_kernel_avx512_available();
   const bool avx2 = rank_kernel_simd_available();
+  // The AVX-512 variant runs the AVX2 copy on views with an online array.
+  const bool avx512 = avx2 && rank_kernel_avx512_available();
   if (width == RankKernelWidth::kAuto) {
     return avx512 ? RankKernelWidth::kAvx512
                   : avx2 ? RankKernelWidth::kAvx2 : RankKernelWidth::kScalar;
@@ -205,12 +233,19 @@ SlaveId argmin(RankKernelWidth width, const SlaveStateView& s, Time now,
   switch (width) {
 #ifdef MSOL_RANK_KERNEL_SIMD
     case RankKernelWidth::kAvx512:
-      return argmin_avx512(s, now, send_start, cf, pf);
+      if (s.online == nullptr) {
+        return argmin_avx512_static(s, now, send_start, cf, pf);
+      }
+      [[fallthrough]];  // the AVX2 copy runs views with an online array
     case RankKernelWidth::kAvx2:
-      return argmin_avx2(s, now, send_start, cf, pf);
+      return s.online == nullptr
+                 ? argmin_avx2_static(s, now, send_start, cf, pf)
+                 : argmin_avx2_online(s, now, send_start, cf, pf);
 #endif
     default:
-      return argmin_dispatch(s, now, send_start, cf, pf);
+      return s.online == nullptr
+                 ? argmin_shape<false>(s, now, send_start, cf, pf)
+                 : argmin_shape<true>(s, now, send_start, cf, pf);
   }
 }
 
@@ -218,15 +253,15 @@ SlaveId argmin(RankKernelWidth width, const SlaveStateView& s, Time now,
 
 void completion_batch(const SlaveStateView& s, Time now, Time send_start,
                       double comm_factor, double comp_factor, Time* out) {
-  probe_body(s, now, send_start, comm_factor, comp_factor, EverySlave{}, s.m,
-             out);
+  probe_dispatch(s, now, send_start, comm_factor, comp_factor, EverySlave{},
+                 s.m, out);
 }
 
 void completion_gather(const SlaveStateView& s, Time now, Time send_start,
                        double comm_factor, double comp_factor,
                        const SlaveId* ids, int n, Time* out) {
-  probe_body(s, now, send_start, comm_factor, comp_factor, Candidates{ids}, n,
-             out);
+  probe_dispatch(s, now, send_start, comm_factor, comp_factor,
+                 Candidates{ids}, n, out);
 }
 
 #ifdef MSOL_RANK_KERNEL_SIMD
@@ -247,9 +282,17 @@ void completion_batch_width(RankKernelWidth width, const SlaveStateView& s,
   switch (resolve(width)) {
 #ifdef MSOL_RANK_KERNEL_SIMD
     case RankKernelWidth::kAvx512:
-      return batch_avx512(s, now, send_start, comm_factor, comp_factor, out);
+      if (s.online == nullptr) {
+        return batch_avx512_static(s, now, send_start, comm_factor,
+                                   comp_factor, out);
+      }
+      [[fallthrough]];  // the AVX2 copy runs views with an online array
     case RankKernelWidth::kAvx2:
-      return batch_avx2(s, now, send_start, comm_factor, comp_factor, out);
+      return s.online == nullptr
+                 ? batch_avx2_static(s, now, send_start, comm_factor,
+                                     comp_factor, out)
+                 : batch_avx2_online(s, now, send_start, comm_factor,
+                                     comp_factor, out);
 #endif
     default:
       return completion_batch(s, now, send_start, comm_factor, comp_factor,

@@ -62,7 +62,9 @@ inline constexpr int kRankArgminBlock = 32;
 /// blocks of kRankArgminBlock slaves and skips each block where no slave
 /// beats the incumbent's band. Like the batch loop it is compiled for AVX2
 /// and AVX-512 as well as baseline, and the widest variant the host runs is
-/// picked once per process.
+/// picked once per process. Offline slaves are probed with masked inputs
+/// (busy until +infinity, divided by 1), the same probe the batch and
+/// candidate forms use.
 SlaveId rank_best_completion(const SlaveStateView& s, Time now,
                              Time send_start, double comm_factor,
                              double comp_factor);
@@ -74,10 +76,12 @@ SlaveId rank_best_completion(const SlaveStateView& s, Time now,
 /// (checked at runtime).
 bool rank_kernel_simd_available();
 
-/// True when the AVX-512 variants will actually run: the build carries them
-/// (the same loops under target("avx512f")) AND the host CPU reports
-/// AVX-512 Foundation. Independent of rank_kernel_simd_available() — a host
-/// can have AVX2 without AVX-512 (most do), never the reverse in practice.
+/// True when the build carries the AVX-512 variants (the same loops under
+/// target("avx512f"), for views without an online array) AND the host CPU
+/// reports AVX-512 Foundation. They run when rank_kernel_simd_available()
+/// holds too, since the AVX-512 variant runs the AVX2 copy on views with an
+/// online array; a host can have AVX2 without AVX-512 (most do), never the
+/// reverse in practice.
 bool rank_kernel_avx512_available();
 
 /// Which compilation of the batch loop (completion_batch_width) or of the
@@ -85,6 +89,9 @@ bool rank_kernel_avx512_available();
 /// host supports, scalar when none. The pinned values force one variant
 /// (falling back to scalar when the build or host lacks the ISA) so the
 /// tests can check every variant against the same oracle on one host.
+/// kAvx512 runs views with an online array through the AVX2 copy: without
+/// 512-bit byte operations, GCC vectorizes their loops at 256 bits under
+/// avx512f, and that copy measured slower than the AVX2 one.
 /// completion_gather has one compilation only: its AVX2 and AVX-512
 /// variants measured slower than the baseline loop.
 enum class RankKernelWidth : std::uint8_t {

@@ -321,51 +321,67 @@ TEST(RankBestCompletion, ALaterSlaveWinsOnlyWhenBetterByMoreThanTheEpsBand) {
   expect_argmin(v, 0.0, 0.0, 1.0, 1.0, -1, "every slave offline");
 }
 
-TEST(RankBestCompletion, MatchesTheReferenceArgminOnPlantedTies) {
-  util::Rng rng(77);
-  // Random views almost never tie. So on each view, slaves after the
-  // argmin become copies of it, with its compute time exact, moved by a
-  // tenth of the eps band either way, or lowered by eight bands: their
-  // probes move by that shift times pf / speed (at most 8x, at least
-  // 0.25x), so some copies tie exactly, some fall inside the band on
-  // either side, and some beat the argmin by more than the band. Copies go
-  // on both sides of every block boundary past the argmin, and on about
-  // half (dense) or a fiftieth (sparse, so most blocks are skipped) of the
-  // other slaves after it.
+/// Random views almost never tie. So on each of `reps` random views of m
+/// slaves, slaves after the argmin become copies of it, with its compute
+/// time exact, moved by a tenth of the eps band either way, or lowered by
+/// eight bands: their probes move by that shift times pf / speed (at most
+/// 8x, at least 0.25x), so some copies tie exactly, some fall inside the
+/// band on either side, and some beat the argmin by more than the band.
+/// Each later slave becomes a copy with probability `density`, and, when
+/// `at_boundaries`, every slave on either side of a block boundary does.
+/// Every view runs in all four shapes through every width, against an
+/// argmin written over reference_probes.
+void expect_planted_ties(int m, util::Rng& rng, int reps, double density,
+                         bool at_boundaries) {
   const Time shifts[] = {0.0, -0.1e-9, 0.1e-9, -8e-9};
-  for (int m : {1, 2, 3, 8, 17, kB - 1, kB, kB + 1, 2 * kB - 1, 2 * kB + 1,
-                257, 4096}) {
-    const DenseState state(m, rng);
-    for (int rep = 0; rep < 8; ++rep) {
-      const Time now = rng.uniform(0.0, 400.0);
-      const Time send_start = now + rng.uniform(0.0, 1.0);
-      const double cf = rng.uniform(0.5, 2.0);
-      const double pf = rng.uniform(0.5, 2.0);
-      const double density = rep % 2 == 0 ? 0.5 : 0.02;
-      for (const bool with_online : {false, true}) {
-        for (const bool with_speed : {false, true}) {
-          DenseState planted = state;
-          const SlaveStateView v = planted.view(with_online, with_speed);
-          const SlaveId best = reference_best(v, now, send_start, cf, pf);
-          const auto b = static_cast<std::size_t>(best);
-          for (int j = best + 1; best >= 0 && j < m; ++j) {
-            const bool at_boundary = j % kB == 0 || j % kB == kB - 1;
-            if (!at_boundary && !rng.chance(density)) continue;
-            const auto js = static_cast<std::size_t>(j);
-            planted.comm[js] = planted.comm[b];
-            planted.comp[js] = planted.comp[b] + shifts[rng.uniform_int(0, 3)];
-            planted.ready[js] = planted.ready[b];
-            planted.online[js] = planted.online[b];
-            planted.speed[js] = planted.speed[b];
-          }
-          expect_argmin(v, now, send_start, cf, pf,
-                        reference_best(v, now, send_start, cf, pf),
-                        "m = " + std::to_string(m) +
-                            ", online = " + std::to_string(with_online) +
-                            ", speed = " + std::to_string(with_speed));
+  const DenseState state(m, rng);
+  for (int rep = 0; rep < reps; ++rep) {
+    const Time now = rng.uniform(0.0, 400.0);
+    const Time send_start = now + rng.uniform(0.0, 1.0);
+    const double cf = rng.uniform(0.5, 2.0);
+    const double pf = rng.uniform(0.5, 2.0);
+    for (const bool with_online : {false, true}) {
+      for (const bool with_speed : {false, true}) {
+        DenseState planted = state;
+        const SlaveStateView v = planted.view(with_online, with_speed);
+        const SlaveId best = reference_best(v, now, send_start, cf, pf);
+        const auto b = static_cast<std::size_t>(best);
+        for (int j = best + 1; best >= 0 && j < m; ++j) {
+          const bool at_boundary =
+              at_boundaries && (j % kB == 0 || j % kB == kB - 1);
+          if (!at_boundary && !rng.chance(density)) continue;
+          const auto js = static_cast<std::size_t>(j);
+          planted.comm[js] = planted.comm[b];
+          planted.comp[js] = planted.comp[b] + shifts[rng.uniform_int(0, 3)];
+          planted.ready[js] = planted.ready[b];
+          planted.online[js] = planted.online[b];
+          planted.speed[js] = planted.speed[b];
         }
+        expect_argmin(v, now, send_start, cf, pf,
+                      reference_best(v, now, send_start, cf, pf),
+                      "m = " + std::to_string(m) +
+                          ", density = " + std::to_string(density) +
+                          ", online = " + std::to_string(with_online) +
+                          ", speed = " + std::to_string(with_speed));
       }
     }
+  }
+}
+
+TEST(RankBestCompletion, MatchesTheReferenceArgminOnPlantedTies) {
+  // Copies on about half the slaves after the argmin, 8 views per size.
+  util::Rng rng(77);
+  for (const int m : {1, 2, 3, 8, 17, 64, 257}) {
+    expect_planted_ties(m, rng, 8, 0.5, false);
+  }
+  // Sizes around one and two blocks and a fleet, with copies on both sides
+  // of every block boundary as well; from two blocks up, 4 more views with
+  // copies on a fiftieth of the other slaves, so most blocks are skipped.
+  util::Rng boundary_rng(78);
+  for (const int m : {1, 2, 3, 8, 17, kB - 1, kB, kB + 1, 2 * kB - 1,
+                      2 * kB + 1, 64, 257, 4096}) {
+    expect_planted_ties(m, boundary_rng, 8, 0.5, true);
+    if (m >= 2 * kB) expect_planted_ties(m, boundary_rng, 4, 0.02, true);
   }
 }
 
