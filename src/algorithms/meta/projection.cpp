@@ -43,22 +43,22 @@ void IncrementalProjection::rebuild() {
   const auto ms = static_cast<std::size_t>(m);
   ready_.resize(ms);
   online_.resize(ms);
-  speed_.resize(ms);
   eff_comp_.resize(ms);
   ready_sorted_.clear();
   offline_count_ = 0;
+  const core::SlaveStateView s = live_->slave_state();
+  const core::Time now = live_->now();
   for (core::SlaveId j = 0; j < m; ++j) {
     const auto js = static_cast<std::size_t>(j);
-    online_[js] = live_->is_available(j) ? 1 : 0;
+    online_[js] = s.is_online(j) ? 1 : 0;
     if (online_[js] == 0) ++offline_count_;
-    speed_[js] = live_->current_speed(j);
     // The same effective p_j the fresh snapshot computes: nominal scaled by
-    // the current speed, kept nominal for offline slaves (speed 0) whose
-    // value is never read. speed 1.0 divides to the nominal bit pattern.
-    core::Time comp = live_->platform().comp(j);
-    if (speed_[js] > 0.0) comp /= speed_[js];
+    // the current speed, kept nominal for offline slaves whose value is
+    // never read.
+    core::Time comp = s.comp[j];
+    if (online_[js] != 0 && s.speed != nullptr) comp /= s.speed[j];
     eff_comp_[js] = comp;
-    ready_[js] = live_->slave_ready_at(j);
+    ready_[js] = std::max(now, s.ready[j]);
     ready_sorted_.insert(ready_[js]);
   }
   pending_.clear();
@@ -95,22 +95,20 @@ void IncrementalProjection::apply(const core::DeltaEvent& event) {
         online_[js] = 1;
         --offline_count_;
       }
-      speed_[js] = event.speed;
       core::Time comp = live_->platform().comp(event.slave);
       if (event.speed > 0.0) comp /= event.speed;
       eff_comp_[js] = comp;
       return;
     }
     case core::DeltaKind::kDisrupt: {
-      // What rebuild() reads for an offline slave: speed 0, nominal p_j,
-      // busy-until reset to the outage instant. The re-queued tasks follow
-      // as kPendingPush events.
+      // What rebuild() reads for an offline slave: nominal p_j, busy-until
+      // reset to the outage instant. The re-queued tasks follow as
+      // kPendingPush events.
       const auto js = static_cast<std::size_t>(event.slave);
       if (online_[js] != 0) {
         online_[js] = 0;
         ++offline_count_;
       }
-      speed_[js] = 0.0;
       eff_comp_[js] = live_->platform().comp(event.slave);
       set_ready(event.slave, event.ready);
       return;
@@ -175,18 +173,6 @@ core::Time IncrementalProjection::port_free_at() const {
   return std::max(now_, master_free_);
 }
 
-bool IncrementalProjection::is_available(core::SlaveId j) const {
-  return online_[static_cast<std::size_t>(j)] != 0;
-}
-
-double IncrementalProjection::current_speed(core::SlaveId j) const {
-  return speed_[static_cast<std::size_t>(j)];
-}
-
-core::Time IncrementalProjection::slave_ready_at(core::SlaveId j) const {
-  return std::max(now_, ready_[static_cast<std::size_t>(j)]);
-}
-
 int IncrementalProjection::tasks_in_system(core::SlaveId j) const {
   // Same two-part formula as the fresh snapshot: the live count survives
   // until the pre-run ready estimate passes (read from the per-decision
@@ -236,19 +222,6 @@ std::optional<core::SlaveId> IncrementalProjection::assignment_of(
     if (id == task) return slave;
   }
   return std::nullopt;
-}
-
-core::Time IncrementalProjection::completion_if_assigned(
-    core::TaskId task, core::SlaveId j) const {
-  if (online_[static_cast<std::size_t>(j)] == 0) {
-    return std::numeric_limits<core::Time>::infinity();
-  }
-  const core::TaskSpec& spec = task_spec(task);
-  const core::Time send_start = std::max({now_, port_free_at(), spec.release});
-  const core::Time send_end =
-      send_start + live_->platform().comm(j) * spec.comm_factor;
-  const core::Time comp_start = std::max(send_end, slave_ready_at(j));
-  return comp_start + eff_comp_[static_cast<std::size_t>(j)] * spec.comp_factor;
 }
 
 core::SlaveStateView IncrementalProjection::slave_state() const {

@@ -25,7 +25,7 @@ struct ProjectionOutcome {
 /// re-snapshotting the engine per (member, decision), it subscribes to the
 /// engine's delta feed and keeps a persistent mirror of the observables —
 /// raw ready times (plus a multiset of them, so advance() is O(log m) where
-/// a fresh snapshot scans O(m)), online/speed/effective-comp arrays, and the
+/// a fresh snapshot scans O(m)), online/effective-comp arrays, and the
 /// pending FIFO — which sync() patches forward by replaying the event
 /// suffix since the previous decision. Outages replay like any other
 /// event (kDisrupt takes the slave offline, its re-queues follow as
@@ -83,9 +83,6 @@ class IncrementalProjection : public core::EngineView {
     return live_->platform();
   }
   core::Time port_free_at() const override;
-  bool is_available(core::SlaveId j) const override;
-  double current_speed(core::SlaveId j) const override;
-  core::Time slave_ready_at(core::SlaveId j) const override;
   int tasks_in_system(core::SlaveId j) const override;
   core::TaskId pending_front() const override;
   std::vector<core::TaskId> pending_tasks() const override;
@@ -96,8 +93,6 @@ class IncrementalProjection : public core::EngineView {
   }
   const core::TaskSpec& task_spec(core::TaskId i) const override;
   std::optional<core::SlaveId> assignment_of(core::TaskId task) const override;
-  core::Time completion_if_assigned(core::TaskId task,
-                                    core::SlaveId j) const override;
   core::SlaveStateView slave_state() const override;
   const core::Schedule& schedule() const override { return schedule_; }
   const core::Trace& trace() const override { return trace_; }
@@ -122,7 +117,6 @@ class IncrementalProjection : public core::EngineView {
   std::vector<core::Time> ready_;  ///< raw busy-until (see class comment)
   std::multiset<core::Time> ready_sorted_;  ///< the same m values, ordered
   std::vector<std::uint8_t> online_;
-  std::vector<double> speed_;          ///< observable current_speed
   std::vector<core::Time> eff_comp_;   ///< p_j / speed (the effective p_j)
   int offline_count_ = 0;
   std::deque<core::TaskId> pending_;  ///< FIFO mirror; specs read from live

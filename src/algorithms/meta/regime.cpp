@@ -64,16 +64,17 @@ Regime RegimeDetector::raw_verdict() const {
 }
 
 void RegimeDetector::observe(const core::EngineView& view) {
-  const int m = view.platform().size();
+  const core::SlaveStateView s = view.slave_state();
+  const int m = s.m;
   int flips = 0;
   if (last_online_.empty()) {
     last_online_.resize(static_cast<std::size_t>(m));
     for (core::SlaveId j = 0; j < m; ++j) {
-      last_online_[static_cast<std::size_t>(j)] = view.is_available(j);
+      last_online_[static_cast<std::size_t>(j)] = s.is_online(j);
     }
   } else {
     for (core::SlaveId j = 0; j < m; ++j) {
-      const bool online = view.is_available(j);
+      const bool online = s.is_online(j);
       if (online != last_online_[static_cast<std::size_t>(j)]) ++flips;
       last_online_[static_cast<std::size_t>(j)] = online;
     }

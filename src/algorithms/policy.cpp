@@ -123,7 +123,7 @@ class AllFilter : public PerSlaveFilter<AllFilter> {
   template <typename F>
   static void admission(const core::EngineView& engine, F&& f) {
     const core::SlaveStateView s = engine.slave_state();
-    f([&](core::SlaveId j) { return s.online == nullptr || s.online[j] != 0; });
+    f([&](core::SlaveId j) { return s.is_online(j); });
   }
 };
 
@@ -131,14 +131,12 @@ class FreeFilter : public PerSlaveFilter<FreeFilter> {
  public:
   template <typename F>
   static void admission(const core::EngineView& engine, F&& f) {
-    // slave_free_now(j) is slave_ready_at(j) <= now + eps, and
-    // slave_ready_at clamps ready to now — so on the raw array the test
-    // reduces to ready[j] <= now + eps, bit-identical to the probe.
+    // slave_free_now(j) is max(now, ready[j]) <= now + eps, which on the
+    // raw array reduces to ready[j] <= now + eps.
     const core::SlaveStateView s = engine.slave_state();
     const core::Time cutoff = engine.now() + core::kTimeEps;
     f([&](core::SlaveId j) {
-      return (s.online == nullptr || s.online[j] != 0) &&
-             s.ready[j] <= cutoff;
+      return s.is_online(j) && s.ready[j] <= cutoff;
     });
   }
 };
@@ -148,8 +146,9 @@ class ThrottleFilter : public CandidateFilter {
   explicit ThrottleFilter(int max_queue) : max_queue_(max_queue) {}
   void collect(const core::EngineView& engine, core::TaskId,
                std::vector<core::SlaveId>& out) override {
-    for (core::SlaveId j = 0; j < engine.platform().size(); ++j) {
-      if (engine.is_available(j) && engine.tasks_in_system(j) < max_queue_) {
+    const core::SlaveStateView s = engine.slave_state();
+    for (core::SlaveId j = 0; j < s.m; ++j) {
+      if (s.is_online(j) && engine.tasks_in_system(j) < max_queue_) {
         out.push_back(j);
       }
     }
@@ -175,9 +174,10 @@ class QuotaFilter : public CandidateFilter {
       counts_.assign(share_.size(), 0);
     }
     const double budget = static_cast<double>(total_) + slack_;
-    for (core::SlaveId j = 0; j < engine.platform().size(); ++j) {
+    const core::SlaveStateView s = engine.slave_state();
+    for (core::SlaveId j = 0; j < s.m; ++j) {
       const auto idx = static_cast<std::size_t>(j);
-      if (engine.is_available(j) && share_[idx] > 0.0 &&
+      if (s.is_online(j) && share_[idx] > 0.0 &&
           static_cast<double>(counts_[idx]) < share_[idx] * budget) {
         out.push_back(j);
       }
@@ -220,8 +220,10 @@ class ReadyRanker : public Ranker {
   void score(const core::EngineView& engine, core::TaskId,
              const std::vector<core::SlaveId>& candidates,
              std::vector<double>& scores) override {
+    const core::SlaveStateView s = engine.slave_state();
+    const core::Time now = engine.now();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      scores[i] = engine.slave_ready_at(candidates[i]);
+      scores[i] = std::max(now, s.ready[candidates[i]]);
     }
   }
 };
@@ -328,12 +330,14 @@ class LinearRanker : public Ranker {
     engine.completion_if_assigned_batch(task, candidates.data(),
                                         static_cast<int>(candidates.size()),
                                         completions_.data());
+    const core::SlaveStateView s = engine.slave_state();
+    const core::Time now = engine.now();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const core::SlaveId j = candidates[i];
       scores[i] = w_[0] * completions_[i] +
                   w_[1] * plat.comm(j) + w_[2] * plat.comp(j) +
                   w_[3] * static_cast<double>(engine.tasks_in_system(j)) +
-                  w_[4] * engine.slave_ready_at(j);
+                  w_[4] * std::max(now, s.ready[j]);
     }
   }
 
@@ -465,9 +469,9 @@ class PlanRanker : public Ranker {
              std::vector<double>& scores) override {
     // Unreachable through ComposedPolicy (direct() always claims the
     // decision) but kept meaningful: the LS fallback costs.
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      scores[i] = engine.completion_if_assigned(task, candidates[i]);
-    }
+    engine.completion_if_assigned_batch(task, candidates.data(),
+                                        static_cast<int>(candidates.size()),
+                                        scores.data());
   }
 
   bool direct(const core::EngineView& engine, core::TaskId task,

@@ -274,9 +274,9 @@ void OnePortEngine::apply_avail_span(std::size_t j,
   const double was_speed = slave_speed_[j];
   slave_online_[j] = span.online ? 1 : 0;
   slave_speed_[j] = span.speed;
-  // Delta-log only the *observable* changes: an offline slave's
-  // cached speed shifting is invisible through current_speed() (it reports
-  // 0.0 while offline; the up-transition event carries the speed that then
+  // Delta-log only the *observable* changes: an offline slave's cached
+  // speed shifting is invisible (offline slaves probe as infinity whatever
+  // their speed; the up-transition event carries the speed that then
   // becomes visible).
   if (was_online != span.online || (span.online && span.speed != was_speed)) {
     DeltaEvent event;
@@ -570,7 +570,6 @@ void OnePortEngine::run_until(Time t) {
     if (!wake || *wake > t + kTimeEps) {
       now_ = std::max(now_, t);
       process_avail_transitions();  // transitions at exactly t take effect
-      process_releases();           // releases at exactly t become visible
       return;
     }
     now_ = std::min(*wake, t);
@@ -610,34 +609,11 @@ Schedule OnePortEngine::take_schedule() {
   return out;
 }
 
-bool OnePortEngine::is_available(SlaveId j) const {
-  if (j < 0 || j >= platform_->size()) {
-    throw std::out_of_range("OnePortEngine: slave id out of range");
-  }
-  return !avail_enabled_ || slave_online_[static_cast<std::size_t>(j)] != 0;
-}
-
-double OnePortEngine::current_speed(SlaveId j) const {
-  if (j < 0 || j >= platform_->size()) {
-    throw std::out_of_range("OnePortEngine: slave id out of range");
-  }
-  if (!avail_enabled_) return 1.0;
-  const std::size_t js = static_cast<std::size_t>(j);
-  return slave_online_[js] != 0 ? slave_speed_[js] : 0.0;
-}
-
 Time OnePortEngine::port_free_at() const {
   if (port_busy_until_.empty()) return now_;
   const Time earliest =
       *std::min_element(port_busy_until_.begin(), port_busy_until_.end());
   return std::max(now_, earliest);
-}
-
-Time OnePortEngine::slave_ready_at(SlaveId j) const {
-  if (j < 0 || j >= platform_->size()) {
-    throw std::out_of_range("OnePortEngine: slave id out of range");
-  }
-  return std::max(now_, slave_ready_[static_cast<std::size_t>(j)]);
 }
 
 int OnePortEngine::tasks_in_system(SlaveId j) const {
@@ -686,23 +662,6 @@ std::optional<SlaveId> OnePortEngine::assignment_of(TaskId task) const {
   if (task < 0 || task >= total_tasks()) return std::nullopt;
   if (task_committed_[static_cast<std::size_t>(task)] == 0) return std::nullopt;
   return task_slave_[static_cast<std::size_t>(task)];
-}
-
-Time OnePortEngine::completion_if_assigned(TaskId task, SlaveId j) const {
-  // Deliberately uses the *nominal* p_j: schedulers estimate with the
-  // calibrated platform and are blind to injected background load. Under
-  // availability the probe uses the slave's *current* speed only — future
-  // drift and outages stay invisible (offline slaves probe as infinity).
-  const TaskSpec& spec = task_spec(task);
-  if (avail_enabled_ && slave_online_[static_cast<std::size_t>(j)] == 0) {
-    return std::numeric_limits<Time>::infinity();
-  }
-  const Time send_start = std::max({now_, port_free_at(), spec.release});
-  const Time send_end = send_start + platform_->comm(j) * spec.comm_factor;
-  const Time comp_start = std::max(send_end, slave_ready_at(j));
-  Time compute = platform_->comp(j) * spec.comp_factor;
-  if (avail_enabled_) compute /= slave_speed_[static_cast<std::size_t>(j)];
-  return comp_start + compute;
 }
 
 SlaveStateView OnePortEngine::slave_state() const {

@@ -154,10 +154,10 @@ struct DisruptionStats {
 ///    instant: deferring schedulers wake up;
 ///  * compute durations integrate the piecewise speed, so drift rescales
 ///    the remaining work of an in-flight task;
-///  * schedulers observe only the present (is_available / current_speed);
-///    slave_ready_at is exact for work that will complete and a
-///    current-speed extrapolation for work a future outage will wipe out —
-///    outages are never foreseeable;
+///  * schedulers observe only the present, through slave_state(): the
+///    online flags and current speeds, and ready times that are exact for
+///    work that will complete and a current-speed extrapolation for work a
+///    future outage will wipe out — outages are never foreseeable;
 ///  * committing to an offline slave throws std::logic_error (policies must
 ///    skip offline slaves, deferring when none is available).
 /// The schedule keeps exactly one record per task: its successful attempt.
@@ -251,10 +251,7 @@ class OnePortEngine final : public EngineView {
 
   Time now() const override { return now_; }
   const platform::Platform& platform() const override { return *platform_; }
-  bool is_available(SlaveId j) const override;
-  double current_speed(SlaveId j) const override;
   Time port_free_at() const override;
-  Time slave_ready_at(SlaveId j) const override;
   int tasks_in_system(SlaveId j) const override;
   TaskId pending_front() const override;
   std::vector<TaskId> pending_tasks() const override;
@@ -265,7 +262,6 @@ class OnePortEngine final : public EngineView {
   int completed_or_committed() const override { return committed_; }
   const TaskSpec& task_spec(TaskId i) const override;
   std::optional<SlaveId> assignment_of(TaskId task) const override;
-  Time completion_if_assigned(TaskId task, SlaveId j) const override;
   SlaveStateView slave_state() const override;
   const Schedule& schedule() const override { return schedule_; }
   const Trace& trace() const override { return trace_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rank_kernel.hpp"
@@ -21,11 +22,12 @@ namespace msol::core {
 /// driven, see engine.hpp) and the portfolio's IncrementalProjection. The
 /// test-only oracles (tests/oracles/) implement it too, so the differential
 /// suites run the *same* policy on an oracle and on the engine and require
-/// bit-identical schedules and traces. The batched probes are not virtual:
-/// every view exposes dense per-slave state through slave_state(), and one
-/// implementation runs the ranking kernel over it. The per-slave loop that
-/// checks the kernel lives in the tests (ProbeAudit in test_engine_diff,
-/// reference_probes in test_rank_kernel_simd).
+/// bit-identical schedules and traces. Every view exposes its per-slave
+/// state once, as dense arrays (slave_state()); the per-slave reads
+/// (is_available, slave_ready_at, completion_if_assigned) and the batched
+/// probes are not virtual, and all of them read those arrays, the probes
+/// through the ranking kernel. The scalar probe that checks the kernel
+/// lives in the tests (reference_probes in tests/oracles/).
 class EngineView {
  public:
   virtual ~EngineView() = default;
@@ -41,25 +43,16 @@ class EngineView {
   /// True when slave j is reachable right now. Engines without time-varying
   /// availability (the paper's static platforms) are always-on. Schedulers
   /// must skip offline slaves: committing to one throws.
-  virtual bool is_available(SlaveId j) const {
-    (void)j;
-    return true;
-  }
-
-  /// Slave j's current compute-speed multiplier (1.0 nominal; 0.0 while
-  /// offline). Cost probes use the *current* speed only — future drift and
-  /// outages stay invisible, which is what keeps the policies on-line.
-  virtual double current_speed(SlaveId j) const {
-    (void)j;
-    return 1.0;
-  }
+  bool is_available(SlaveId j) const { return slave_state_of(j).is_online(j); }
 
   /// Time slave j finishes everything committed to it so far (its
   /// "ready-time" in the paper's terminology); == now() when idle. Under
   /// time-varying availability this is the master's best estimate: exact
   /// for work that will complete, current-speed extrapolation for work an
   /// unforeseen outage will wipe out.
-  virtual Time slave_ready_at(SlaveId j) const = 0;
+  Time slave_ready_at(SlaveId j) const {
+    return std::max(now(), slave_state_of(j).ready[j]);
+  }
   /// True if slave j has no committed work beyond now().
   bool slave_free_now(SlaveId j) const {
     return slave_ready_at(j) <= now() + kTimeEps;
@@ -92,19 +85,26 @@ class EngineView {
     return assignment_of(task).has_value();
   }
 
+  /// Structure-of-arrays snapshot of the per-slave state every per-slave
+  /// read, probe and ranking component reads (core/rank_kernel.hpp): the
+  /// view's only per-slave observation path besides tasks_in_system. Speed
+  /// is either its own array or folded into `comp` (the projections do
+  /// that). Pointers are valid only until the view's next mutation.
+  virtual SlaveStateView slave_state() const = 0;
+
   /// Estimated completion time of a *hypothetical* commitment of `task` to
   /// slave j made at time now(): the quantity list scheduling minimizes.
-  /// Deliberately nominal — blind to injected background load.
-  virtual Time completion_if_assigned(TaskId task, SlaveId j) const = 0;
-
-  /// Structure-of-arrays snapshot of the per-slave probe state, for the
-  /// batched probes below and for policy components that rank or filter
-  /// every slave at once (core/rank_kernel.hpp). Every view exposes it, and
-  /// it must agree with the per-slave probes above: slave j is online iff
-  /// is_available(j), and the kernel's probe equals
-  /// completion_if_assigned(task, j) bit for bit. Pointers are valid only
-  /// until the view's next mutation.
-  virtual SlaveStateView slave_state() const = 0;
+  /// Deliberately nominal — blind to injected background load — and using
+  /// the slave's current speed only (offline slaves probe as infinity).
+  /// One kernel probe, with the send start best_completion_slave uses.
+  Time completion_if_assigned(TaskId task, SlaveId j) const {
+    const SlaveStateView s = slave_state_of(j);
+    const TaskSpec& spec = task_spec(task);
+    Time out;
+    completion_gather(s, now(), send_start(spec), spec.comm_factor,
+                      spec.comp_factor, &j, 1, &out);
+    return out;
+  }
 
   /// Batched completion probe: out[i] = completion_if_assigned(task,
   /// slaves[i]) for n candidate slaves. `out` must not overlap `slaves`:
@@ -138,6 +138,15 @@ class EngineView {
   virtual const Trace& trace() const = 0;
 
  private:
+  /// slave_state(), after checking that j names one of its slaves.
+  SlaveStateView slave_state_of(SlaveId j) const {
+    const SlaveStateView s = slave_state();
+    if (j < 0 || j >= s.m) {
+      throw std::out_of_range("EngineView: slave id out of range");
+    }
+    return s;
+  }
+
   /// When a send committed now for a task with `spec` would start.
   Time send_start(const TaskSpec& spec) const {
     return std::max({now(), port_free_at(), spec.release});

@@ -10,9 +10,9 @@ namespace {
 /// result (ties pick `a`, like std::max picks its first argument).
 inline Time tmax(Time a, Time b) { return a < b ? b : a; }
 
-/// The engine's completion probe of one slave, operation for operation:
-/// send end, the max with busy-until, then the compute time, multiplied and
-/// then (on a platform with availability, `speed` set) divided by *speed.
+/// The completion probe of one slave, every view's only one: send end, the
+/// max with busy-until, then the compute time, multiplied and then (on a
+/// platform with availability, `speed` set) divided by *speed.
 inline Time probe(Time now, Time send_start, double comm_factor,
                   double comp_factor, Time comm, Time comp, Time ready,
                   const double* speed) {

@@ -13,9 +13,10 @@ namespace msol::core {
 /// (everything online, unit speed) so the kernels skip the offline pass and
 /// the per-slave divide.
 ///
-/// Every EngineView exposes one (EngineView::slave_state()), so the kernel
-/// is the only probe path; the per-slave loops that check it bit for bit
-/// live in the tests.
+/// Every EngineView exposes one (EngineView::slave_state()), and every
+/// per-slave read and probe of a view reads it, so the kernel is the only
+/// probe path; the scalar probe that checks it bit for bit lives in the
+/// tests (tests/oracles/reference_probes.hpp).
 struct SlaveStateView {
   const Time* comm = nullptr;           ///< c_j (nominal port seconds)
   const Time* comp = nullptr;           ///< p_j (nominal compute seconds)
@@ -23,6 +24,10 @@ struct SlaveStateView {
   const std::uint8_t* online = nullptr; ///< null = every slave online
   const double* speed = nullptr;        ///< null = unit speed everywhere
   int m = 0;
+
+  /// True when slave j is online (always, on a view without an online
+  /// array); j must be a valid slave index.
+  bool is_online(SlaveId j) const { return online == nullptr || online[j] != 0; }
 };
 
 /// Batched form of EngineView::completion_if_assigned for one task against
@@ -30,11 +35,11 @@ struct SlaveStateView {
 /// (+infinity for offline slaves). `send_start` is the caller-hoisted
 /// max(now, port_free_at, release) — loop-invariant, so m probes share it.
 ///
-/// The arithmetic is operation-for-operation the engine's scalar probe
-/// (same max() chains, same multiply-then-divide order), because the
-/// differential suites require it to be bit-identical to the per-slave
-/// probe, not merely close. `out` must not overlap the view's
-/// arrays: the kernel is compiled on that assumption (`__restrict`).
+/// The arithmetic is operation-for-operation the tests' scalar reference
+/// probe (same max() chains, same multiply-then-divide order), because the
+/// kernel suites require it to be bit-identical to that probe, not merely
+/// close. `out` must not overlap the view's arrays: the kernel is compiled
+/// on that assumption (`__restrict`).
 void completion_batch(const SlaveStateView& s, Time now, Time send_start,
                       double comm_factor, double comp_factor, Time* out);
 

@@ -27,8 +27,8 @@ struct AvailabilitySpan {
 /// speed. Profiles are *realizations*, not stochastic processes — the engine
 /// replays them exactly, which is what keeps grid cells byte-identical
 /// across thread counts and kill/resume cycles. Schedulers, however, only
-/// observe the present (EngineView::is_available / current_speed): outages
-/// always arrive as surprises.
+/// observe the present (the online flags and current speeds of
+/// EngineView::slave_state()): outages always arrive as surprises.
 ///
 /// Implicit state before the first span: online, speed 1.0.
 class AvailabilityProfile {

@@ -12,15 +12,17 @@ namespace {
 
 /// The effective platform the step simulator runs on: nominal c_j, p_j
 /// scaled by the slave's current speed so projected compute times match the
-/// live engine's current-speed probes. Offline slaves keep nominal p_j —
-/// they reject commits and probe as infinity, so the value is never used.
+/// live view's current-speed probes (the p_j its kernel reads). Offline
+/// slaves keep nominal p_j — they reject commits and probe as infinity, so
+/// the value is never used.
 platform::Platform effective_platform(const core::EngineView& live) {
+  const core::SlaveStateView s = live.slave_state();
   std::vector<platform::SlaveSpec> slaves;
-  slaves.reserve(static_cast<std::size_t>(live.platform().size()));
-  for (core::SlaveId j = 0; j < live.platform().size(); ++j) {
-    const double speed = live.current_speed(j);
+  slaves.reserve(static_cast<std::size_t>(s.m));
+  for (core::SlaveId j = 0; j < s.m; ++j) {
     platform::SlaveSpec spec = live.platform().at(j);
-    if (speed > 0.0) spec.comp /= speed;
+    spec.comp = s.comp[j];
+    if (s.is_online(j) && s.speed != nullptr) spec.comp /= s.speed[j];
     slaves.push_back(spec);
   }
   return platform::Platform(std::move(slaves));
@@ -35,14 +37,12 @@ EngineProjection::EngineProjection(const core::EngineView& live)
       now_(live.now()) {
   const int m = platform_.size();
   online_.resize(static_cast<std::size_t>(m));
-  speed_.resize(static_cast<std::size_t>(m));
   base_ready_.resize(static_cast<std::size_t>(m));
   base_in_system_.resize(static_cast<std::size_t>(m));
   proj_comp_ends_.resize(static_cast<std::size_t>(m));
   for (core::SlaveId j = 0; j < m; ++j) {
     const auto js = static_cast<std::size_t>(j);
     online_[js] = live.is_available(j);
-    speed_[js] = live.current_speed(j);
     base_ready_[js] = live.slave_ready_at(j);
     base_in_system_[js] = live.tasks_in_system(j);
     sim_.slave_ready[js] = base_ready_[js];
@@ -58,18 +58,6 @@ EngineProjection::EngineProjection(const core::EngineView& live)
 
 core::Time EngineProjection::port_free_at() const {
   return std::max(now_, sim_.master_free);
-}
-
-bool EngineProjection::is_available(core::SlaveId j) const {
-  return online_[static_cast<std::size_t>(j)];
-}
-
-double EngineProjection::current_speed(core::SlaveId j) const {
-  return speed_[static_cast<std::size_t>(j)];
-}
-
-core::Time EngineProjection::slave_ready_at(core::SlaveId j) const {
-  return std::max(now_, sim_.slave_ready[static_cast<std::size_t>(j)]);
 }
 
 int EngineProjection::tasks_in_system(core::SlaveId j) const {
@@ -116,20 +104,6 @@ std::optional<core::SlaveId> EngineProjection::assignment_of(
     if (id == task) return slave;
   }
   return std::nullopt;
-}
-
-core::Time EngineProjection::completion_if_assigned(core::TaskId task,
-                                                    core::SlaveId j) const {
-  if (!online_[static_cast<std::size_t>(j)]) {
-    return std::numeric_limits<core::Time>::infinity();
-  }
-  const core::TaskSpec& spec = task_spec(task);
-  const core::Time send_start =
-      std::max({now_, port_free_at(), spec.release});
-  const core::Time send_end =
-      send_start + platform_.comm(j) * spec.comm_factor;
-  const core::Time comp_start = std::max(send_end, slave_ready_at(j));
-  return comp_start + eff_platform_.comp(j) * spec.comp_factor;
 }
 
 core::SlaveStateView EngineProjection::slave_state() const {

@@ -45,9 +45,6 @@ class EngineProjection : public core::EngineView {
   core::Time now() const override { return now_; }
   const platform::Platform& platform() const override { return platform_; }
   core::Time port_free_at() const override;
-  bool is_available(core::SlaveId j) const override;
-  double current_speed(core::SlaveId j) const override;
-  core::Time slave_ready_at(core::SlaveId j) const override;
   int tasks_in_system(core::SlaveId j) const override;
   core::TaskId pending_front() const override;
   std::vector<core::TaskId> pending_tasks() const override;
@@ -58,8 +55,6 @@ class EngineProjection : public core::EngineView {
   }
   const core::TaskSpec& task_spec(core::TaskId i) const override;
   std::optional<core::SlaveId> assignment_of(core::TaskId task) const override;
-  core::Time completion_if_assigned(core::TaskId task,
-                                    core::SlaveId j) const override;
   /// Dense arrays for EngineView's batched probes. Besides the per-slave
   /// arithmetic, the kernel path hoists the O(pending) task_spec list walk
   /// out of the per-slave loop — the meta layer's portfolio scoring probes
@@ -80,7 +75,6 @@ class EngineProjection : public core::EngineView {
   offline::StepSimulator sim_;       ///< seeded port/slave busy state
   core::Time now_ = 0.0;
   std::vector<std::uint8_t> online_;  ///< byte-dense for SlaveStateView
-  std::vector<double> speed_;
   std::vector<core::Time> base_ready_;  ///< snapshot slave_ready_at
   std::vector<int> base_in_system_;     ///< snapshot tasks_in_system
   std::vector<std::vector<core::Time>> proj_comp_ends_;  ///< our commits

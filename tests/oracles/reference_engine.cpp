@@ -213,13 +213,6 @@ Time ReferenceEngine::port_free_at() const {
   return std::max(now_, earliest);
 }
 
-Time ReferenceEngine::slave_ready_at(SlaveId j) const {
-  if (j < 0 || j >= platform_.size()) {
-    throw std::out_of_range("ReferenceEngine: slave id out of range");
-  }
-  return std::max(now_, slave_ready_[static_cast<std::size_t>(j)]);
-}
-
 int ReferenceEngine::tasks_in_system(SlaveId j) const {
   if (j < 0 || j >= platform_.size()) {
     throw std::out_of_range("ReferenceEngine: slave id out of range");
@@ -252,16 +245,6 @@ std::optional<SlaveId> ReferenceEngine::assignment_of(TaskId task) const {
   const TaskState& state = tasks_[static_cast<std::size_t>(task)];
   if (!state.committed) return std::nullopt;
   return state.slave;
-}
-
-Time ReferenceEngine::completion_if_assigned(TaskId task, SlaveId j) const {
-  // Deliberately uses the *nominal* p_j: schedulers estimate with the
-  // calibrated platform and are blind to injected background load.
-  const TaskSpec& spec = task_spec(task);
-  const Time send_start = std::max({now_, port_free_at(), spec.release});
-  const Time send_end = send_start + platform_.comm(j) * spec.comm_factor;
-  const Time comp_start = std::max(send_end, slave_ready_at(j));
-  return comp_start + platform_.comp(j) * spec.comp_factor;
 }
 
 SlaveStateView ReferenceEngine::slave_state() const {

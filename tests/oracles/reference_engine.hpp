@@ -39,7 +39,6 @@ class ReferenceEngine final : public EngineView {
   Time now() const override { return now_; }
   const platform::Platform& platform() const override { return platform_; }
   Time port_free_at() const override;
-  Time slave_ready_at(SlaveId j) const override;
   int tasks_in_system(SlaveId j) const override;
   TaskId pending_front() const override;
   std::vector<TaskId> pending_tasks() const override;
@@ -50,7 +49,6 @@ class ReferenceEngine final : public EngineView {
   int completed_or_committed() const override { return committed_; }
   const TaskSpec& task_spec(TaskId i) const override;
   std::optional<SlaveId> assignment_of(TaskId task) const override;
-  Time completion_if_assigned(TaskId task, SlaveId j) const override;
   /// Dense state over the platform's c_j / p_j arrays and the raw
   /// busy-until array. `online` and `speed` stay null: this engine supports
   /// no availability, so every slave is online at unit speed.

@@ -338,17 +338,17 @@ TEST(EngineAvailability, ObservablesReportThePresentOnly) {
 
   engine.run_until(0.5);
   EXPECT_TRUE(engine.is_available(0));
-  EXPECT_DOUBLE_EQ(engine.current_speed(0), 1.0);
+  EXPECT_DOUBLE_EQ(engine.slave_state().speed[0], 1.0);
 
   engine.run_until(1.5);
   EXPECT_FALSE(engine.is_available(0));
-  EXPECT_DOUBLE_EQ(engine.current_speed(0), 0.0);
+  EXPECT_EQ(engine.slave_state().online[0], 0);
 
   engine.run_until(3.0);
   EXPECT_TRUE(engine.is_available(0));
-  EXPECT_DOUBLE_EQ(engine.current_speed(0), 0.5);
+  EXPECT_DOUBLE_EQ(engine.slave_state().speed[0], 0.5);
   EXPECT_TRUE(engine.is_available(1));
-  EXPECT_DOUBLE_EQ(engine.current_speed(1), 1.0);
+  EXPECT_DOUBLE_EQ(engine.slave_state().speed[1], 1.0);
 }
 
 TEST(EngineAvailability, ReusedEngineMatchesFreshUnderChurn) {
@@ -457,7 +457,7 @@ TEST(EngineAvailability, TwoSpansDueInOneStepApplyInOrder) {
 
   engine.run_until(1.5);
   EXPECT_TRUE(engine.is_available(0));
-  EXPECT_DOUBLE_EQ(engine.current_speed(0), 0.5);
+  EXPECT_DOUBLE_EQ(engine.slave_state().speed[0], 0.5);
   EXPECT_EQ(engine.disruption().redispatches, 2);
   EXPECT_EQ(engine.disruption().disruptive_outages, 1);
   std::vector<TraceEvent::Kind> transitions;
@@ -473,7 +473,7 @@ TEST(EngineAvailability, TwoSpansDueInOneStepApplyInOrder) {
   EXPECT_EQ(transitions, expected);
 
   engine.run_until(6.0);
-  EXPECT_DOUBLE_EQ(engine.current_speed(0), 2.0);
+  EXPECT_DOUBLE_EQ(engine.slave_state().speed[0], 2.0);
   engine.run_to_completion();
   validate_or_throw(plat, work, engine.schedule(), options);
 }

@@ -5,7 +5,7 @@
 // every scheduler in the registry, port capacities and slowdown windows.
 // 500+ cases run as sharded gtest params so a failure pinpoints its seed.
 // Both engines probe through the same ranking kernel, so every calendar
-// engine run is also audited against a per-slave probe loop (ProbeAudit).
+// engine run is also audited against a scalar reference probe (ProbeAudit).
 //
 // Half of the calendar-engine runs go through a *reused* engine (reset()
 // between cases) instead of a fresh one, so incomplete state clearing in
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -26,6 +27,7 @@
 #include "core/validator.hpp"
 #include "experiments/campaign.hpp"
 #include "oracles/reference_engine.hpp"
+#include "oracles/reference_probes.hpp"
 #include "platform/availability.hpp"
 #include "platform/generator.hpp"
 #include "util/rng.hpp"
@@ -191,14 +193,15 @@ void expect_identical(const EngineView& actual, const EngineView& expected,
 
 // ----- probe audit ----------------------------------------------------------
 //
-// The batched probes (completion_if_assigned_batch, best_completion_slave)
-// run the ranking kernel over a view's dense arrays, on both engines: the
+// Every probe (completion_if_assigned and its batched forms) runs the
+// ranking kernel over a view's dense arrays, on both engines: the
 // differential below cannot see a kernel bug, since ReferenceEngine would
 // share it. ProbeAudit wraps a policy and, at every decision, recomputes
-// both for the pending front task with a test-side loop over is_available /
-// completion_if_assigned — the scalar semantics, eps tie-break included —
-// and requires bitwise agreement. The base shards run it on every case, the
-// fleet-scale shards at the end of this file on large platforms.
+// the batch probe and best_completion_slave for the pending front task
+// with the tests' scalar reference probe (reference_probes) and a
+// sequential argmin over it, eps tie-break included, and requires bitwise
+// agreement. The base shards run it on every case, the fleet-scale shards
+// at the end of this file on large platforms.
 
 class ProbeAudit : public OnlineScheduler {
  public:
@@ -222,18 +225,22 @@ class ProbeAudit : public OnlineScheduler {
  private:
   void audit(const EngineView& engine) {
     const TaskId task = engine.pending_front();
-    const int m = engine.platform().size();
+    const TaskSpec& spec = engine.task_spec(task);
+    const SlaveStateView s = engine.slave_state();
+    const int m = s.m;
     const auto ms = static_cast<std::size_t>(m);
     ids_.resize(ms);
-    scalar_.resize(ms);
     batch_.resize(ms);
+    for (SlaveId j = 0; j < m; ++j) ids_[static_cast<std::size_t>(j)] = j;
+    const Time send_start =
+        std::max({engine.now(), engine.port_free_at(), spec.release});
+    scalar_ = reference_probes(s, engine.now(), send_start, spec.comm_factor,
+                               spec.comp_factor, ids_);
     SlaveId best = -1;
     Time best_completion = 0.0;
     for (SlaveId j = 0; j < m; ++j) {
       const auto js = static_cast<std::size_t>(j);
-      ids_[js] = j;
-      scalar_[js] = engine.completion_if_assigned(task, j);
-      if (!engine.is_available(j)) continue;
+      if (!s.is_online(j)) continue;
       if (best < 0 || scalar_[js] < best_completion - kTimeEps) {
         best = j;
         best_completion = scalar_[js];

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -192,15 +191,6 @@ class FakeView : public core::EngineView {
   core::Time now() const override { return now_; }
   const Platform& platform() const override { return platform_; }
   core::Time port_free_at() const override { return port_free_; }
-  bool is_available(core::SlaveId j) const override {
-    return online_[static_cast<std::size_t>(j)] != 0;
-  }
-  double current_speed(core::SlaveId j) const override {
-    return is_available(j) ? 1.0 : 0.0;
-  }
-  core::Time slave_ready_at(core::SlaveId j) const override {
-    return std::max(ready_[static_cast<std::size_t>(j)], now_);
-  }
   int tasks_in_system(core::SlaveId j) const override {
     return in_system_[static_cast<std::size_t>(j)];
   }
@@ -225,19 +215,6 @@ class FakeView : public core::EngineView {
   }
   std::optional<core::SlaveId> assignment_of(core::TaskId) const override {
     return std::nullopt;
-  }
-  core::Time completion_if_assigned(core::TaskId task,
-                                    core::SlaveId j) const override {
-    // The hypothetical-commit arithmetic both engines implement: send once
-    // the port is free and the task released, queue behind the ready-time;
-    // an offline slave probes as infinity.
-    if (!is_available(j)) return std::numeric_limits<core::Time>::infinity();
-    const core::TaskSpec& spec = task_spec(task);
-    const core::Time send_start = std::max({port_free_, now_, spec.release});
-    const core::Time send_end =
-        send_start + platform_.comm(j) * spec.comm_factor;
-    const core::Time comp_start = std::max(send_end, slave_ready_at(j));
-    return comp_start + platform_.comp(j) * spec.comp_factor;
   }
   core::SlaveStateView slave_state() const override {
     core::SlaveStateView s;

@@ -333,8 +333,9 @@ void expect_outcomes_identical(const ProjectionOutcome& a,
 /// Hands decide() to a portfolio on the live engine unchanged, and keeps
 /// its own IncrementalProjection synced at every decision. At each decision
 /// whose delta window holds an outage, its re-queues and another slave's
-/// recovery, the replayed mirror's online/speed state and every member run
-/// on it must match a fresh EngineProjection of the engine.
+/// recovery, the replayed mirror's online flags and effective p_j (what the
+/// kernel reads) and every member run on it must match a fresh
+/// EngineProjection of the engine, bit for bit.
 class OutageWindowProbe final : public core::OnlineScheduler {
  public:
   explicit OutageWindowProbe(const std::string& spec)
@@ -353,11 +354,12 @@ class OutageWindowProbe final : public core::OnlineScheduler {
     if (window) {
       ++windows_;
       const EngineProjection snapshot(live);
-      for (core::SlaveId j = 0; j < live.platform().size(); ++j) {
-        EXPECT_EQ(mirror_->is_available(j), snapshot.is_available(j)) << j;
-        EXPECT_TRUE(
-            bits_equal(mirror_->current_speed(j), snapshot.current_speed(j)))
-            << j;
+      const core::SlaveStateView mine = mirror_->slave_state();
+      const core::SlaveStateView fresh = snapshot.slave_state();
+      EXPECT_EQ(mine.m, fresh.m);
+      for (core::SlaveId j = 0; j < std::min(mine.m, fresh.m); ++j) {
+        EXPECT_EQ(mine.is_online(j), fresh.is_online(j)) << j;
+        EXPECT_TRUE(bits_equal(mine.comp[j], fresh.comp[j])) << j;
       }
       const int horizon = std::min(spec_.horizon, live.pending_count());
       for (const PolicySpec& member : spec_.members) {
@@ -459,6 +461,45 @@ TEST(IncrementalProjection, QueueDepthDrainsAtTheBaseReadyTimeNotTheProjectedOne
   EngineProjection(engine).run(fresh, 4);
   EXPECT_EQ(replayed.seen, (std::vector<int>{2, 3, 4, 3}));
   EXPECT_EQ(replayed.seen, fresh.seen);
+}
+
+TEST(IncrementalProjection, RebuildScalesEachOnlineSlaveByItsCurrentSpeed) {
+  // The first sync rebuilds the mirror from the live engine's dense state
+  // at t=0, where slaves 0 and 1 run at speeds 0.5 and 1.25 and slave 2 is
+  // offline: each effective p_j must be the fresh snapshot's bit for bit,
+  // and LS, which ranks on it, must project the same decisions.
+  const Platform plat({platform::SlaveSpec{0.1, 1.0},
+                       platform::SlaveSpec{0.2, 3.0},
+                       platform::SlaveSpec{0.1, 0.5}});
+  std::vector<platform::AvailabilityProfile> profiles(3);
+  profiles[0] = platform::AvailabilityProfile({{0.0, true, 0.5}});
+  profiles[1] = platform::AvailabilityProfile({{0.0, true, 1.25}});
+  profiles[2] =
+      platform::AvailabilityProfile({{0.0, false, 1.0}, {50.0, true, 1.0}});
+  core::EngineOptions options;
+  options.availability = profiles;
+  QueueRecorder live_policy;  // never consulted: no decision precedes t=0
+  core::OnePortEngine engine(plat, live_policy, options);
+  engine.load(Workload::all_at_zero(6));
+  engine.run_until(0.0);
+
+  IncrementalProjection mirror(engine);
+  mirror.sync();
+  EXPECT_EQ(mirror.rebuilds(), 1);
+  const EngineProjection snapshot(engine);
+  const core::SlaveStateView mine = mirror.slave_state();
+  const core::SlaveStateView fresh = snapshot.slave_state();
+  for (core::SlaveId j = 0; j < plat.size(); ++j) {
+    EXPECT_EQ(mine.is_online(j), fresh.is_online(j)) << j;
+    EXPECT_TRUE(bits_equal(mine.comp[j], fresh.comp[j])) << j;
+  }
+  EXPECT_TRUE(bits_equal(mine.comp[0], 2.0));
+
+  const PolicySpec ls = parse_policy_spec("LS");
+  ComposedPolicy replayed(ls);
+  ComposedPolicy fresh_ls(ls);
+  expect_outcomes_identical(mirror.run(replayed, 6),
+                            EngineProjection(engine).run(fresh_ls, 6), "LS");
 }
 
 // ------------------------------------------------------------ reset reuse ----

@@ -16,15 +16,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cfenv>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/rank_kernel.hpp"
+#include "oracles/reference_probes.hpp"
 #include "util/rng.hpp"
 
 namespace msol::core {
@@ -61,27 +60,6 @@ struct DenseState {
     return v;
   }
 };
-
-/// The engine's per-slave probe, written out independently of the kernel:
-/// the oracle both scalar loops are checked against before every batch
-/// width is checked against the scalar batch loop.
-std::vector<Time> reference_probes(const SlaveStateView& v, Time now,
-                                   Time send_start, double cf, double pf,
-                                   const std::vector<SlaveId>& ids) {
-  std::vector<Time> out;
-  for (const SlaveId j : ids) {
-    if (v.online != nullptr && v.online[j] == 0) {
-      out.push_back(std::numeric_limits<Time>::infinity());
-      continue;
-    }
-    const Time send_end = send_start + v.comm[j] * cf;
-    const Time comp_start = std::max(send_end, std::max(now, v.ready[j]));
-    Time compute = v.comp[j] * pf;
-    if (v.speed != nullptr) compute /= v.speed[j];
-    out.push_back(comp_start + compute);
-  }
-  return out;
-}
 
 std::vector<SlaveId> all_slaves(int m) {
   std::vector<SlaveId> ids(static_cast<std::size_t>(m));
