@@ -45,17 +45,11 @@ void OnePortEngine::reset(platform::Platform platform,
 
   now_ = 0.0;
   task_specs_.clear();
-  task_released_.clear();
-  task_committed_.clear();
   task_slave_.clear();
+  task_pending_.clear();
   release_order_.clear();
   next_release_idx_ = 0;
-  pending_slots_.clear();
-  pending_slot_of_.clear();
-  pending_bucket_live_.clear();
-  pending_begin_ = 0;
-  pending_dead_ = 0;
-  pending_count_ = 0;
+  pending_.clear();
   load_stamp_ = 0;
   // Subscribers re-opt-in per run: a reset engine must not keep paying for
   // a feed nobody reads, and the generation bump tells any stale subscriber
@@ -142,10 +136,8 @@ TaskId OnePortEngine::inject_task(TaskSpec spec) {
   const TaskId id = static_cast<TaskId>(task_specs_.size());
   const Time release = spec.release;
   task_specs_.push_back(std::move(spec));
-  task_released_.push_back(0);
-  task_committed_.push_back(0);
   task_slave_.push_back(-1);
-  pending_slot_of_.push_back(-1);
+  task_pending_.push_back(0);
 
   // Keep the unprocessed suffix of release_order_ sorted by release time;
   // equal releases keep injection order so adversary task numbering is stable.
@@ -161,9 +153,6 @@ TaskId OnePortEngine::inject_task(TaskSpec spec) {
 }
 
 namespace {
-/// Slots per live-count bucket; a power of two so slot -> bucket is a shift.
-constexpr std::size_t kPendingBucketShift = 6;  // 64 slots
-
 /// Delta-log cap: past this the oldest half is dropped (subscribers that
 /// lag behind delta_begin() rebuild). Sized so a subscriber syncing once
 /// per decision never comes close — decisions are at most one commit plus
@@ -183,16 +172,8 @@ void OnePortEngine::log_delta(const DeltaEvent& event) {
 }
 
 void OnePortEngine::pending_push_back(TaskId id) {
-  const std::size_t slot = pending_slots_.size();
-  pending_slots_.push_back(id);
-  pending_slot_of_[static_cast<std::size_t>(id)] =
-      static_cast<TaskId>(slot);
-  const std::size_t bucket = slot >> kPendingBucketShift;
-  if (bucket >= pending_bucket_live_.size()) {
-    pending_bucket_live_.resize(bucket + 1, 0);
-  }
-  ++pending_bucket_live_[bucket];
-  ++pending_count_;
+  pending_.push_back(id);
+  task_pending_[static_cast<std::size_t>(id)] = 1;
   ++load_stamp_;
   DeltaEvent event;
   event.kind = DeltaKind::kPendingPush;
@@ -201,54 +182,13 @@ void OnePortEngine::pending_push_back(TaskId id) {
 }
 
 void OnePortEngine::pending_erase(TaskId id) {
-  const std::size_t slot =
-      static_cast<std::size_t>(pending_slot_of_[static_cast<std::size_t>(id)]);
-  pending_slots_[slot] = -1;
-  pending_slot_of_[static_cast<std::size_t>(id)] = -1;
-  --pending_bucket_live_[slot >> kPendingBucketShift];
-  --pending_count_;
+  task_pending_[static_cast<std::size_t>(id)] = 0;
+  if (pending_.front() == id) {
+    pending_.pop_front();
+  } else {
+    pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+  }
   ++load_stamp_;
-  ++pending_dead_;
-  // Amortized compaction: once tombstones outnumber the live entries the
-  // vector is rebuilt live-only, so the slot array stays O(live) and every
-  // slot is tombstoned at most once between rebuilds.
-  if (pending_dead_ > pending_count_ && pending_dead_ >= 64) {
-    pending_compact();
-  }
-}
-
-void OnePortEngine::pending_advance_begin() const {
-  const std::size_t n = pending_slots_.size();
-  while (pending_begin_ < n) {
-    const std::size_t bucket = pending_begin_ >> kPendingBucketShift;
-    if (pending_bucket_live_[bucket] == 0) {
-      // Whole bucket dead: hop to the next bucket boundary in one step.
-      pending_begin_ = (bucket + 1) << kPendingBucketShift;
-      continue;
-    }
-    if (pending_slots_[pending_begin_] >= 0) return;
-    ++pending_begin_;
-  }
-}
-
-void OnePortEngine::pending_compact() {
-  std::size_t out = 0;
-  for (std::size_t slot = pending_begin_; slot < pending_slots_.size();
-       ++slot) {
-    const TaskId id = pending_slots_[slot];
-    if (id < 0) continue;
-    pending_slots_[out] = id;
-    pending_slot_of_[static_cast<std::size_t>(id)] =
-        static_cast<TaskId>(out);
-    ++out;
-  }
-  pending_slots_.resize(out);
-  pending_bucket_live_.assign((out >> kPendingBucketShift) + 1, 0);
-  for (std::size_t slot = 0; slot < out; ++slot) {
-    ++pending_bucket_live_[slot >> kPendingBucketShift];
-  }
-  pending_begin_ = 0;
-  pending_dead_ = 0;
 }
 
 void OnePortEngine::process_releases() {
@@ -258,7 +198,6 @@ void OnePortEngine::process_releases() {
     const Time release = task_specs_[i].release;
     if (release > now_ + kTimeEps) break;
     ++next_release_idx_;
-    task_released_[i] = 1;
     pending_push_back(id);
     if (options_.enable_trace) {
       trace_.record(TraceEvent{TraceEvent::Kind::kRelease, release,
@@ -356,7 +295,6 @@ void OnePortEngine::handle_offline(SlaveId j, Time t) {
     std::vector<Time>& ends = slave_comp_ends_[js];
     ends.resize(ends.size() - doomed.size());
     for (TaskId id : doomed) {
-      task_committed_[static_cast<std::size_t>(id)] = 0;
       task_slave_[static_cast<std::size_t>(id)] = -1;
       --committed_;
       ++disruption_.redispatches;
@@ -375,7 +313,7 @@ void OnePortEngine::handle_offline(SlaveId j, Time t) {
 }
 
 bool OnePortEngine::try_decide() {
-  if (pending_count_ == 0 || !port_free_now()) return false;
+  if (pending_.empty() || !port_free_now()) return false;
   const Decision decision = scheduler_->decide(*this);
   if (std::holds_alternative<Defer>(decision)) {
     if (options_.enable_trace) {
@@ -410,14 +348,13 @@ void OnePortEngine::commit(TaskId task_id, SlaveId slave) {
         "skip unavailable slaves)");
   }
   if (task_id < 0 || task_id >= total_tasks() ||
-      pending_slot_of_[static_cast<std::size_t>(task_id)] < 0) {
+      task_pending_[static_cast<std::size_t>(task_id)] == 0) {
     throw std::logic_error(
         "OnePortEngine: scheduler chose a task that is not pending");
   }
   pending_erase(task_id);
 
   const TaskSpec& spec = task_specs_[static_cast<std::size_t>(task_id)];
-  task_committed_[static_cast<std::size_t>(task_id)] = 1;
   task_slave_[static_cast<std::size_t>(task_id)] = slave;
   ++committed_;
 
@@ -568,8 +505,10 @@ void OnePortEngine::run_until(Time t) {
     if (now_ + kTimeEps < t && try_decide()) continue;
     const std::optional<Time> wake = next_wakeup();
     if (!wake || *wake > t + kTimeEps) {
+      // Every transition up to t + kTimeEps has been applied: the loop head
+      // applies those up to now() + kTimeEps, and a later one within t +
+      // kTimeEps would have been the next wake-up.
       now_ = std::max(now_, t);
-      process_avail_transitions();  // transitions at exactly t take effect
       return;
     }
     now_ = std::min(*wake, t);
@@ -585,7 +524,7 @@ void OnePortEngine::run_to_completion() {
     // Once every task has a completed record, the only calendar entries
     // left can be future availability transitions (and their wake-ups);
     // draining them would drag now() past the true completion time.
-    if (avail_enabled_ && pending_count_ == 0 &&
+    if (avail_enabled_ && pending_.empty() &&
         next_release_idx_ >= release_order_.size() &&
         schedule_.size() == total_tasks()) {
       break;
@@ -594,7 +533,7 @@ void OnePortEngine::run_to_completion() {
     if (!wake) break;
     now_ = *wake;
   }
-  if (pending_count_ != 0 || next_release_idx_ < release_order_.size()) {
+  if (!pending_.empty() || next_release_idx_ < release_order_.size()) {
     throw std::logic_error(
         "OnePortEngine: scheduler '" + scheduler_->name() +
         "' deferred forever with tasks pending (deadlock; with availability "
@@ -626,29 +565,14 @@ int OnePortEngine::tasks_in_system(SlaveId j) const {
 }
 
 TaskId OnePortEngine::pending_front() const {
-  if (pending_count_ == 0) {
+  if (pending_.empty()) {
     throw std::logic_error("OnePortEngine: no pending task");
   }
-  pending_advance_begin();
-  return pending_slots_[pending_begin_];
+  return pending_.front();
 }
 
 std::vector<TaskId> OnePortEngine::pending_tasks() const {
-  std::vector<TaskId> out;
-  out.reserve(static_cast<std::size_t>(pending_count_));
-  pending_advance_begin();
-  const std::size_t n = pending_slots_.size();
-  for (std::size_t slot = pending_begin_; slot < n;) {
-    const std::size_t bucket = slot >> kPendingBucketShift;
-    if (pending_bucket_live_[bucket] == 0) {
-      slot = (bucket + 1) << kPendingBucketShift;  // skip the dead bucket
-      continue;
-    }
-    const TaskId id = pending_slots_[slot];
-    if (id >= 0) out.push_back(id);
-    ++slot;
-  }
-  return out;
+  return std::vector<TaskId>(pending_.begin(), pending_.end());
 }
 
 const TaskSpec& OnePortEngine::task_spec(TaskId i) const {
@@ -660,8 +584,9 @@ const TaskSpec& OnePortEngine::task_spec(TaskId i) const {
 
 std::optional<SlaveId> OnePortEngine::assignment_of(TaskId task) const {
   if (task < 0 || task >= total_tasks()) return std::nullopt;
-  if (task_committed_[static_cast<std::size_t>(task)] == 0) return std::nullopt;
-  return task_slave_[static_cast<std::size_t>(task)];
+  const SlaveId slave = task_slave_[static_cast<std::size_t>(task)];
+  if (slave < 0) return std::nullopt;
+  return slave;
 }
 
 SlaveStateView OnePortEngine::slave_state() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -120,12 +121,13 @@ struct DisruptionStats {
 /// array. Advancing time thus costs O(log n) instead of the
 /// O(slaves * log tasks) scan the pre-calendar engine (kept verbatim as the
 /// ReferenceEngine oracle in tests/oracles/) performs at every step.
-/// The pending set is a bucketed FIFO slot index (dense slot vector with
-/// tombstones and per-64-slot live counts), making commit() O(1) where the
-/// reference engine pays an O(pending) find + erase, and letting bulk
-/// iteration (pending_tasks, the lookahead planners' feed) skip dead
-/// regions instead of chasing list pointers. tests/test_engine_diff.cpp
-/// proves the two engines produce bit-identical schedules and traces.
+/// The pending set is a plain FIFO in release order (re-queues after an
+/// outage join at the back): the master of the one-port model serves
+/// released tasks in that order and chooses only the slave, so every
+/// library policy commits pending_front() and a commit pops the front in
+/// O(1). A scheduler that commits a later task pays an O(pending) find, as
+/// in the reference engine. tests/test_engine_diff.cpp proves the two
+/// engines produce bit-identical schedules and traces.
 ///
 /// The engine is reusable: reset() rebinds platform/scheduler/options while
 /// keeping every internal allocation, so grid sweeps that simulate millions
@@ -255,7 +257,9 @@ class OnePortEngine final : public EngineView {
   int tasks_in_system(SlaveId j) const override;
   TaskId pending_front() const override;
   std::vector<TaskId> pending_tasks() const override;
-  int pending_count() const override { return pending_count_; }
+  int pending_count() const override {
+    return static_cast<int>(pending_.size());
+  }
   int total_tasks() const override {
     return static_cast<int>(task_specs_.size());
   }
@@ -292,15 +296,10 @@ class OnePortEngine final : public EngineView {
   /// enable_delta_feed()); trims the oldest half at the cap.
   void log_delta(const DeltaEvent& event);
 
-  /// O(1) amortized pending-set maintenance (bucketed slot index).
+  /// Pending-set maintenance; both bump load_stamp_, and a push logs a
+  /// kPendingPush delta. Erasing the front is O(1), any other task O(pending).
   void pending_push_back(TaskId id);
   void pending_erase(TaskId id);
-  /// Advances pending_begin_ past tombstones (whole dead buckets in one
-  /// step) so it lands on the oldest live slot; no-op when the set is empty.
-  void pending_advance_begin() const;
-  /// Rewrites pending_slots_ with the live ids only (FIFO order preserved);
-  /// called when tombstones outnumber live entries.
-  void pending_compact();
 
   std::optional<platform::Platform> platform_;
   OnlineScheduler* scheduler_ = nullptr;
@@ -312,28 +311,14 @@ class OnePortEngine final : public EngineView {
   /// many tasks, so splitting the old TaskState struct keeps those sweeps
   /// on dense, homogeneous cache lines at fleet scale.
   std::vector<TaskSpec> task_specs_;
-  std::vector<std::uint8_t> task_released_;
-  std::vector<std::uint8_t> task_committed_;
-  std::vector<SlaveId> task_slave_;
+  std::vector<SlaveId> task_slave_;  ///< committed slave, or -1
+  std::vector<std::uint8_t> task_pending_;  ///< 1 while in pending_
   std::vector<TaskId> release_order_;  ///< task ids sorted by release
   std::size_t next_release_idx_ = 0;
 
-  /// Pending = released, unassigned tasks in FIFO release order, stored as
-  /// a dense slot vector with tombstones plus a per-64-slot live count:
-  /// push appends, erase tombstones in O(1) via the per-task slot index,
-  /// and front/iteration skip whole dead buckets in O(1) each — so
-  /// pending_tasks() (the plan:sljf*/meta-projection bulk path) costs
-  /// O(live + dead/64) instead of a pointer chase over an intrusive list.
-  /// Tombstones are compacted away once they outnumber the live entries,
-  /// keeping the vector O(live) amortized.
-  std::vector<TaskId> pending_slots_;     ///< FIFO slots; -1 = tombstone
-  std::vector<TaskId> pending_slot_of_;   ///< per task: its slot, or -1
-  std::vector<int> pending_bucket_live_;  ///< live slots per 64-slot bucket
-  /// First possibly-live slot; advanced lazily by pending_advance_begin()
-  /// (mutable: pending_front() is a const observable).
-  mutable std::size_t pending_begin_ = 0;
-  int pending_dead_ = 0;
-  int pending_count_ = 0;
+  /// Pending = released, unassigned tasks in FIFO release order; outage
+  /// re-queues join at the back.
+  std::deque<TaskId> pending_;
   std::uint64_t load_stamp_ = 0;  ///< see load_stamp()
 
   /// --- delta feed state (see the accessor block above) --------------------

@@ -202,6 +202,33 @@ int ShardedEngine::route_least_loaded(Time t) {
   return best;
 }
 
+namespace {
+/// K-way head merge of `num` per-shard sequences (`items(k)`), each already
+/// ordered by `key` within its shard: repeatedly hands `emit(k, item)` the
+/// head with the smallest key, ties to the lower shard id. Each shard's own
+/// order is kept, so the merged stream is deterministic and byte-stable.
+template <typename Items, typename Key, typename Emit>
+void head_merge(int num, const Items& items, const Key& key,
+                const Emit& emit) {
+  std::vector<std::size_t> pos(static_cast<std::size_t>(num), 0);
+  for (;;) {
+    int best = -1;
+    Time best_key = 0.0;
+    for (int k = 0; k < num; ++k) {
+      const auto& seq = items(k);
+      const std::size_t p = pos[static_cast<std::size_t>(k)];
+      if (p >= seq.size()) continue;
+      if (best < 0 || key(seq[p]) < best_key) {
+        best = k;
+        best_key = key(seq[p]);
+      }
+    }
+    if (best < 0) return;
+    emit(best, items(best)[pos[static_cast<std::size_t>(best)]++]);
+  }
+}
+}  // namespace
+
 void ShardedEngine::merge() {
   merged_schedule_.clear();
   merged_trace_.clear();
@@ -209,61 +236,37 @@ void ShardedEngine::merge() {
   const int num = num_shards();
 
   // Schedules: per-shard records are in commit order, so send_start is
-  // monotone within a shard and a K-way head merge (ties to the lower
-  // shard id) yields one globally send_start-sorted, byte-stable stream.
-  {
-    std::vector<std::size_t> pos(static_cast<std::size_t>(num), 0);
-    for (;;) {
-      int best = -1;
-      for (int k = 0; k < num; ++k) {
-        const auto& recs = shard_engine(k).schedule().records();
-        const std::size_t p = pos[static_cast<std::size_t>(k)];
-        if (p >= recs.size()) continue;
-        if (best < 0 ||
-            recs[p].send_start <
-                shard_engine(best).schedule().records()
-                    [pos[static_cast<std::size_t>(best)]].send_start) {
-          best = k;
-        }
-      }
-      if (best < 0) break;
-      const std::size_t bs = static_cast<std::size_t>(best);
-      TaskRecord rec = shard_engine(best).schedule().records()[pos[bs]++];
-      rec.task = shard_tasks_[bs][static_cast<std::size_t>(rec.task)];
-      rec.slave = partition_.global_id(best, rec.slave);
-      merged_schedule_.add(rec);
-    }
-  }
+  // monotone within a shard and the head merge yields one globally
+  // send_start-sorted stream.
+  head_merge(
+      num,
+      [&](int k) -> const auto& {
+        return shard_engine(k).schedule().records();
+      },
+      [](const TaskRecord& rec) { return rec.send_start; },
+      [&](int k, TaskRecord rec) {
+        const std::size_t ks = static_cast<std::size_t>(k);
+        rec.task = shard_tasks_[ks][static_cast<std::size_t>(rec.task)];
+        rec.slave = partition_.global_id(k, rec.slave);
+        merged_schedule_.add(rec);
+      });
 
   // Traces: a shard's event log is in commitment order, not time order, so
   // the head merge keyed by event time is an interleaving that preserves
   // each shard's internal order — the same discipline, and equally
   // deterministic; at K=1 it is the identity.
-  {
-    std::vector<std::size_t> pos(static_cast<std::size_t>(num), 0);
-    for (;;) {
-      int best = -1;
-      for (int k = 0; k < num; ++k) {
-        const auto& evs = shard_engine(k).trace().events();
-        const std::size_t p = pos[static_cast<std::size_t>(k)];
-        if (p >= evs.size()) continue;
-        if (best < 0 ||
-            evs[p].time <
-                shard_engine(best).trace().events()
-                    [pos[static_cast<std::size_t>(best)]].time) {
-          best = k;
+  head_merge(
+      num,
+      [&](int k) -> const auto& { return shard_engine(k).trace().events(); },
+      [](const TraceEvent& ev) { return ev.time; },
+      [&](int k, TraceEvent ev) {
+        const std::size_t ks = static_cast<std::size_t>(k);
+        if (ev.task >= 0) {
+          ev.task = shard_tasks_[ks][static_cast<std::size_t>(ev.task)];
         }
-      }
-      if (best < 0) break;
-      const std::size_t bs = static_cast<std::size_t>(best);
-      TraceEvent ev = shard_engine(best).trace().events()[pos[bs]++];
-      if (ev.task >= 0) {
-        ev.task = shard_tasks_[bs][static_cast<std::size_t>(ev.task)];
-      }
-      if (ev.slave >= 0) ev.slave = partition_.global_id(best, ev.slave);
-      merged_trace_.record(ev);
-    }
-  }
+        if (ev.slave >= 0) ev.slave = partition_.global_id(k, ev.slave);
+        merged_trace_.record(ev);
+      });
 
   for (int k = 0; k < num; ++k) {
     const DisruptionStats& d = shard_engine(k).disruption();

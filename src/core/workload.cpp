@@ -115,8 +115,12 @@ Workload Workload::with_lognormal_noise(double comm_sigma, double comp_sigma,
   if (comm_sigma < 0.0 || comp_sigma < 0.0) {
     throw std::invalid_argument("Workload: noise sigma must be >= 0");
   }
-  std::normal_distribution<double> comm_noise(0.0, comm_sigma);
-  std::normal_distribution<double> comp_noise(0.0, comp_sigma);
+  // std::normal_distribution requires a positive stddev; a zero sigma's
+  // distribution is never drawn from, so any positive stand-in will do.
+  std::normal_distribution<double> comm_noise(
+      0.0, comm_sigma > 0.0 ? comm_sigma : 1.0);
+  std::normal_distribution<double> comp_noise(
+      0.0, comp_sigma > 0.0 ? comp_sigma : 1.0);
   std::vector<TaskSpec> tasks = tasks_;
   for (TaskSpec& t : tasks) {
     if (comm_sigma > 0.0) t.comm_factor *= std::exp(comm_noise(rng.engine()));

@@ -351,6 +351,34 @@ TEST(EngineAvailability, ObservablesReportThePresentOnly) {
   EXPECT_DOUBLE_EQ(engine.slave_state().speed[1], 1.0);
 }
 
+TEST(EngineAvailability, RunUntilAppliesTransitionsAtAndWithinEpsOfT) {
+  // run_until(t) leaves every transition up to t + kTimeEps applied: slave
+  // 0 goes down exactly at t, slave 1 within kTimeEps after t, and slave
+  // 2's transition 2 * kTimeEps after t must still lie in the future. The
+  // engine is driven there from 0 and, in a second engine, through an
+  // earlier stop within kTimeEps before t.
+  const platform::Platform plat(std::vector<platform::SlaveSpec>(
+      3, platform::SlaveSpec{0.1, 1.0}));
+  const Time t = 1.0;
+  std::vector<platform::AvailabilityProfile> profiles(3);
+  profiles[0] = platform::AvailabilityProfile({{t, false, 1.0}});
+  profiles[1] = platform::AvailabilityProfile({{t + 0.5 * kTimeEps, false,
+                                                1.0}});
+  profiles[2] = platform::AvailabilityProfile({{t + 2.0 * kTimeEps, false,
+                                                1.0}});
+  for (const std::vector<Time>& stops :
+       {std::vector<Time>{t}, std::vector<Time>{t - 0.5 * kTimeEps, t}}) {
+    const auto ls = algorithms::make_scheduler("LS", 1);
+    ls->reset();
+    OnePortEngine engine(plat, *ls, with_profiles(profiles));
+    for (const Time stop : stops) engine.run_until(stop);
+    EXPECT_EQ(engine.now(), t);
+    EXPECT_FALSE(engine.is_available(0));
+    EXPECT_FALSE(engine.is_available(1));
+    EXPECT_TRUE(engine.is_available(2));
+  }
+}
+
 TEST(EngineAvailability, ReusedEngineMatchesFreshUnderChurn) {
   // reset() must scrub the availability state too: run a churny case in a
   // reused engine after an unrelated case and compare to a fresh engine.

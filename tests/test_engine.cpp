@@ -314,14 +314,33 @@ TEST(Engine, RejectsBadSchedulerChoices) {
   engine1.load(Workload::all_at_zero(1));
   EXPECT_THROW(engine1.run_to_completion(), std::logic_error);
 
-  class BadTask : public OnlineScheduler {
+  // Each case names a task that is not pending when the scheduler commits
+  // it: one out of range, one whose release lies in the future, and one
+  // already committed (task 0 goes to slave 0 first, then is chosen again
+  // while task 1 waits).
+  class FixedTask : public OnlineScheduler {
    public:
-    std::string name() const override { return "BadTask"; }
-    Decision decide(const EngineView&) override { return Assign{42, 0}; }
-  } bad_task;
-  OnePortEngine engine2(two_slaves(), bad_task);
-  engine2.load(Workload::all_at_zero(1));
-  EXPECT_THROW(engine2.run_to_completion(), std::logic_error);
+    explicit FixedTask(TaskId task) : task_(task) {}
+    std::string name() const override { return "FixedTask"; }
+    Decision decide(const EngineView&) override { return Assign{task_, 0}; }
+
+   private:
+    TaskId task_;
+  };
+  const struct {
+    TaskId task;
+    Workload work;
+  } cases[] = {
+      {42, Workload::all_at_zero(1)},
+      {1, Workload::from_releases({0.0, 5.0})},
+      {0, Workload::all_at_zero(2)},
+  };
+  for (const auto& c : cases) {
+    FixedTask bad_task(c.task);
+    OnePortEngine engine(two_slaves(), bad_task);
+    engine.load(c.work);
+    EXPECT_THROW(engine.run_to_completion(), std::logic_error) << c.task;
+  }
 }
 
 TEST(Engine, PendingTasksSnapshotKeepsFifoOrder) {
@@ -332,6 +351,29 @@ TEST(Engine, PendingTasksSnapshotKeepsFifoOrder) {
   engine.run_until(3.0);
   EXPECT_EQ(engine.pending_tasks(), (std::vector<TaskId>{0, 1, 2, 3}));
   EXPECT_EQ(engine.pending_front(), 0);
+
+  // Committing a task from the middle leaves the others in release order
+  // and the front where it was.
+  class MiddleOnce : public OnlineScheduler {
+   public:
+    std::string name() const override { return "MiddleOnce"; }
+    Decision decide(const EngineView&) override {
+      if (done_) return Defer{};
+      done_ = true;
+      return Assign{2, 1};
+    }
+
+   private:
+    bool done_ = false;
+  } middle;
+  OnePortEngine engine2(two_slaves(), middle);
+  engine2.load(Workload::from_releases({0.0, 0.0, 0.0, 0.0}));
+  engine2.run_until(1.0);
+  EXPECT_EQ(engine2.pending_tasks(), (std::vector<TaskId>{0, 1, 3}));
+  EXPECT_EQ(engine2.pending_front(), 0);
+  EXPECT_EQ(engine2.pending_count(), 3);
+  EXPECT_EQ(engine2.assignment_of(2), std::optional<SlaveId>(1));
+  EXPECT_EQ(engine2.assignment_of(0), std::nullopt);
 }
 
 TEST(Engine, PendingFrontOnEmptyThrows) {
